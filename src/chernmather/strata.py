@@ -26,6 +26,11 @@ from .classpoly import ClassPoly, chern_B, involute
 from .linsolve import InconsistentSystem, solve_integer
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: bool is an int subclass, but true/false are not numbers."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Stratum:
     """A named stratum with its class polynomial.
@@ -146,7 +151,7 @@ class StratifiedPair:
             raw_pairing = data["pairing"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"missing stratification field: {exc}") from exc
-        if not isinstance(ambient, int) or ambient < 1:
+        if not _is_int(ambient) or ambient < 1:
             raise ValueError("N must be a positive integer")
 
         def _strata(raw, label):
@@ -166,10 +171,10 @@ class StratifiedPair:
                     ) from exc
                 if not isinstance(name, str):
                     raise ValueError("stratum names must be strings")
-                if not isinstance(dim, int):
+                if not _is_int(dim):
                     raise ValueError(f"stratum {name!r}: dim must be an integer")
                 if not isinstance(csm, list) or not all(
-                    isinstance(c, int) for c in csm
+                    _is_int(c) for c in csm
                 ):
                     raise ValueError(
                         f"stratum {name!r}: csm must be a list of integers"
@@ -184,7 +189,7 @@ class StratifiedPair:
         if not isinstance(raw_pairing, list) or not all(
             isinstance(p, list)
             and len(p) == 2
-            and all(isinstance(i, int) for i in p)
+            and all(_is_int(i) for i in p)
             for p in raw_pairing
         ):
             raise ValueError("pairing must be a list of [r, p] index pairs")

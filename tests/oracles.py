@@ -1,14 +1,33 @@
-"""Independent brute-force oracles used to validate the fast paths.
+"""Independent oracles used to validate the fast paths.
 
-Nothing here touches the package's Littlewood-Richardson code: Schur
-polynomials are expanded monomial by monomial from column-strict tableaux,
-products are multiplied as raw polynomials, and the result is re-expanded
-in the Schur basis by leading-term subtraction.
+The Schur oracles touch none of the package's Littlewood-Richardson code:
+Schur polynomials are expanded monomial by monomial from column-strict
+tableaux, products are multiplied as raw polynomials, and the result is
+re-expanded in the Schur basis by leading-term subtraction.
+
+`q_poly_schubert` computes the determinantal q polynomials by Schubert
+calculus on G(r, n) (Littlewood-Richardson products and the splitting-
+principle tensor product, both checked against the Schur oracle), an
+independent route to the integral that `detvar.q_poly` localizes.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb
+
+from chernmather.classpoly import ClassPoly
+from chernmather.grassmann import (
+    BundleChern,
+    ChowElement,
+    IntPoly,
+    chern_dual,
+    chern_power,
+    chern_tensor,
+    integrate,
+    taut_quot,
+    taut_sub_dual,
+)
 
 
 @lru_cache(maxsize=None)
@@ -104,3 +123,33 @@ def count_partitions_in_box(rows: int, cols: int) -> int:
     if rows == 0 or cols == 0:
         return 1
     return rec(cols, rows)
+
+
+def _weighted_total(bundle: BundleChern, weights: list[IntPoly]) -> ChowElement:
+    """sum_k weights[k] * c_k(bundle)."""
+    r, n = bundle.classes[0].r, bundle.classes[0].n
+    out = ChowElement.zero(r, n)
+    for w, c in zip(weights, bundle.classes):
+        out = out + c.scale(w)
+    return out
+
+
+def q_poly_schubert(n: int, r: int) -> ClassPoly:
+    """q_{n,r} with d symbolic, integrated in the Chow ring of G(r, n)."""
+    d = IntPoly.var()
+    s_dual_n = chern_power(taut_sub_dual(r, n), n)
+    q_dual_n = chern_power(chern_dual(taut_quot(r, n)), n)
+    tangent = chern_tensor(taut_sub_dual(r, n), taut_quot(r, n)).total()
+
+    a = n * (n - r)
+    f1 = _weighted_total(q_dual_n, [(1 + d) ** (a - k) for k in range(a + 1)])
+    b = n * r
+    f2 = _weighted_total(s_dual_n, [d ** (b - k) for k in range(b + 1)])
+
+    total = integrate(tangent * f1 * f2)
+    if isinstance(total, int):
+        total = IntPoly.const(total)
+    q = total - IntPoly.monomial(n * n, comb(n, r))
+    if q.degree >= n * n:
+        raise ArithmeticError(f"top-degree terms failed to cancel for q_({n},{r})")
+    return ClassPoly([q.coeff(k) for k in range(n * n)], n * n)

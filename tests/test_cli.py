@@ -68,6 +68,32 @@ class TestSolve:
         code, _, err = run(capsys, "solve", str(bad))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "path, message",
+        [
+            (("N",), "N must be a positive integer"),
+            (("primal", 2, "dim"), "dim must be an integer"),
+            (("dual", 0, "csm", 0), "csm must be a list of integers"),
+            (("pairing", 0, 0), "pairing must be a list"),
+        ],
+    )
+    def test_json_booleans_rejected(self, capsys, tmp_path, path, message):
+        # true == 1 in Python, so each of these would otherwise pass as a number
+        data = json.loads(FIXTURE.read_text())
+        if path == ("N",):
+            # true reads as N = 1, which only a one-point file would satisfy
+            stratum = {"name": "point", "dim": 0, "csm": [1]}
+            data = {"N": 1, "primal": [stratum], "dual": [stratum], "pairing": []}
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = True
+        bad = tmp_path / "bool.json"
+        bad.write_text(json.dumps(data))
+        code, _, err = run(capsys, "solve", str(bad))
+        assert code == 2
+        assert message in err
+
     def test_inconsistent_names_subsystem(self, capsys, tmp_path):
         data = json.loads(FIXTURE.read_text())
         data["primal"][1]["csm"][5] += 1

@@ -1,8 +1,12 @@
-from math import comb
+import dataclasses
+import json
+from math import comb, factorial, prod
 
 import pytest
 
+from chernmather import detvar
 from chernmather.classpoly import ClassPoly, chern_B, involute
+from chernmather.cli import main as cli_main
 from chernmather.detvar import (
     build_pair,
     chern_mather_det,
@@ -13,6 +17,8 @@ from chernmather.detvar import (
     stratum_dim,
 )
 from chernmather.strata import euler_table
+
+from oracles import q_poly_schubert
 
 # Pushforward class of the rank-one locus for n = 3: the Segre embedding of
 # P^2 x P^2 in P^8, computed independently from c(T(P^2 x P^2)) and the
@@ -48,6 +54,65 @@ class TestQPoly:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             q_poly(3, 4)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_matches_schubert_oracle(self, n):
+        for r in range(n + 1):
+            assert q_poly(n, r) == q_poly_schubert(n, r)
+
+    @pytest.mark.parametrize(
+        "euler_factor, message",
+        [(2, "is not an integer"), (-1, "failed to cancel")],
+    )
+    def test_wrong_localization_is_caught(self, monkeypatch, euler_factor, message):
+        # a wrong tangent Euler class makes M[0][0] = C(3,1)/2 or -C(3,1)
+        monkeypatch.setattr(detvar, "prod", lambda xs: euler_factor * prod(xs))
+        q_poly.cache_clear()
+        with pytest.raises(ArithmeticError, match=message):
+            q_poly(3, 1)
+
+
+def porteous_degree(n: int, r: int) -> int:
+    """Degree of the corank-r locus of n x n matrices (Giambelli-Thom-Porteous)."""
+    num = prod(factorial(i) * factorial(n + i) for i in range(r))
+    den = prod(factorial(r + i) * factorial(n - r + i) for i in range(r))
+    return num // den
+
+
+class TestLargeN:
+    """Closed-form checks at sizes the Schubert oracle is too slow for."""
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_codimension_and_degree(self, n):
+        for r in range(1, n):
+            q = q_poly(n, r)
+            assert q.codim == r * r
+            assert q.variety_degree == porteous_degree(n, r)
+        assert q_poly(n, n).is_zero()
+
+    def test_porteous_small_cases(self):
+        assert porteous_degree(3, 1) == 3  # the determinant cubic
+        assert porteous_degree(3, 2) == 6  # Segre P^2 x P^2 in P^8
+        assert porteous_degree(4, 2) == 20
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_open_strata_euler_characteristics(self, n):
+        for k in range(n - 1):
+            assert csm_stratum(n, k).euler_char == 0
+        assert csm_stratum(n, n - 1).euler_char == n * n
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_duality(self, n):
+        for r in range(1, n):
+            assert duality_check(n, r)
+
+    def test_cli_n8_binomial_table(self, capsys):
+        assert cli_main(["detvar", "--n", "8"]) == 0
+        outs = json.loads(capsys.readouterr().out)["outputs"]
+        assert outs["euler_table_primal"] == [
+            [comb(r, k) for r in range(8)] for k in range(8)
+        ]
+        assert outs["origin_column"] == [comb(8, k) for k in range(8)]
 
 
 class TestCsmStratum:
@@ -154,10 +219,36 @@ class TestChernMatherDet:
             assert chern_mather_det(n, 0) == chern_B(n * n - 1, n * n)
 
     def test_solver_path_agrees(self):
-        # the function itself asserts the solver route internally
+        # the function itself checks the solver route internally
         assert chern_mather_det(3, 1) == q_poly(3, 1)
         assert chern_mather_det(3, 2) == SEGRE_3
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             chern_mather_det(3, 3)
+
+
+def _corrupt_euler_table(monkeypatch, row, col):
+    """Make detvar's solver return a table with one entry off by one."""
+
+    def corrupted(pair):
+        table = euler_table(pair)
+        primal = [list(r) for r in table.primal]
+        primal[row][col] += 1
+        return dataclasses.replace(table, primal=tuple(map(tuple, primal)))
+
+    monkeypatch.setattr(detvar, "euler_table", corrupted)
+
+
+class TestRuntimeChecks:
+    """The table and class checks raise ArithmeticError, which python -O keeps."""
+
+    def test_eu_table_det_rejects_wrong_table(self, monkeypatch):
+        _corrupt_euler_table(monkeypatch, 0, 1)
+        with pytest.raises(ArithmeticError, match="entry"):
+            eu_table_det(3)
+
+    def test_chern_mather_det_rejects_wrong_class(self, monkeypatch):
+        _corrupt_euler_table(monkeypatch, 1, 2)
+        with pytest.raises(ArithmeticError, match="disagrees"):
+            chern_mather_det(3, 1)
