@@ -3,8 +3,9 @@
 Class polynomials of strata go in; local Euler obstructions, Chern-Mather
 classes and affine cone-point obstructions come out, all in exact integer
 arithmetic.  Generators are included for quadric hypersurfaces of any rank
-and for the rank strata of square matrices (through Schubert calculus on
-the Grassmannian).
+and for the rank strata of square matrices (through torus localization on
+the Grassmannian); Schubert calculus on the Grassmannian backs the `chow`
+command.
 """
 
 from .classpoly import (
@@ -25,22 +26,13 @@ from .detvar import (
     stratum_dim,
 )
 from .grassmann import (
-    BundleChern,
     ChowElement,
-    IntPoly,
     box_complement,
-    chern_dual,
-    chern_power,
-    chern_sum,
-    chern_tensor,
     conjugate,
     integrate,
     lr_coefficient,
     lr_multiply,
     partitions_in_box,
-    taut_quot,
-    taut_sub,
-    taut_sub_dual,
 )
 from .linsolve import (
     InconsistentSystem,

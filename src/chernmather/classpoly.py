@@ -146,14 +146,6 @@ class ClassPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, m: int) -> "ClassPoly":
-        if m < 0:
-            raise ValueError("negative powers are not defined")
-        out = ClassPoly.one(self.modulus)
-        for _ in range(m):
-            out = out * self
-        return out
-
     def __eq__(self, other) -> bool:
         return isinstance(other, ClassPoly) and self.coeffs == other.coeffs
 

@@ -100,6 +100,14 @@ def _table_payload(table: EulerTable, pair: StratifiedPair) -> dict:
     }
 
 
+def _emit_strata(report: dict, pair: StratifiedPair, path: str) -> None:
+    """Write the solver input of a generated family, ready for `solve`."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(pair.to_dict(), fh, sort_keys=True, indent=2)
+        fh.write("\n")
+    report["diagnostics"]["emitted"] = path
+
+
 def _cmd_involute(args) -> dict:
     coeffs = _parse_coeffs(args.poly)
     modulus = max(len(coeffs), args.d + 2)
@@ -153,10 +161,7 @@ def _cmd_detvar(args) -> dict:
         "diagnostics": {"systems": list(table.diagnostics)},
     }
     if args.emit_strata:
-        with open(args.emit_strata, "w", encoding="utf-8") as fh:
-            json.dump(pair.to_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        report["diagnostics"]["emitted"] = args.emit_strata
+        _emit_strata(report, pair, args.emit_strata)
     return report
 
 
@@ -195,12 +200,12 @@ def _cmd_quadric(args) -> dict:
         "diagnostics": diagnostics,
     }
     if args.emit_strata:
-        pair = qd.build_pair(spec)
-        with open(args.emit_strata, "w", encoding="utf-8") as fh:
-            json.dump(pair.to_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        report["diagnostics"]["emitted"] = args.emit_strata
+        _emit_strata(report, qd.build_pair(spec), args.emit_strata)
     return report
+
+
+def _join(p: tuple[int, ...]) -> str:
+    return ",".join(str(x) for x in p)
 
 
 def _sigma_name(p: tuple[int, ...]) -> str:
@@ -233,28 +238,21 @@ def _cmd_chow(args) -> dict:
     r, n = args.r, args.n
     if not 0 <= r <= n:
         raise ValueError(f"G({r},{n}) is not a Grassmannian")
+    mode = "mult" if args.mult else "integrate"
+    parts = [_parse_partition(p) for p in getattr(args, mode)]
+    elem = ChowElement.one(r, n)
+    for p in parts:
+        elem = lr_multiply(elem, ChowElement.sigma(p, r, n))
     if args.mult:
-        parts = [_parse_partition(p) for p in args.mult]
-        elem = ChowElement.one(r, n)
-        for p in parts:
-            elem = lr_multiply(elem, ChowElement.sigma(p, r, n))
         outputs = {
             "product": _render_chow(elem),
-            "terms": {
-                ",".join(str(x) for x in p): c for p, c in sorted(elem.terms.items())
-            },
+            "terms": {_join(p): c for p, c in sorted(elem.terms.items())},
         }
-        inputs = {"r": r, "n": n, "mult": ["{}".format(",".join(map(str, p))) for p in parts]}
     else:
-        parts = [_parse_partition(p) for p in args.integrate]
-        elem = ChowElement.one(r, n)
-        for p in parts:
-            elem = lr_multiply(elem, ChowElement.sigma(p, r, n))
         outputs = {"integral": integrate(elem)}
-        inputs = {"r": r, "n": n, "integrate": ["{}".format(",".join(map(str, p))) for p in parts]}
     return {
         "command": "chow",
-        "inputs": inputs,
+        "inputs": {"r": r, "n": n, mode: [_join(p) for p in parts]},
         "outputs": outputs,
         "diagnostics": {},
     }
@@ -313,7 +311,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report = _HANDLERS[args.command](args)
-    except (LinearSystemError, ArithmeticError, AssertionError) as exc:
+    except (LinearSystemError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

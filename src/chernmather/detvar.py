@@ -22,7 +22,7 @@ weights t_i (i in I), Q has weights t_j (j not in I), and
 The sum runs over a common denominator in integers; a non-integral M or a
 d^(n^2) term that fails to cancel raises ArithmeticError.  Littlewood-
 Richardson products on the Grassmannian stay behind the `chow` command and
-serve the tests as an independent oracle for q.  All r at n = 8 take about
+serve the tests as an independent oracle for M and q.  All r at n = 8 take about
 0.06 s and at n = 10 about 0.45 s (2 cores, Python 3.11), where the Schubert
 route took 32 s at n = 8.
 

@@ -1,135 +1,16 @@
 """Exact Schubert calculus on the Chow ring of the Grassmannian G(r, n).
 
-Classes are integer (or integer-polynomial) combinations of Schubert classes
-sigma_lambda indexed by partitions in the r x (n-r) box.  Products use the
-Littlewood-Richardson rule by direct tableau counting; partitions that
-overflow the box vanish.  Chern classes of the tautological bundles, their
-duals, sums, powers and tensor products are provided, the tensor product by
-the splitting principle in a formal-root scratch ring.
-
-Coefficients may be plain integers or IntPoly values (integer polynomials in
-one formal variable), which is what the degree-weighted classes downstream
-need.
+Classes are integer combinations of Schubert classes sigma_lambda indexed
+by partitions in the r x (n-r) box.  Products use the Littlewood-Richardson
+rule by direct tableau counting; partitions that overflow the box vanish.
+This is the engine of the `chow` command.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product as iproduct
-from typing import Iterable, Iterator, Sequence, Union
-
-
-# ---------------------------------------------------------------------------
-# Coefficient polynomials in one formal variable.
-
-
-class IntPoly:
-    """Dense integer polynomial in one formal variable, immutable."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[int] = ()):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(int(c) for c in cs)
-
-    @classmethod
-    def const(cls, c: int) -> "IntPoly":
-        return cls((c,))
-
-    @classmethod
-    def var(cls) -> "IntPoly":
-        return cls((0, 1))
-
-    @classmethod
-    def monomial(cls, power: int, coeff: int = 1) -> "IntPoly":
-        return cls((0,) * power + (coeff,))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coeff(self, k: int) -> int:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def _coerce(self, other):
-        if isinstance(other, IntPoly):
-            return other
-        if isinstance(other, int):
-            return IntPoly((other,))
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPoly(self.coeff(k) + other.coeff(k) for k in range(n))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "IntPoly":
-        return IntPoly(-c for c in self.coeffs)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return IntPoly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-        return IntPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, m: int) -> "IntPoly":
-        if m < 0:
-            raise ValueError("negative powers are not defined")
-        out = IntPoly((1,))
-        for _ in range(m):
-            out = out * self
-        return out
-
-    def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"IntPoly({list(self.coeffs)!r})"
-
-
-Coeff = Union[int, IntPoly]
-
-
-def _is_zero_coeff(c: Coeff) -> bool:
-    return not c if isinstance(c, IntPoly) else c == 0
+from itertools import product as iproduct
+from typing import Iterable, Iterator, Sequence
 
 
 # ---------------------------------------------------------------------------
@@ -250,16 +131,16 @@ class ChowElement:
             raise ValueError(f"G({r}, {n}) is not a Grassmannian")
         self.r = r
         self.n = n
-        clean: dict[tuple[int, ...], Coeff] = {}
+        clean: dict[tuple[int, ...], int] = {}
         for p, c in (terms or {}).items():
             p = normalize_partition(p)
             if not fits_box(p, r, n - r):
                 raise ValueError(f"partition {p} does not fit the {r}x{n - r} box")
-            acc = clean.get(p, 0) + c if p in clean else c
-            if _is_zero_coeff(acc):
-                clean.pop(p, None)
-            else:
+            acc = clean.get(p, 0) + c
+            if acc:
                 clean[p] = acc
+            else:
+                clean.pop(p, None)
         self.terms = clean
 
     @classmethod
@@ -271,7 +152,7 @@ class ChowElement:
         return cls(r, n, {(): 1})
 
     @classmethod
-    def sigma(cls, parts, r: int, n: int, coeff: Coeff = 1) -> "ChowElement":
+    def sigma(cls, parts, r: int, n: int, coeff: int = 1) -> "ChowElement":
         return cls(r, n, {normalize_partition(parts): coeff})
 
     def _check_ring(self, other: "ChowElement") -> None:
@@ -283,7 +164,7 @@ class ChowElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coeff(self, parts) -> Coeff:
+    def coeff(self, parts) -> int:
         return self.terms.get(normalize_partition(parts), 0)
 
     def __add__(self, other: "ChowElement") -> "ChowElement":
@@ -293,10 +174,10 @@ class ChowElement:
         terms = dict(self.terms)
         for p, c in other.terms.items():
             acc = terms.get(p, 0) + c
-            if _is_zero_coeff(acc):
-                terms.pop(p, None)
-            else:
+            if acc:
                 terms[p] = acc
+            else:
+                terms.pop(p, None)
         return ChowElement(self.r, self.n, terms)
 
     def __neg__(self) -> "ChowElement":
@@ -307,20 +188,20 @@ class ChowElement:
             return NotImplemented
         return self + (-other)
 
-    def scale(self, c: Coeff) -> "ChowElement":
-        if _is_zero_coeff(c):
+    def scale(self, c: int) -> "ChowElement":
+        if c == 0:
             return ChowElement.zero(self.r, self.n)
         return ChowElement(self.r, self.n, {p: c * v for p, v in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, IntPoly)):
+        if isinstance(other, int):
             return self.scale(other)
         if isinstance(other, ChowElement):
             return lr_multiply(self, other)
         return NotImplemented
 
     def __rmul__(self, other):
-        if isinstance(other, (int, IntPoly)):
+        if isinstance(other, int):
             return self.scale(other)
         return NotImplemented
 
@@ -337,7 +218,7 @@ class ChowElement:
             self.r, self.n, {p: c for p, c in self.terms.items() if sum(p) == k}
         )
 
-    def integrate(self) -> Coeff:
+    def integrate(self) -> int:
         return integrate(self)
 
     def __repr__(self) -> str:
@@ -353,7 +234,7 @@ def lr_multiply(a: ChowElement, b: ChowElement) -> ChowElement:
     """Product in the Chow ring; box-overflowing partitions vanish."""
     a._check_ring(b)
     r, n = a.r, a.n
-    out: dict[tuple[int, ...], Coeff] = {}
+    out: dict[tuple[int, ...], int] = {}
     box = list(partitions_in_box(r, n - r))
     for (lam, ca), (mu, cb) in iproduct(a.terms.items(), b.terms.items()):
         size = sum(lam) + sum(mu)
@@ -364,213 +245,14 @@ def lr_multiply(a: ChowElement, b: ChowElement) -> ChowElement:
             m = lr_coefficient(lam, mu, nu)
             if m:
                 acc = out.get(nu, 0) + m * cab
-                if _is_zero_coeff(acc):
-                    out.pop(nu, None)
-                else:
+                if acc:
                     out[nu] = acc
+                else:
+                    out.pop(nu, None)
     return ChowElement(r, n, out)
 
 
-def integrate(x: ChowElement) -> Coeff:
+def integrate(x: ChowElement) -> int:
     """Coefficient of the full-box class; all other classes integrate to 0."""
     full = tuple([x.n - x.r] * x.r) if x.r and x.n - x.r else ()
     return x.terms.get(normalize_partition(full), 0)
-
-
-# ---------------------------------------------------------------------------
-# Chern classes of bundles.
-
-
-@dataclass(frozen=True)
-class BundleChern:
-    """Total Chern class of a bundle: c_0 .. c_rank, c_0 = 1."""
-
-    rank: int
-    classes: tuple[ChowElement, ...]
-
-    def __post_init__(self):
-        if len(self.classes) != self.rank + 1:
-            raise ValueError("need exactly rank+1 Chern classes")
-        if self.classes[0] != ChowElement.one(*self._ring()):
-            raise ValueError("c_0 must be 1")
-        for k, c in enumerate(self.classes):
-            if any(sum(p) != k for p in c.terms):
-                raise ValueError(f"c_{k} is not of pure degree {k}")
-
-    def _ring(self) -> tuple[int, int]:
-        return self.classes[0].r, self.classes[0].n
-
-    def total(self) -> ChowElement:
-        out = ChowElement.zero(*self._ring())
-        for c in self.classes:
-            out = out + c
-        return out
-
-
-def taut_sub(r: int, n: int) -> BundleChern:
-    """The rank-r tautological subbundle S: dual of the bundle with
-    c_k = sigma_(1^k)."""
-    return chern_dual(taut_sub_dual(r, n))
-
-
-def taut_sub_dual(r: int, n: int) -> BundleChern:
-    """S^vee, with c_k = sigma_(1^k) (zero once the partition leaves the box)."""
-    classes = []
-    for k in range(r + 1):
-        p = (1,) * k
-        if fits_box(p, r, n - r):
-            classes.append(ChowElement.sigma(p, r, n))
-        else:
-            classes.append(ChowElement.zero(r, n))
-    return BundleChern(r, tuple(classes))
-
-
-def taut_quot(r: int, n: int) -> BundleChern:
-    """The rank-(n-r) tautological quotient Q, with c_k = sigma_(k)."""
-    classes = []
-    for k in range(n - r + 1):
-        p = (k,) if k else ()
-        if fits_box(p, r, n - r):
-            classes.append(ChowElement.sigma(p, r, n))
-        else:
-            classes.append(ChowElement.zero(r, n))
-    return BundleChern(n - r, tuple(classes))
-
-
-def chern_dual(b: BundleChern) -> BundleChern:
-    """c_k(E^vee) = (-1)^k c_k(E)."""
-    return BundleChern(
-        b.rank,
-        tuple(c if k % 2 == 0 else -c for k, c in enumerate(b.classes)),
-    )
-
-
-def chern_sum(b1: BundleChern, b2: BundleChern) -> BundleChern:
-    """Whitney formula for a direct sum."""
-    r, n = b1._ring()
-    if (r, n) != b2._ring():
-        raise ValueError("bundles live on different Grassmannians")
-    rank = b1.rank + b2.rank
-    classes = [ChowElement.zero(r, n) for _ in range(rank + 1)]
-    for i, ci in enumerate(b1.classes):
-        if ci.is_zero():
-            continue
-        for j, cj in enumerate(b2.classes):
-            if not cj.is_zero():
-                classes[i + j] = classes[i + j] + ci * cj
-    return BundleChern(rank, tuple(classes))
-
-
-def chern_power(b: BundleChern, m: int) -> BundleChern:
-    """Chern classes of the m-fold direct sum of b."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    r, n = b._ring()
-    out = BundleChern(0, (ChowElement.one(r, n),))
-    for _ in range(m):
-        out = chern_sum(out, b)
-    return out
-
-
-# -- tensor products via formal Chern roots ---------------------------------
-#
-# The scratch ring is Z[x_1..x_r1, y_1..y_r2] with polynomials stored as
-# {exponent tuple: int}.  The product of (1 + x_i + y_j) over all pairs is
-# symmetric in each block, so it is an integer combination of products
-# e_lam(x) * e_mu(y); Gauss reduction on lex-leading monomials extracts the
-# coefficients, and e_k of a factor's roots is its k-th Chern class.
-
-
-def _mp_add_term(poly: dict, expo: tuple[int, ...], coeff: int) -> None:
-    acc = poly.get(expo, 0) + coeff
-    if acc:
-        poly[expo] = acc
-    else:
-        poly.pop(expo, None)
-
-
-def _mp_mul(a: dict, b: dict) -> dict:
-    out: dict[tuple[int, ...], int] = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            _mp_add_term(out, tuple(i + j for i, j in zip(ea, eb)), ca * cb)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _elementary(k: int, start: int, stop: int, width: int) -> dict:
-    """e_k in variables start..stop-1 of an exponent tuple of length width."""
-    if k == 0:
-        return {(0,) * width: 1}
-    if k > stop - start:
-        return {}
-    out: dict[tuple[int, ...], int] = {}
-    for subset in combinations(range(start, stop), k):
-        expo = [0] * width
-        for v in subset:
-            expo[v] = 1
-        out[tuple(expo)] = 1
-    return out
-
-
-@lru_cache(maxsize=None)
-def _tensor_table(r1: int, r2: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:
-    """Universal expansion of prod (1 + x_i + y_j) as sum of e_lam(x)e_mu(y).
-
-    Returns triples (lam, mu, coeff); substituting Chern classes for the
-    elementary symmetric functions yields c(E tensor F).
-    """
-    width = r1 + r2
-    poly: dict[tuple[int, ...], int] = {(0,) * width: 1}
-    for i in range(r1):
-        for j in range(r2):
-            factor: dict[tuple[int, ...], int] = {(0,) * width: 1}
-            ei = [0] * width
-            ei[i] = 1
-            factor[tuple(ei)] = 1
-            ej = [0] * width
-            ej[r1 + j] = 1
-            factor[tuple(ej)] = 1
-            poly = _mp_mul(poly, factor)
-
-    out = []
-    while poly:
-        lead = max(poly)
-        coeff = poly[lead]
-        xpart, ypart = lead[:r1], lead[r1:]
-        lam = conjugate(normalize_partition(sorted(xpart, reverse=True)))
-        mu = conjugate(normalize_partition(sorted(ypart, reverse=True)))
-        basis = _mp_mul(
-            _eprod(lam, 0, r1, width), _eprod(mu, r1, width, width)
-        )
-        for expo, c in basis.items():
-            _mp_add_term(poly, expo, -coeff * c)
-        out.append((lam, mu, coeff))
-    return tuple(out)
-
-
-def _eprod(parts: tuple[int, ...], start: int, stop: int, width: int) -> dict:
-    out = {(0,) * width: 1}
-    for k in parts:
-        out = _mp_mul(out, _elementary(k, start, stop, width))
-    return out
-
-
-def chern_tensor(b1: BundleChern, b2: BundleChern) -> BundleChern:
-    """Chern classes of a tensor product, by the splitting principle."""
-    r, n = b1._ring()
-    if (r, n) != b2._ring():
-        raise ValueError("bundles live on different Grassmannians")
-    rank = b1.rank * b2.rank
-    classes = [ChowElement.zero(r, n) for _ in range(rank + 1)]
-    for lam, mu, coeff in _tensor_table(b1.rank, b2.rank):
-        k = sum(lam) + sum(mu)
-        if k > rank:
-            continue
-        term = ChowElement.one(r, n).scale(coeff)
-        for part in lam:
-            term = term * b1.classes[part]
-        for part in mu:
-            term = term * b2.classes[part]
-        classes[k] = classes[k] + term
-    return BundleChern(rank, tuple(classes))

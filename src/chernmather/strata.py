@@ -25,6 +25,10 @@ from typing import Iterable, Sequence
 from .classpoly import ClassPoly, chern_B, involute
 from .linsolve import InconsistentSystem, solve_integer
 
+# Largest accepted N: every class is stored densely with N coefficients and
+# each system has N equations, so N bounds both memory and time.
+MAX_AMBIENT = 1024
+
 
 def _is_int(value) -> bool:
     """A JSON integer: bool is an int subclass, but true/false are not numbers."""
@@ -90,6 +94,12 @@ class StratifiedPair:
         pairing = [tuple(p) for p in pairing]
         if not primal or not dual:
             raise ValueError("both sides need at least one stratum")
+        for side, label in ((primal, "primal"), (dual, "dual")):
+            names: set[str] = set()
+            for s in side:
+                if s.name in names:
+                    raise ValueError(f"{label} stratum name {s.name!r} is repeated")
+                names.add(s.name)
         seen_r, seen_p = set(), set()
         for r, p in pairing:
             if not (0 <= r < len(primal) and 0 <= p < len(dual)):
@@ -153,6 +163,8 @@ class StratifiedPair:
             raise ValueError(f"missing stratification field: {exc}") from exc
         if not _is_int(ambient) or ambient < 1:
             raise ValueError("N must be a positive integer")
+        if ambient > MAX_AMBIENT:
+            raise ValueError(f"N must be at most {MAX_AMBIENT}")
 
         def _strata(raw, label):
             if not isinstance(raw, list) or not raw:
@@ -231,13 +243,17 @@ class EulerTable:
     diagnostics: tuple[dict, ...] = field(default_factory=tuple)
 
 
-def _signed_system(pair: StratifiedPair, r: int, p: int, signs=True):
-    """Rows/rhs of the coefficient-matching system for paired strata (r, p)."""
+def _involutes(pair: StratifiedPair) -> list[ClassPoly]:
+    """The transform of every primal class, shared by all paired systems."""
+    return [involute(s.csm, pair.ambient - 1) for s in pair.primal]
+
+
+def _signed_system(pair: StratifiedPair, inv, r: int, p: int, signs=True):
+    """Rows/rhs of the coefficient-matching system for paired strata (r, p),
+    given the transforms `inv` of the primal classes."""
     n = pair.ambient
-    d = n - 1
     sx = (-1) ** pair.primal[r].effective_dim if signs else 1
     sy = (-1) ** pair.dual[p].effective_dim if signs else 1
-    inv = [involute(s.csm, d) for s in pair.primal]
 
     prim_unknowns = list(range(r + 1, len(pair.primal)))
     dual_unknowns = list(range(p + 1, len(pair.dual)))
@@ -257,20 +273,25 @@ def solve_system(pair: StratifiedPair, r: int) -> tuple[tuple[int, ...], tuple[i
     of stratum r at stratum r+i, beta likewise on the dual side starting at
     the paired stratum; both are normalized to 1 at their first entry.
     """
+    return _solve_paired(pair, _involutes(pair), r)
+
+
+def _solve_paired(pair: StratifiedPair, inv, r: int):
+    """solve_system, given the transforms `inv` of the primal classes."""
     p = pair.dual_index(r)
     if p is None:
         raise ValueError(
             f"primal stratum {pair.primal[r].name!r} has no paired dual stratum"
         )
     context = f"primal[{r}] {pair.primal[r].name!r} <-> dual[{p}] {pair.dual[p].name!r}"
-    rows, rhs, prim_unknowns, dual_unknowns = _signed_system(pair, r, p)
+    rows, rhs, prim_unknowns, dual_unknowns = _signed_system(pair, inv, r, p)
     try:
         sol = solve_integer(rows, rhs, context)
     except InconsistentSystem as exc:
         # Diagnose whether dropping the parity signs would have worked;
         # that points at wrongly declared stratum dimensions.
         try:
-            u_rows, u_rhs, _, _ = _signed_system(pair, r, p, signs=False)
+            u_rows, u_rhs, _, _ = _signed_system(pair, inv, r, p, signs=False)
             solve_integer(u_rows, u_rhs, context)
         except Exception:
             raise exc from None
@@ -342,8 +363,10 @@ def euler_table(pair: StratifiedPair) -> EulerTable:
     rows_d: dict[int, tuple[int, ...]] = {}
     diags: list[dict] = []
 
+    # N = 1 has no transform (d = 0), and a file without pairs needs none.
+    inv = _involutes(pair) if pair.pairing else []
     for r, p in pair.pairing:
-        alpha, beta = solve_system(pair, r)
+        alpha, beta = _solve_paired(pair, inv, r)
         rows_p[r] = alpha
         rows_d[p] = beta
         diags.append(

@@ -5,28 +5,29 @@ Schur polynomials are expanded monomial by monomial from column-strict
 tableaux, products are multiplied as raw polynomials, and the result is
 re-expanded in the Schur basis by leading-term subtraction.
 
-`q_poly_schubert` computes the determinantal q polynomials by Schubert
-calculus on G(r, n) (Littlewood-Richardson products and the splitting-
-principle tensor product, both checked against the Schur oracle), an
-independent route to the integral that `detvar.q_poly` localizes.
+`q_poly_schubert` computes the Chern numbers behind the determinantal q
+polynomials by Schubert calculus on G(r, n): Littlewood-Richardson products
+and the splitting-principle tensor product below, both checked against the
+Schur oracle.  It is an independent route to the integral that
+`detvar._chern_numbers` localizes.  The bundle calculus (Chern classes of
+the tautological bundles, their duals, sums, powers and tensor products)
+lives here because nothing in the package needs it.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from math import comb
 
-from chernmather.classpoly import ClassPoly
+from chernmather.classpoly import ClassPoly, one_plus_h_power
 from chernmather.grassmann import (
-    BundleChern,
     ChowElement,
-    IntPoly,
-    chern_dual,
-    chern_power,
-    chern_tensor,
+    conjugate,
+    fits_box,
     integrate,
-    taut_quot,
-    taut_sub_dual,
+    normalize_partition,
 )
 
 
@@ -125,31 +126,226 @@ def count_partitions_in_box(rows: int, cols: int) -> int:
     return rec(cols, rows)
 
 
-def _weighted_total(bundle: BundleChern, weights: list[IntPoly]) -> ChowElement:
-    """sum_k weights[k] * c_k(bundle)."""
-    r, n = bundle.classes[0].r, bundle.classes[0].n
-    out = ChowElement.zero(r, n)
-    for w, c in zip(weights, bundle.classes):
-        out = out + c.scale(w)
+def q_poly_schubert(n: int, r: int) -> tuple[list[list[int]], ClassPoly]:
+    """The Chern numbers M[a][b] of `detvar` on G(r, n), and q_{n,r} from them.
+
+    M[a][b] = integral of c_(D-a-b)(S^v tensor Q) c_b((Q^v)^n) c_a((S^v)^n)
+    is integrated by Littlewood-Richardson products.  q is summed modulo
+    H^(n^2+1), so the d^(n^2) term is checked to cancel, not truncated away.
+    """
+    top = r * (n - r)
+    tangent = chern_tensor(taut_sub_dual(r, n), taut_quot(r, n)).classes
+    c_quot = chern_power(chern_dual(taut_quot(r, n)), n).classes
+    c_sub = chern_power(taut_sub_dual(r, n), n).classes
+    numbers = [
+        [integrate(tangent[top - a - b] * c_quot[b] * c_sub[a]) for b in range(top + 1 - a)]
+        for a in range(top + 1)
+    ]
+    mod = n * n + 1
+    q = ClassPoly.monomial(n * n, mod, -comb(n, r))
+    for a, row in enumerate(numbers):
+        for b, m in enumerate(row):
+            shift = ClassPoly.monomial(n * r - a, mod, m)
+            q = q + shift * one_plus_h_power(n * (n - r) - b, mod)
+    if q.coeffs[n * n]:
+        raise ArithmeticError(f"top-degree terms failed to cancel for q_({n},{r})")
+    return numbers, ClassPoly(q.coeffs[: n * n], n * n)
+
+
+# ---------------------------------------------------------------------------
+# Chern classes of bundles on G(r, n), for the oracle above.
+
+
+@dataclass(frozen=True)
+class BundleChern:
+    """Total Chern class of a bundle: c_0 .. c_rank, c_0 = 1."""
+
+    rank: int
+    classes: tuple[ChowElement, ...]
+
+    def __post_init__(self):
+        if len(self.classes) != self.rank + 1:
+            raise ValueError("need exactly rank+1 Chern classes")
+        if self.classes[0] != ChowElement.one(*self._ring()):
+            raise ValueError("c_0 must be 1")
+        for k, c in enumerate(self.classes):
+            if any(sum(p) != k for p in c.terms):
+                raise ValueError(f"c_{k} is not of pure degree {k}")
+
+    def _ring(self) -> tuple[int, int]:
+        return self.classes[0].r, self.classes[0].n
+
+    def total(self) -> ChowElement:
+        out = ChowElement.zero(*self._ring())
+        for c in self.classes:
+            out = out + c
+        return out
+
+
+def taut_sub(r: int, n: int) -> BundleChern:
+    """The rank-r tautological subbundle S: dual of the bundle with
+    c_k = sigma_(1^k)."""
+    return chern_dual(taut_sub_dual(r, n))
+
+
+def taut_sub_dual(r: int, n: int) -> BundleChern:
+    """S^vee, with c_k = sigma_(1^k) (zero once the partition leaves the box)."""
+    classes = []
+    for k in range(r + 1):
+        p = (1,) * k
+        if fits_box(p, r, n - r):
+            classes.append(ChowElement.sigma(p, r, n))
+        else:
+            classes.append(ChowElement.zero(r, n))
+    return BundleChern(r, tuple(classes))
+
+
+def taut_quot(r: int, n: int) -> BundleChern:
+    """The rank-(n-r) tautological quotient Q, with c_k = sigma_(k)."""
+    classes = []
+    for k in range(n - r + 1):
+        p = (k,) if k else ()
+        if fits_box(p, r, n - r):
+            classes.append(ChowElement.sigma(p, r, n))
+        else:
+            classes.append(ChowElement.zero(r, n))
+    return BundleChern(n - r, tuple(classes))
+
+
+def chern_dual(b: BundleChern) -> BundleChern:
+    """c_k(E^vee) = (-1)^k c_k(E)."""
+    return BundleChern(
+        b.rank,
+        tuple(c if k % 2 == 0 else -c for k, c in enumerate(b.classes)),
+    )
+
+
+def chern_sum(b1: BundleChern, b2: BundleChern) -> BundleChern:
+    """Whitney formula for a direct sum."""
+    r, n = b1._ring()
+    if (r, n) != b2._ring():
+        raise ValueError("bundles live on different Grassmannians")
+    rank = b1.rank + b2.rank
+    classes = [ChowElement.zero(r, n) for _ in range(rank + 1)]
+    for i, ci in enumerate(b1.classes):
+        if ci.is_zero():
+            continue
+        for j, cj in enumerate(b2.classes):
+            if not cj.is_zero():
+                classes[i + j] = classes[i + j] + ci * cj
+    return BundleChern(rank, tuple(classes))
+
+
+def chern_power(b: BundleChern, m: int) -> BundleChern:
+    """Chern classes of the m-fold direct sum of b."""
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    r, n = b._ring()
+    out = BundleChern(0, (ChowElement.one(r, n),))
+    for _ in range(m):
+        out = chern_sum(out, b)
     return out
 
 
-def q_poly_schubert(n: int, r: int) -> ClassPoly:
-    """q_{n,r} with d symbolic, integrated in the Chow ring of G(r, n)."""
-    d = IntPoly.var()
-    s_dual_n = chern_power(taut_sub_dual(r, n), n)
-    q_dual_n = chern_power(chern_dual(taut_quot(r, n)), n)
-    tangent = chern_tensor(taut_sub_dual(r, n), taut_quot(r, n)).total()
+# -- tensor products via formal Chern roots ---------------------------------
+#
+# The scratch ring is Z[x_1..x_r1, y_1..y_r2] with polynomials stored as
+# {exponent tuple: int}.  The product of (1 + x_i + y_j) over all pairs is
+# symmetric in each block, so it is an integer combination of products
+# e_lam(x) * e_mu(y); Gauss reduction on lex-leading monomials extracts the
+# coefficients, and e_k of a factor's roots is its k-th Chern class.
 
-    a = n * (n - r)
-    f1 = _weighted_total(q_dual_n, [(1 + d) ** (a - k) for k in range(a + 1)])
-    b = n * r
-    f2 = _weighted_total(s_dual_n, [d ** (b - k) for k in range(b + 1)])
 
-    total = integrate(tangent * f1 * f2)
-    if isinstance(total, int):
-        total = IntPoly.const(total)
-    q = total - IntPoly.monomial(n * n, comb(n, r))
-    if q.degree >= n * n:
-        raise ArithmeticError(f"top-degree terms failed to cancel for q_({n},{r})")
-    return ClassPoly([q.coeff(k) for k in range(n * n)], n * n)
+def _mp_add_term(poly: dict, expo: tuple[int, ...], coeff: int) -> None:
+    acc = poly.get(expo, 0) + coeff
+    if acc:
+        poly[expo] = acc
+    else:
+        poly.pop(expo, None)
+
+
+def _mp_mul(a: dict, b: dict) -> dict:
+    out: dict[tuple[int, ...], int] = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            _mp_add_term(out, tuple(i + j for i, j in zip(ea, eb)), ca * cb)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _elementary(k: int, start: int, stop: int, width: int) -> dict:
+    """e_k in variables start..stop-1 of an exponent tuple of length width."""
+    if k == 0:
+        return {(0,) * width: 1}
+    if k > stop - start:
+        return {}
+    out: dict[tuple[int, ...], int] = {}
+    for subset in combinations(range(start, stop), k):
+        expo = [0] * width
+        for v in subset:
+            expo[v] = 1
+        out[tuple(expo)] = 1
+    return out
+
+
+@lru_cache(maxsize=None)
+def _tensor_table(r1: int, r2: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:
+    """Universal expansion of prod (1 + x_i + y_j) as sum of e_lam(x)e_mu(y).
+
+    Returns triples (lam, mu, coeff); substituting Chern classes for the
+    elementary symmetric functions yields c(E tensor F).
+    """
+    width = r1 + r2
+    poly: dict[tuple[int, ...], int] = {(0,) * width: 1}
+    for i in range(r1):
+        for j in range(r2):
+            factor: dict[tuple[int, ...], int] = {(0,) * width: 1}
+            ei = [0] * width
+            ei[i] = 1
+            factor[tuple(ei)] = 1
+            ej = [0] * width
+            ej[r1 + j] = 1
+            factor[tuple(ej)] = 1
+            poly = _mp_mul(poly, factor)
+
+    out = []
+    while poly:
+        lead = max(poly)
+        coeff = poly[lead]
+        xpart, ypart = lead[:r1], lead[r1:]
+        lam = conjugate(normalize_partition(sorted(xpart, reverse=True)))
+        mu = conjugate(normalize_partition(sorted(ypart, reverse=True)))
+        basis = _mp_mul(
+            _eprod(lam, 0, r1, width), _eprod(mu, r1, width, width)
+        )
+        for expo, c in basis.items():
+            _mp_add_term(poly, expo, -coeff * c)
+        out.append((lam, mu, coeff))
+    return tuple(out)
+
+
+def _eprod(parts: tuple[int, ...], start: int, stop: int, width: int) -> dict:
+    out = {(0,) * width: 1}
+    for k in parts:
+        out = _mp_mul(out, _elementary(k, start, stop, width))
+    return out
+
+
+def chern_tensor(b1: BundleChern, b2: BundleChern) -> BundleChern:
+    """Chern classes of a tensor product, by the splitting principle."""
+    r, n = b1._ring()
+    if (r, n) != b2._ring():
+        raise ValueError("bundles live on different Grassmannians")
+    rank = b1.rank * b2.rank
+    classes = [ChowElement.zero(r, n) for _ in range(rank + 1)]
+    for lam, mu, coeff in _tensor_table(b1.rank, b2.rank):
+        k = sum(lam) + sum(mu)
+        if k > rank:
+            continue
+        term = ChowElement.one(r, n).scale(coeff)
+        for part in lam:
+            term = term * b1.classes[part]
+        for part in mu:
+            term = term * b2.classes[part]
+        classes[k] = classes[k] + term
+    return BundleChern(rank, tuple(classes))

@@ -21,12 +21,9 @@ from chernmather.detvar import duality_check, eu_table_det, q_poly
 from chernmather.grassmann import (
     ChowElement,
     box_complement,
-    chern_tensor,
     integrate,
     lr_multiply,
     partitions_in_box,
-    taut_quot,
-    taut_sub_dual,
 )
 from chernmather.quadric import (
     QuadricSpec,
@@ -41,7 +38,7 @@ from chernmather.quadric import (
 )
 from chernmather.strata import StratifiedPair, eu_at_origin, solve_system
 
-from oracles import schur_product_in_box
+from oracles import chern_tensor, schur_product_in_box, taut_quot, taut_sub_dual
 
 FIXTURE = Path(__file__).parent / "data" / "symmetric_3x3.json"
 

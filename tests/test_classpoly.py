@@ -42,10 +42,6 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             ClassPoly([1, 0, 5], 2)
 
-    def test_pow(self):
-        f = ClassPoly([1, 1], 4)
-        assert f**3 == ClassPoly([1, 3, 3, 1])
-
 
 class TestEval:
     def test_corank1_value(self):

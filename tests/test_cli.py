@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from chernmather.cli import _stringify_big, main
+from chernmather.strata import MAX_AMBIENT
 
 DATA = Path(__file__).parent / "data"
 FIXTURE = DATA / "symmetric_3x3.json"
@@ -89,6 +90,26 @@ class TestSolve:
             target = target[key]
         target[path[-1]] = True
         bad = tmp_path / "bool.json"
+        bad.write_text(json.dumps(data))
+        code, _, err = run(capsys, "solve", str(bad))
+        assert code == 2
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [("ambient", "N must be at most 1024"), ("names", "name 'same' is repeated")],
+    )
+    def test_hostile_input_rejected(self, capsys, tmp_path, case, message):
+        data = json.loads(FIXTURE.read_text())
+        if case == "ambient":
+            # one coefficient per class, but every class would be padded to N
+            stratum = {"name": "point", "dim": 0, "csm": [1]}
+            data = {"N": MAX_AMBIENT + 1, "primal": [stratum], "dual": [stratum], "pairing": []}
+        else:
+            # one report entry per name: three strata would collapse into one
+            for stratum in data["primal"]:
+                stratum["name"] = "same"
+        bad = tmp_path / "hostile.json"
         bad.write_text(json.dumps(data))
         code, _, err = run(capsys, "solve", str(bad))
         assert code == 2

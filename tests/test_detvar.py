@@ -1,10 +1,14 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from math import comb, factorial, prod
+from pathlib import Path
 
 import pytest
 
-from chernmather import detvar
+from chernmather import detvar, strata
 from chernmather.classpoly import ClassPoly, chern_B, involute
 from chernmather.cli import main as cli_main
 from chernmather.detvar import (
@@ -58,7 +62,9 @@ class TestQPoly:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_matches_schubert_oracle(self, n):
         for r in range(n + 1):
-            assert q_poly(n, r) == q_poly_schubert(n, r)
+            numbers, q = q_poly_schubert(n, r)
+            assert detvar._chern_numbers(n, r) == numbers
+            assert q_poly(n, r) == q
 
     @pytest.mark.parametrize(
         "euler_factor, message",
@@ -209,6 +215,14 @@ class TestEulerTables:
         with pytest.raises(ValueError):
             build_pair(1)
 
+    def test_involute_once_per_primal_stratum(self, monkeypatch, capsys):
+        # every paired system shares the transforms of the primal classes
+        calls = []
+        monkeypatch.setattr(strata, "involute", lambda f, d: calls.append(d) or involute(f, d))
+        assert cli_main(["detvar", "--n", "5"]) == 0
+        capsys.readouterr()
+        assert len(calls) == len(build_pair(5).primal) == 5
+
 
 class TestChernMatherDet:
     def test_smooth_quadric(self):
@@ -252,3 +266,19 @@ class TestRuntimeChecks:
         _corrupt_euler_table(monkeypatch, 1, 2)
         with pytest.raises(ArithmeticError, match="disagrees"):
             chern_mather_det(3, 1)
+
+    def test_checks_survive_python_O(self):
+        # a corrupted origin column still exits 3 when asserts are stripped
+        script = (
+            "import dataclasses, sys\n"
+            "from chernmather import cli, detvar\n"
+            "solve = detvar.euler_table\n"
+            "detvar.euler_table = lambda pair: dataclasses.replace(solve(pair), origin=(0, 3, 3))\n"
+            "sys.exit(cli.main(['detvar', '--n', '3']) if sys.flags.optimize else 99)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(detvar.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "origin entry 0 is 0, expected 1" in proc.stderr

