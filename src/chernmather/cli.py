@@ -17,7 +17,7 @@ from . import quadric as qd
 from .classpoly import ClassPoly, involute
 from .grassmann import ChowElement, integrate, lr_multiply
 from .linsolve import LinearSystemError
-from .strata import EulerTable, StratifiedPair, chern_mather, euler_table
+from .strata import MAX_AMBIENT, EulerTable, StratifiedPair, chern_mather, euler_table
 
 _INT64_MAX = 2**63 - 1
 
@@ -47,6 +47,14 @@ def _render_text(payload, prefix="") -> list[str]:
     return lines
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(report: dict, args) -> None:
     report = _stringify_big(report)
     if args.format == "json":
@@ -54,8 +62,7 @@ def _emit(report: dict, args) -> None:
     else:
         text = "\n".join(_render_text(report)) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
 
@@ -102,15 +109,17 @@ def _table_payload(table: EulerTable, pair: StratifiedPair) -> dict:
 
 def _emit_strata(report: dict, pair: StratifiedPair, path: str) -> None:
     """Write the solver input of a generated family, ready for `solve`."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(pair.to_dict(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write(path, json.dumps(pair.to_dict(), sort_keys=True, indent=2) + "\n")
     report["diagnostics"]["emitted"] = path
 
 
 def _cmd_involute(args) -> dict:
     coeffs = _parse_coeffs(args.poly)
     modulus = max(len(coeffs), args.d + 2)
+    if modulus > MAX_AMBIENT:
+        raise ValueError(
+            f"need --d + 2 and the --poly length at most {MAX_AMBIENT}, got {modulus}"
+        )
     result = involute(ClassPoly(coeffs, modulus), args.d)
     return {
         "command": "involute",
@@ -166,6 +175,8 @@ def _cmd_detvar(args) -> dict:
 
 
 def _cmd_quadric(args) -> dict:
+    if args.n + 1 > MAX_AMBIENT:
+        raise ValueError(f"need --n + 1 at most {MAX_AMBIENT}, got {args.n + 1}")
     spec = qd.QuadricSpec(args.n, args.rank)
     csm = qd.csm_quadric(spec)
     milnor = qd.milnor_class(spec)
@@ -310,14 +321,13 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        report = _HANDLERS[args.command](args)
+        _emit(_HANDLERS[args.command](args), args)
     except (LinearSystemError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(report, args)
     return 0
 
 

@@ -218,6 +218,34 @@ class TestReportPlumbing:
         assert code == 0
         assert "outputs.result = [0, 2, 3]" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["involute", "--d", "1", "--poly", "0,1", "--out"],
+            ["detvar", "--n", "2", "--emit-strata"],
+        ],
+        ids=["out", "emit-strata"],
+    )
+    def test_unwritable_file_exits_2(self, capsys, tmp_path, argv):
+        target = tmp_path / "missing" / "report.json"
+        code, _, err = run(capsys, *argv, str(target))
+        assert code == 2
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "what, argv",
+        [
+            ("--d + 2 and the --poly length", ["involute", "--d", str(MAX_AMBIENT - 1), "--poly", "0,1"]),
+            ("--n + 1", ["quadric", "--n", str(MAX_AMBIENT), "--rank", "5"]),
+        ],
+        ids=["involute", "quadric"],
+    )
+    def test_sizes_over_limit_rejected(self, capsys, what, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: need {what} at most {MAX_AMBIENT}, got {MAX_AMBIENT + 1}\n"
+
     def test_big_integer_stringification(self):
         small = 2**63 - 1
         big = 2**63

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import combinations
 from math import comb, factorial, prod
 from pathlib import Path
 
@@ -65,6 +66,18 @@ class TestQPoly:
             numbers, q = q_poly_schubert(n, r)
             assert detvar._chern_numbers(n, r) == numbers
             assert q_poly(n, r) == q
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+    def test_power_matches_repeated_product(self, n):
+        # prod (1 - u t)^n at every fixed point, as the product of n copies
+        # of each linear factor
+        for r in range(n + 1):
+            top = r * (n - r)
+            for sub in combinations(range(n), r):
+                for weights in (sub, [j for j in range(n) if j not in sub]):
+                    roots = [-t for t in weights]
+                    base = detvar._linear_product(roots, len(roots))
+                    assert detvar._power(base, n, top) == detvar._linear_product(roots * n, top)
 
     @pytest.mark.parametrize(
         "euler_factor, message",

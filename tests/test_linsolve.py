@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from chernmather.linsolve import (
     InconsistentSystem,
@@ -75,3 +78,115 @@ def test_solve_integer():
     assert solve_integer([[2, 0], [0, 3], [2, 3]], [4, 9, 13]) == [2, 3]
     with pytest.raises(NonIntegerSolution):
         solve_integer([[2]], [3])
+
+
+# Property tests against sympy's exact rational elimination (reduced row
+# echelon form over QQ), an implementation independent of the Bareiss
+# solver.  Fixed example counts and derandomized draws keep them
+# deterministic.
+
+ORACLE = settings(max_examples=15, derandomize=True, database=None, deadline=None)
+NONUNIQUE, INCONSISTENT = "nonunique", "inconsistent"
+
+
+def sympy_solution(rows, rhs):
+    """The unique solution as Fractions, NONUNIQUE or INCONSISTENT."""
+    from sympy import QQ
+    from sympy.polys.matrices import DomainMatrix
+
+    n = len(rows[0])
+    aug = [
+        [QQ(Fraction(v).numerator, Fraction(v).denominator) for v in (*row, b)]
+        for row, b in zip(rows, rhs)
+    ]
+    reduced, pivots = DomainMatrix(aug, (len(rows), n + 1), QQ).rref()
+    if sum(1 for p in pivots if p < n) < n:
+        return NONUNIQUE
+    if n in pivots:
+        return INCONSISTENT
+    return [
+        Fraction(int(row[n].numerator), int(row[n].denominator))
+        for row in reduced.to_list()[:n]
+    ]
+
+
+def check_against_sympy(rows, rhs):
+    """exact_solve and solve_integer agree with the sympy oracle; returns it."""
+    expect = sympy_solution(rows, rhs)
+    if expect in (NONUNIQUE, INCONSISTENT):
+        error = NonUniqueSolution if expect == NONUNIQUE else InconsistentSystem
+        with pytest.raises(error):
+            exact_solve(rows, rhs)
+        with pytest.raises(error):
+            solve_integer(rows, rhs)
+        return expect
+    assert exact_solve(rows, rhs) == expect
+    if all(x.denominator == 1 for x in expect):
+        assert solve_integer(rows, rhs) == [int(x) for x in expect]
+    else:
+        with pytest.raises(NonIntegerSolution):
+            solve_integer(rows, rhs)
+    return expect
+
+
+@st.composite
+def systems(draw, entries=st.integers(-9, 9), values=st.integers(-20, 20),
+            add_row=0, add_col=0):
+    """(rows, rhs, x) consistent with the drawn solution x, with room for the
+    row or column a test adds to stay within 12 x 6 and square or taller."""
+    n = draw(st.integers(1, 6 - add_col))
+    m = draw(st.integers(n + add_col, 12 - add_row))
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m))
+    x = draw(st.lists(values, min_size=n, max_size=n))
+    return rows, [sum(map(mul, row, x)) for row in rows], x
+
+
+class TestSympyOracle:
+    @ORACLE
+    @given(systems())
+    def test_consistent_integer_systems(self, system):
+        rows, rhs, x = system
+        assert check_against_sympy(rows, rhs) in (NONUNIQUE, x)
+
+    @ORACLE
+    @given(systems(add_row=1), st.data())
+    def test_perturbed_right_hand_side(self, system, data):
+        # Append an integer combination of the rows, then perturb its right-hand
+        # side: the equations can no longer all hold.
+        rows, rhs, _ = system
+        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+        combined = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(len(rows[0]))]
+        delta = data.draw(st.integers(-5, 5).filter(bool))
+        at = data.draw(st.integers(0, len(rows)))
+        rows.insert(at, combined)
+        rhs.insert(at, sum(map(mul, coeffs, rhs)) + delta)
+        assert check_against_sympy(rows, rhs) in (NONUNIQUE, INCONSISTENT)
+
+    @ORACLE
+    @given(systems(add_col=1), st.data())
+    def test_duplicated_column(self, system, data):
+        rows, rhs, _ = system
+        n = len(rows[0])
+        src = data.draw(st.integers(0, n - 1))
+        at = data.draw(st.integers(0, n))
+        for row in rows:
+            row.insert(at, row[src])
+        assert check_against_sympy(rows, rhs) == NONUNIQUE
+
+    @ORACLE
+    @given(systems(
+        entries=st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)),
+        values=st.builds(Fraction, st.integers(-20, 20), st.integers(1, 9)),
+    ))
+    def test_fraction_entries(self, system):
+        rows, rhs, x = system
+        assert check_against_sympy(rows, rhs) in (NONUNIQUE, x)
+
+    @ORACLE
+    @given(systems(), st.integers(2, 7))
+    def test_non_integral_solution(self, system, q):
+        # Scaling A by q divides the solution by q.
+        rows, rhs, x = system
+        assume(any(v % q for v in x))
+        scaled = [[q * a for a in row] for row in rows]
+        assert check_against_sympy(scaled, rhs) in (NONUNIQUE, [Fraction(v, q) for v in x])
