@@ -53,9 +53,21 @@ def _as_integer_rows(rows, rhs):
     return out
 
 
-def _solve_numerators(rows, rhs, tag: str) -> tuple[list[int], int]:
-    """Integer numerators X and common denominator D != 0 of the unique
-    solution x = X / D of A.x = b, checked against every equation."""
+def exact_solve(
+    rows: Sequence[Sequence], rhs: Sequence, context: str = ""
+) -> list[Fraction]:
+    """Unique exact solution of A.x = b, fraction-free elimination.
+
+    A must have at least as many rows as columns; the system may be
+    overdetermined but has to be consistent on every row.  The solution is
+    computed as integer numerators over the final Bareiss pivot, and those
+    are re-substituted into all original equations (in integers when the
+    entries are integers) as a final check; Fractions are formed only for
+    the returned values.
+
+    Raises InconsistentSystem or NonUniqueSolution, tagging the message with
+    `context` so callers can name the offending subsystem.
+    """
     m = len(rows)
     ncols = len(rows[0]) if m else 0
     if any(len(r) != ncols for r in rows):
@@ -65,12 +77,13 @@ def _solve_numerators(rows, rhs, tag: str) -> tuple[list[int], int]:
     if m < ncols:
         raise ValueError("need at least as many equations as unknowns")
 
+    tag = f" [{context}]" if context else ""
     aug = _as_integer_rows(rows, rhs)
 
     if ncols == 0:
         if any(r[-1] != 0 for r in aug):
             raise InconsistentSystem(f"no unknowns but nonzero residual{tag}")
-        return [], 1
+        return []
 
     # Bareiss fraction-free forward elimination; pivot for column k ends
     # up in row k, failure to find one means a free unknown.  Below the
@@ -116,26 +129,6 @@ def _solve_numerators(rows, rhs, tag: str) -> tuple[list[int], int]:
     for row, b in zip(rows, rhs):
         if sum(map(mul, row, num)) != b * d:
             raise InconsistentSystem(f"residual check failed{tag}")
-    return num, d
-
-
-def exact_solve(
-    rows: Sequence[Sequence], rhs: Sequence, context: str = ""
-) -> list[Fraction]:
-    """Unique exact solution of A.x = b, fraction-free elimination.
-
-    A must have at least as many rows as columns; the system may be
-    overdetermined but has to be consistent on every row.  The solution is
-    computed as integer numerators over the final Bareiss pivot, and those
-    are re-substituted into all original equations (in integers when the
-    entries are integers) as a final check; Fractions are formed only for
-    the returned values.
-
-    Raises InconsistentSystem or NonUniqueSolution, tagging the message with
-    `context` so callers can name the offending subsystem.
-    """
-    tag = f" [{context}]" if context else ""
-    num, d = _solve_numerators(rows, rhs, tag)
     return [Fraction(x, d) for x in num]
 
 
@@ -143,11 +136,9 @@ def solve_integer(
     rows: Sequence[Sequence], rhs: Sequence, context: str = ""
 ) -> list[int]:
     """exact_solve plus the demand that every entry clears to an integer."""
+    sol = exact_solve(rows, rhs, context)
     tag = f" [{context}]" if context else ""
-    num, d = _solve_numerators(rows, rhs, tag)
-    for k, x in enumerate(num):
-        if x % d:
-            raise NonIntegerSolution(
-                f"unknown #{k} solves to {Fraction(x, d)}, not an integer{tag}"
-            )
-    return [x // d for x in num]
+    for k, x in enumerate(sol):
+        if x.denominator != 1:
+            raise NonIntegerSolution(f"unknown #{k} solves to {x}, not an integer{tag}")
+    return [int(x) for x in sol]
