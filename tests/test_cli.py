@@ -236,7 +236,10 @@ class TestReportPlumbing:
     @pytest.mark.parametrize(
         "what, argv",
         [
-            ("--d + 2 and the --poly length", ["involute", "--d", str(MAX_AMBIENT - 1), "--poly", "0,1"]),
+            (
+                "--d + 2 and the --poly length",
+                ["involute", "--d", str(MAX_AMBIENT - 1), "--poly", "0,1"],
+            ),
             ("--n + 1", ["quadric", "--n", str(MAX_AMBIENT), "--rank", "5"]),
         ],
         ids=["involute", "quadric"],
@@ -244,7 +247,8 @@ class TestReportPlumbing:
     def test_sizes_over_limit_rejected(self, capsys, what, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
-        assert err == f"error: need {what} at most {MAX_AMBIENT}, got {MAX_AMBIENT + 1}\n"
+        limit = f"at most {MAX_AMBIENT}, got {MAX_AMBIENT + 1}"
+        assert err == f"error: need {what} {limit}\n"
 
     def test_big_integer_stringification(self):
         small = 2**63 - 1

@@ -77,7 +77,8 @@ class TestQPoly:
                 for weights in (sub, [j for j in range(n) if j not in sub]):
                     roots = [-t for t in weights]
                     base = detvar._linear_product(roots, len(roots))
-                    assert detvar._power(base, n, top) == detvar._linear_product(roots * n, top)
+                    repeated = detvar._linear_product(roots * n, top)
+                    assert detvar._power(base, n, top) == repeated
 
     @pytest.mark.parametrize(
         "euler_factor, message",

@@ -85,7 +85,7 @@ def test_solve_integer():
 # solver.  Fixed example counts and derandomized draws keep them
 # deterministic.
 
-ORACLE = settings(max_examples=15, derandomize=True, database=None, deadline=None)
+ORACLE = settings(max_examples=10, derandomize=True, database=None, deadline=None)
 NONUNIQUE, INCONSISTENT = "nonunique", "inconsistent"
 
 
@@ -136,7 +136,8 @@ def systems(draw, entries=st.integers(-9, 9), values=st.integers(-20, 20),
     row or column a test adds to stay within 12 x 6 and square or taller."""
     n = draw(st.integers(1, 6 - add_col))
     m = draw(st.integers(n + add_col, 12 - add_row))
-    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m))
+    row = st.lists(entries, min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=m, max_size=m))
     x = draw(st.lists(values, min_size=n, max_size=n))
     return rows, [sum(map(mul, row, x)) for row in rows], x
 
@@ -154,10 +155,11 @@ class TestSympyOracle:
         # Append an integer combination of the rows, then perturb its right-hand
         # side: the equations can no longer all hold.
         rows, rhs, _ = system
-        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
-        combined = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(len(rows[0]))]
+        m, n = len(rows), len(rows[0])
+        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m))
+        combined = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(n)]
         delta = data.draw(st.integers(-5, 5).filter(bool))
-        at = data.draw(st.integers(0, len(rows)))
+        at = data.draw(st.integers(0, m))
         rows.insert(at, combined)
         rhs.insert(at, sum(map(mul, coeffs, rhs)) + delta)
         assert check_against_sympy(rows, rhs) in (NONUNIQUE, INCONSISTENT)
@@ -189,4 +191,5 @@ class TestSympyOracle:
         rows, rhs, x = system
         assume(any(v % q for v in x))
         scaled = [[q * a for a in row] for row in rows]
-        assert check_against_sympy(scaled, rhs) in (NONUNIQUE, [Fraction(v, q) for v in x])
+        expect = [Fraction(v, q) for v in x]
+        assert check_against_sympy(scaled, rhs) in (NONUNIQUE, expect)
