@@ -20,6 +20,10 @@ from .linsolve import LinearSystemError
 from .strata import MAX_AMBIENT, EulerTable, StratifiedPair, chern_mather, euler_table
 
 _INT64_MAX = 2**63 - 1
+# Largest n accepted by `detvar` (each step costs about 2.4x the last; n = 14
+# takes about 14 s) and by `chow` (at most C(20, 10) Schubert classes).
+MAX_DETVAR_N = 14
+MAX_CHOW_N = 20
 
 
 def _stringify_big(value):
@@ -154,6 +158,8 @@ def _cmd_detvar(args) -> dict:
     n = args.n
     if n < 2:
         raise ValueError("need --n at least 2")
+    if n > MAX_DETVAR_N:
+        raise ValueError(f"need --n at most {MAX_DETVAR_N}, got {n}")
     pair = dv.build_pair(n)
     table = dv.eu_table_det(n)
     outputs = _table_payload(table, pair)
@@ -249,6 +255,8 @@ def _cmd_chow(args) -> dict:
     r, n = args.r, args.n
     if not 0 <= r <= n:
         raise ValueError(f"G({r},{n}) is not a Grassmannian")
+    if n > MAX_CHOW_N:
+        raise ValueError(f"need --n at most {MAX_CHOW_N}, got {n}")
     mode = "mult" if args.mult else "integrate"
     parts = [_parse_partition(p) for p in getattr(args, mode)]
     elem = ChowElement.one(r, n)

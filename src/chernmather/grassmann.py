@@ -2,13 +2,13 @@
 
 Classes are integer combinations of Schubert classes sigma_lambda indexed
 by partitions in the r x (n-r) box.  Products use the Littlewood-Richardson
-rule by direct tableau counting; partitions that overflow the box vanish.
+rule: the LR tableaux of sigma_lambda * sigma_mu are generated strip by
+strip inside the box, so partitions that overflow it never appear.
 This is the engine of the `chow` command.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import product as iproduct
 from typing import Iterable, Iterator, Sequence
 
@@ -62,59 +62,54 @@ def box_complement(p: Sequence[int], rows: int, cols: int) -> tuple[int, ...]:
     return normalize_partition([cols - padded[rows - 1 - i] for i in range(rows)])
 
 
-@lru_cache(maxsize=None)
+def _lr_tableaux(
+    lam: tuple[int, ...], mu: tuple[int, ...], rows: int, cols: int
+) -> Iterator[tuple[int, ...]]:
+    """Yield nu once for every Littlewood-Richardson tableau of shape nu/lam
+    and content mu with nu inside the rows x cols box.
+
+    The mu_i cells labelled i are added to the shape as a horizontal strip:
+    new row k is at most old row k-1 (row 0 at most cols), so rows increase
+    weakly and columns strictly.  The reverse reading word is a lattice word
+    when, through each row k, there are no more i's than (i-1)'s through row
+    k-1; `slack` carries the difference down the rows.
+    """
+    if not fits_box(lam, rows, cols) or len(mu) > rows:
+        return
+    if not mu:
+        yield lam
+        return
+
+    def strip(i, k, left, slack, old, new, prev):
+        # old: shape before label i; new: its rows 0..k-1 after label i;
+        # prev: the number of (i-1)'s in each row.
+        if left == 0:
+            nu = new + old[k:]
+            if i + 1 == len(mu):
+                yield tuple(p for p in nu if p)
+            else:
+                added = tuple(a - b for a, b in zip(nu, old))
+                yield from strip(i + 1, 0, mu[i + 1], 0, nu, (), added)
+            return
+        top = old[k - 1] if k else cols
+        if left > top - old[-1]:
+            return  # rows k.. cannot take `left` more cells
+        for a in range(min(left, slack, top - old[k]) + 1):
+            yield from strip(
+                i, k + 1, left - a, slack - a + prev[k], old, new + (old[k] + a,), prev
+            )
+
+    shape = tuple(lam) + (0,) * (rows - len(lam))
+    yield from strip(0, 0, mu[0], mu[0], shape, (), (0,) * rows)
+
+
 def lr_coefficient(
     lam: tuple[int, ...], mu: tuple[int, ...], nu: tuple[int, ...]
 ) -> int:
-    """Littlewood-Richardson coefficient c^nu_{lam, mu}.
-
-    Counts column-strict fillings of the skew shape nu/lam with content mu
-    whose reverse reading word is a lattice word.  Cells are visited in
-    reading order (rows downward, right to left), so the lattice condition
-    can be checked as each value is placed.
-    """
-    if sum(nu) != sum(lam) + sum(mu):
-        return 0
-    if len(lam) > len(nu):
-        return 0
-    lam_p = list(lam) + [0] * (len(nu) - len(lam))
-    if any(l > v for l, v in zip(lam_p, nu)):
-        return 0
-    if not mu:
-        return 1
-    cells = [
-        (i, j)
-        for i in range(len(nu))
-        for j in range(nu[i] - 1, lam_p[i] - 1, -1)
-    ]
-    nvals = len(mu)
-    remaining = list(mu)
-    grid: dict[tuple[int, int], int] = {}
-    count = 0
-
-    def place(idx: int, counts: list[int]) -> None:
-        nonlocal count
-        if idx == len(cells):
-            count += 1
-            return
-        i, j = cells[idx]
-        above = grid.get((i - 1, j), 0)
-        right = grid.get((i, j + 1), nvals)
-        for v in range(above + 1, min(right, nvals) + 1):
-            if remaining[v - 1] == 0:
-                continue
-            if v > 1 and counts[v - 1] + 1 > counts[v - 2]:
-                continue  # lattice word would fail here
-            grid[(i, j)] = v
-            remaining[v - 1] -= 1
-            counts[v - 1] += 1
-            place(idx + 1, counts)
-            counts[v - 1] -= 1
-            remaining[v - 1] += 1
-            del grid[(i, j)]
-
-    place(0, [0] * nvals)
-    return count
+    """Littlewood-Richardson coefficient c^nu_{lam, mu}: the number of LR
+    tableaux of shape nu/lam and content mu, counted inside nu's own box."""
+    rows, cols = len(nu), nu[0] if nu else 0
+    return sum(1 for p in _lr_tableaux(lam, mu, rows, cols) if p == nu)
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +159,6 @@ class ChowElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coeff(self, parts) -> int:
-        return self.terms.get(normalize_partition(parts), 0)
-
     def __add__(self, other: "ChowElement") -> "ChowElement":
         if not isinstance(other, ChowElement):
             return NotImplemented
@@ -212,15 +204,6 @@ class ChowElement:
             and self.terms == other.terms
         )
 
-    def component(self, k: int) -> "ChowElement":
-        """The degree-k graded piece (degree = partition size)."""
-        return ChowElement(
-            self.r, self.n, {p: c for p, c in self.terms.items() if sum(p) == k}
-        )
-
-    def integrate(self) -> int:
-        return integrate(self)
-
     def __repr__(self) -> str:
         if not self.terms:
             return "ChowElement(0)"
@@ -235,20 +218,9 @@ def lr_multiply(a: ChowElement, b: ChowElement) -> ChowElement:
     a._check_ring(b)
     r, n = a.r, a.n
     out: dict[tuple[int, ...], int] = {}
-    box = list(partitions_in_box(r, n - r))
     for (lam, ca), (mu, cb) in iproduct(a.terms.items(), b.terms.items()):
-        size = sum(lam) + sum(mu)
-        cab = ca * cb
-        for nu in box:
-            if sum(nu) != size:
-                continue
-            m = lr_coefficient(lam, mu, nu)
-            if m:
-                acc = out.get(nu, 0) + m * cab
-                if acc:
-                    out[nu] = acc
-                else:
-                    out.pop(nu, None)
+        for nu in _lr_tableaux(lam, mu, r, n - r):
+            out[nu] = out.get(nu, 0) + ca * cb
     return ChowElement(r, n, out)
 
 

@@ -5,6 +5,9 @@ Schur polynomials are expanded monomial by monomial from column-strict
 tableaux, products are multiplied as raw polynomials, and the result is
 re-expanded in the Schur basis by leading-term subtraction.
 
+`box_minus_tableaux` is the hook-length count that integrals of
+sigma_lam * sigma_1^k must reproduce on boxes too large for the Schur oracle.
+
 `q_poly_schubert` computes the Chern numbers behind the determinantal q
 polynomials by Schubert calculus on G(r, n): Littlewood-Richardson products
 and the splitting-principle tensor product below, both checked against the
@@ -19,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, factorial
 
 from chernmather.classpoly import ClassPoly, one_plus_h_power
 from chernmather.grassmann import (
@@ -124,6 +127,24 @@ def count_partitions_in_box(rows: int, cols: int) -> int:
     if rows == 0 or cols == 0:
         return 1
     return rec(cols, rows)
+
+
+def box_minus_tableaux(lam: tuple[int, ...], rows: int, cols: int) -> int:
+    """Standard Young tableaux of the skew shape (rows x cols box) / lam.
+
+    Turned by 180 degrees the skew shape is the straight shape with rows
+    cols - lam[rows-1], ..., cols - lam[0], and the hook-length formula
+    counts its tableaux.  This is the integral of sigma_lam * sigma_1^k on
+    G(rows, rows+cols) with k = rows*cols - |lam|.
+    """
+    padded = list(lam) + [0] * (rows - len(lam))
+    shape = [cols - p for p in reversed(padded)]
+    hooks = 1
+    for i, length in enumerate(shape):
+        for j in range(length):
+            below = sum(1 for other in shape[i + 1:] if other > j)
+            hooks *= length - j + below
+    return factorial(sum(shape)) // hooks
 
 
 def q_poly_schubert(n: int, r: int) -> tuple[list[list[int]], ClassPoly]:

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from chernmather.cli import _stringify_big, main
+import chernmather
+from chernmather.cli import MAX_CHOW_N, MAX_DETVAR_N, _stringify_big, main
 from chernmather.strata import MAX_AMBIENT
 
 DATA = Path(__file__).parent / "data"
@@ -20,6 +24,22 @@ def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     return json.loads(out)
+
+
+def run_limited(*argv):
+    """The CLI in a child process with 1 GB of address space and 30 s, so that
+    a size check that does not fire fails the test instead of the machine."""
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+        "from chernmather.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(chernmather.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
 
 
 class TestInvolute:
@@ -147,6 +167,12 @@ class TestDetvar:
         code, _, _ = run(capsys, "detvar", "--n", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("n", [MAX_DETVAR_N + 1, 40])
+    def test_n_over_limit_rejected(self, n):
+        proc = run_limited("detvar", "--n", str(n))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == f"error: need --n at most {MAX_DETVAR_N}, got {n}\n"
+
 
 class TestQuadric:
     def test_cone_report(self, capsys):
@@ -199,6 +225,12 @@ class TestChow:
     def test_bad_box(self, capsys):
         code, _, _ = run(capsys, "chow", "--r", "5", "--n", "4", "--integrate", "1")
         assert code == 2
+
+    def test_box_over_limit_rejected(self):
+        # G(20, 40) has C(40, 20), about 1.4e11, Schubert classes
+        proc = run_limited("chow", "--r", "20", "--n", "40", "--integrate", "1")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == f"error: need --n at most {MAX_CHOW_N}, got 40\n"
 
 
 class TestReportPlumbing:

@@ -38,6 +38,12 @@ CASES = {
     "chow_integrate_g24": (["chow", "--r", "2", "--n", "4", "--integrate", "2", "2"], None),
     "chow_integrate_g36": (["chow", "--r", "3", "--n", "6", "--integrate"] + ["1"] * 9, None),
     "chow_integrate_g48_zero": (["chow", "--r", "4", "--n", "8", "--integrate", "2,1"], None),
+    "chow_mult_g49": (["chow", "--r", "4", "--n", "9", "--mult", "3,2,1", "2,2,1"], None),
+    "chow_mult_g510": (["chow", "--r", "5", "--n", "10", "--mult", "3,2,1", "3,2,1"], None),
+    "chow_integrate_g49": (
+        ["chow", "--r", "4", "--n", "9", "--integrate", "2,1", "2,1", "3,1", "2,2", "1,1", "3", "1"],
+        None,
+    ),
     "text_involute": (["involute", "--d", "2", "--poly", "0,1", "--format", "text"], None),
     "text_solve": (["solve", FIXTURE, "--format", "text"], None),
     "text_detvar_n3": (["detvar", "--n", "3", "--format", "text"], None),

@@ -3,6 +3,8 @@ from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chernmather.grassmann import (
     ChowElement,
@@ -11,11 +13,13 @@ from chernmather.grassmann import (
     integrate,
     lr_coefficient,
     lr_multiply,
+    normalize_partition,
     partitions_in_box,
 )
 
 from oracles import (
     BundleChern,
+    box_minus_tableaux,
     chern_dual,
     chern_power,
     chern_sum,
@@ -90,6 +94,34 @@ class TestLRMultiply:
             assert lr_multiply(lr_multiply(a, b), c) == lr_multiply(
                 a, lr_multiply(b, c)
             )
+
+
+def partitions_in(rows, cols):
+    return st.lists(st.integers(0, cols), min_size=rows, max_size=rows).map(
+        lambda ps: normalize_partition(sorted(ps, reverse=True))
+    )
+
+
+class TestLROracles:
+    @pytest.mark.parametrize("rows, cols", [(r, c) for r in (1, 2, 3) for c in (1, 2, 3)])
+    @settings(max_examples=15, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_random_products_match_schur_oracle(self, rows, cols, data):
+        lam, mu = data.draw(partitions_in(rows, cols)), data.draw(partitions_in(rows, cols))
+        n = rows + cols
+        got = lr_multiply(sigma(lam, rows, n), sigma(mu, rows, n)).terms
+        assert got == schur_product_in_box(lam, mu, rows, cols)
+
+    @pytest.mark.parametrize("r, n", [(3, 7), (4, 8), (4, 9)])
+    def test_hook_length_integrals(self, r, n):
+        # integral of sigma_lam * sigma_1^(D - |lam|), D = dim G(r, n)
+        top = r * (n - r)
+        powers = [ChowElement.one(r, n)]
+        for _ in range(top):
+            powers.append(lr_multiply(powers[-1], sigma((1,), r, n)))
+        for lam in partitions_in_box(r, n - r):
+            got = integrate(lr_multiply(sigma(lam, r, n), powers[top - sum(lam)]))
+            assert got == box_minus_tableaux(lam, r, n - r), lam
 
 
 class TestLRCoefficient:
