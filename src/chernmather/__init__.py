@@ -15,7 +15,6 @@ from .classpoly import (
     div_1p2H,
     involute,
     one_plus_h_power,
-    signed,
 )
 from .detvar import (
     chern_mather_det,

@@ -11,7 +11,8 @@ The module also implements the degree-d duality transform
 
 which is an involution on polynomials without constant term and is linear.
 Applied to signed class polynomials (sign (-1)^dim) it interchanges the
-Chern-Mather classes of a projective variety and of its dual variety.
+Chern-Mather classes of a projective variety and of its dual variety.  The
+shift f(-1-H) is computed by Horner's rule, one linear factor at a time.
 """
 
 from __future__ import annotations
@@ -50,10 +51,6 @@ class ClassPoly:
     @classmethod
     def zero(cls, modulus: int) -> "ClassPoly":
         return cls([0], modulus)
-
-    @classmethod
-    def one(cls, modulus: int) -> "ClassPoly":
-        return cls([1], modulus)
 
     @classmethod
     def monomial(cls, power: int, modulus: int, coeff: int = 1) -> "ClassPoly":
@@ -168,9 +165,6 @@ class ClassPoly:
             raise ValueError("the zero class has no dimension to sign by")
         return self if self.dim % 2 == 0 else -self
 
-    def involute(self, d: int) -> "ClassPoly":
-        return involute(self, d)
-
     # -- rendering -----------------------------------------------------
 
     def to_list(self) -> list[int]:
@@ -229,10 +223,10 @@ def csm_linear_space(k: int, modulus: int) -> ClassPoly:
 def involute(f: ClassPoly, d: int) -> ClassPoly:
     """The duality transform f(-1-H) - f(-1) * ((1+H)^(d+1) - H^(d+1)).
 
-    Computed exactly on the stored coefficients.  Inputs may have degree up
-    to d+1 (degree exactly d+1 is needed for the sign rule on H*B_d); the
-    exact result must fit the modulus, anything that would truncate is an
-    error.
+    Computed exactly on the stored coefficients, the shift f(-1-H) by
+    Horner's rule.  Inputs may have degree up to d+1 (degree exactly d+1 is
+    needed for the sign rule on H*B_d); the exact result must fit the
+    modulus, anything that would truncate is an error.
     """
     if d < 1:
         raise ValueError("the transform needs d >= 1")
@@ -245,28 +239,20 @@ def involute(f: ClassPoly, d: int) -> ClassPoly:
         raise ValueError(f"degree {deg} exceeds the transform degree {d}")
 
     scratch = max(f.modulus, d + 2)
-    # f(-1-H) = sum_k a_k (-1)^k (1+H)^k
+    # f(-1-H) by Horner's rule, top coefficient first: out <- out*(-1-H) + a;
+    # before step i out has degree below i, so only out[:i+1] changes
     out = [0] * scratch
-    for k, a in enumerate(f.coeffs):
-        if a == 0:
-            continue
-        s = a if k % 2 == 0 else -a
-        for j in range(k + 1):
-            out[j] += s * comb(k, j)
-    # subtract f(-1) * ((1+H)^(d+1) - H^(d+1)); the H^(d+1) terms cancel
-    c = f.eval(-1)
+    for i, a in enumerate(reversed(f.coeffs[: deg + 1])):
+        out[: i + 1] = [a - out[0]] + [-x - y for x, y in zip(out[1 : i + 1], out)]
+    # out(0) = f(-1); subtract f(-1) * B_d, whose H^(d+1) terms cancel
+    c = out[0]
     if c != 0:
-        for j in range(d + 1):
-            out[j] -= c * comb(d + 1, j)
+        out = [x - c * b for x, b in zip(out, chern_B(d, scratch).coeffs)]
     if any(out[k] != 0 for k in range(f.modulus, scratch)):
         raise ValueError(
             f"transform result of degree > {f.modulus - 1} does not fit the modulus"
         )
     return ClassPoly(out[: f.modulus])
-
-
-def signed(f: ClassPoly) -> ClassPoly:
-    return f.signed()
 
 
 def div_1p2H(f: ClassPoly) -> ClassPoly:

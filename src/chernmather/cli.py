@@ -15,7 +15,7 @@ import sys
 from . import detvar as dv
 from . import quadric as qd
 from .classpoly import ClassPoly, involute
-from .grassmann import ChowElement, integrate, lr_multiply
+from .grassmann import ChowElement, integrate, lr_multiply, normalize_partition
 from .linsolve import LinearSystemError
 from .strata import MAX_AMBIENT, EulerTable, StratifiedPair, chern_mather, euler_table
 
@@ -80,10 +80,10 @@ def _parse_coeffs(text: str) -> list[int]:
 
 def _parse_partition(text: str) -> tuple[int, ...]:
     try:
-        parts = [int(tok) for tok in text.split(",") if tok != ""]
+        parts = [int(tok) for tok in text.split(",")] if text else []
     except ValueError as exc:
         raise ValueError(f"malformed partition {text!r}") from exc
-    return tuple(p for p in parts if p != 0)
+    return normalize_partition(parts)
 
 
 def _trimmed(coeffs) -> list[int]:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from operator import mul
 
 from .classpoly import (
     ClassPoly,
@@ -105,10 +106,12 @@ def milnor_class(spec: QuadricSpec) -> ClassPoly:
         return ClassPoly.zero(spec.modulus)
     n, r = spec.n, spec.r
     mu = milnor_number(spec)
+    # coefficient of H^(k+r): mu * sum_j C(n-r+1, k-j) * (-2)^j
+    row = [comb(n - r + 1, i) for i in range(n - r + 1)]
+    pows = [(-2) ** j for j in range(n - r + 1)]
     coeffs = [0] * spec.modulus
     for k in range(n - r + 1):
-        inner = sum(comb(n - r + 1, k - j) * (-2) ** j for j in range(k + 1))
-        coeffs[k + r] = mu * inner
+        coeffs[k + r] = mu * sum(map(mul, reversed(row[: k + 1]), pows))
     closed = ClassPoly(coeffs, spec.modulus)
     division = mu * div_1p2H(csm_singular_locus(spec))
     if closed != division:

@@ -9,7 +9,6 @@ from chernmather.classpoly import (
     div_1p2H,
     involute,
     one_plus_h_power,
-    signed,
 )
 
 
@@ -121,21 +120,53 @@ class TestInvolute:
         assert involute(ClassPoly.monomial(2, 3), 2) == ClassPoly([0, -1, -2])
 
 
+def _wide_class(rng, d, modulus, codim):
+    """Random class of degree at most min(d+1, modulus-1): zero below H^codim,
+    coefficients of 60 to 90 bits with random signs above it."""
+    top = min(d + 1, modulus - 1)
+    cs = [0] * modulus
+    for k in range(codim, top + 1):
+        cs[k] = rng.choice((-1, 1)) * rng.getrandbits(rng.randint(60, 90))
+    return ClassPoly(cs)
+
+
+@pytest.mark.parametrize("d", [40, 150, 400])
+@pytest.mark.parametrize("extra", [0, 2], ids=["mod_d+1", "mod_d+3"])
+class TestInvoluteLargeDegree:
+    def test_defining_formula_at_enough_points(self, d, extra):
+        # the result stores at most d+3 coefficients and the formula has
+        # degree at most d+1, so agreement at d+3 integers is equality
+        rng = random.Random(d * 10 + extra)
+        for codim in (0, 1, d // 3):
+            f = _wide_class(rng, d, d + 1 + extra, codim)
+            g = involute(f, d)
+            f_at_minus_one = f.eval(-1)
+            for t in range(-(d // 2) - 1, d - d // 2 + 2):
+                want = f.eval(-1 - t) - f_at_minus_one * ((1 + t) ** (d + 1) - t ** (d + 1))
+                assert g.eval(t) == want
+
+    def test_involution(self, d, extra):
+        rng = random.Random(d * 10 + extra + 1)
+        for codim in (1, 2, d // 2):
+            f = _wide_class(rng, d, d + 1 + extra, codim)
+            assert involute(involute(f, d), d) == f
+
+
 class TestSigned:
     def test_point(self):
         f = ClassPoly.monomial(3, 4)
-        assert signed(f) == f
+        assert ClassPoly.signed(f) == f
 
     def test_even_dimension(self):
         f = ClassPoly([0, 2, 4, 4], 4)
-        assert signed(f) == f
+        assert ClassPoly.signed(f) == f
 
     def test_odd_dimension(self):
-        assert signed(ClassPoly([1, 2], 2)) == ClassPoly([-1, -2])
+        assert ClassPoly.signed(ClassPoly([1, 2], 2)) == ClassPoly([-1, -2])
 
     def test_zero_errors(self):
         with pytest.raises(ValueError, match="dimension"):
-            signed(ClassPoly.zero(3))
+            ClassPoly.signed(ClassPoly.zero(3))
 
 
 class TestChernB:

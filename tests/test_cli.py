@@ -222,6 +222,12 @@ class TestChow:
         code, _, _ = run(capsys, "chow", "--r", "2", "--n", "4", "--mult", "1", "x")
         assert code == 2
 
+    @pytest.mark.parametrize("partition", ["2,0,1", "2,,1"], ids=["inner_zero", "empty_part"])
+    def test_gap_in_partition_rejected(self, capsys, partition):
+        code, out, err = run(capsys, "chow", "--r", "3", "--n", "6", "--mult", partition, "1")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
     def test_bad_box(self, capsys):
         code, _, _ = run(capsys, "chow", "--r", "5", "--n", "4", "--integrate", "1")
         assert code == 2

@@ -20,6 +20,11 @@ CHOW_MULT = ["chow", "--r", "3", "--n", "6", "--mult", "2,1", "2,1"]
 CASES = {
     "involute_d5": (["involute", "--d", "5", "--poly", "0,3,9,10,6,3"], None),
     "involute_d7": (["involute", "--d", "7", "--poly", "0,0,-2,5,0,1,0,3"], None),
+    # 82 coefficients (k+1)(-1)^k: degree d+1, results well past 64 bits
+    "involute_d80": (
+        ["involute", "--d", "80", "--poly", ",".join(str((k + 1) * (-1) ** k) for k in range(82))],
+        None,
+    ),
     "solve_symmetric_3x3": (["solve", FIXTURE], None),
     **{f"detvar_n{n}": (["detvar", "--n", str(n)], None) for n in range(2, 7)},
     "detvar_n3_emit": (["detvar", "--n", "3", "--emit-strata", "strata.json"], "strata.json"),
@@ -28,6 +33,7 @@ CASES = {
         for n in range(2, 11)
         for r in range(3, n + 2)
     },
+    "quadric_n80_r5": (["quadric", "--n", "80", "--rank", "5"], None),
     "quadric_n5_r4_emit": (
         ["quadric", "--n", "5", "--rank", "4", "--emit-strata", "strata.json"],
         "strata.json",

@@ -120,6 +120,15 @@ class TestMilnorClass:
                 assert lhs == mc
                 assert mc == milnor_number(spec) * div_1p2H(csm_singular_locus(spec))
 
+    @pytest.mark.parametrize("n,r", [(300, 3), (300, 150), (301, 4)])
+    def test_large_ambient(self, n, r):
+        # milnor_class raises if its closed form and division route disagree
+        spec = QuadricSpec(n, r)
+        mc = milnor_class(spec)
+        lhs = smooth_quadric_class(n) - csm_quadric(spec)
+        assert (lhs if n % 2 == 1 else -lhs) == mc
+        assert mc.coeffs[r] == milnor_number(spec)
+
     def test_milnor_number_extraction(self):
         for n in range(2, 11):
             for r in range(3, n + 1):
