@@ -1,9 +1,12 @@
 """Command-line front end.
 
-Subcommands: involute | solve | detvar | quadric | chow.  Every command
-emits a deterministic report (JSON by default, sorted keys, no timestamps);
-integers beyond 64 bits are serialized as decimal strings.  Exit codes:
-0 success, 2 malformed input, 3 mathematical inconsistency detected.
+Subcommands: involute | solve | detvar | quadric | chow.  Each handler
+returns the inputs, outputs and diagnostics of its report, and the
+stratified pair that `--emit-strata` asked for or None; `main` alone writes
+that pair and wraps the rest in the report {"command", "inputs", "outputs",
+"diagnostics"}.  Reports are deterministic (JSON by default, sorted keys, no
+timestamps); integers beyond 64 bits are serialized as decimal strings.
+Exit codes: 0 success, 2 malformed input, 3 mathematical inconsistency.
 """
 
 from __future__ import annotations
@@ -27,14 +30,15 @@ MAX_CHOW_N = 20
 
 
 def _stringify_big(value):
-    """Big integers become decimal strings so reports survive any JSON reader."""
+    """Big integers become decimal strings so reports survive any JSON reader;
+    tuples become lists and a ClassPoly becomes its coefficient list."""
     if isinstance(value, bool):
         return value
     if isinstance(value, int):
         return str(value) if abs(value) > _INT64_MAX else value
-    if isinstance(value, list):
-        return [_stringify_big(v) for v in value]
-    if isinstance(value, tuple):
+    if isinstance(value, ClassPoly):
+        return _stringify_big(value.coeffs)
+    if isinstance(value, (list, tuple)):
         return [_stringify_big(v) for v in value]
     if isinstance(value, dict):
         return {k: _stringify_big(v) for k, v in value.items()}
@@ -86,57 +90,43 @@ def _parse_partition(text: str) -> tuple[int, ...]:
     return normalize_partition(parts)
 
 
-def _trimmed(coeffs) -> list[int]:
-    out = list(coeffs)
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
+def _at_most(what: str, value: int, limit: int) -> None:
+    if value > limit:
+        raise ValueError(f"need {what} at most {limit}, got {value}")
 
 
-def _table_payload(table: EulerTable, pair: StratifiedPair) -> dict:
-    cm_primal = {}
-    for r in range(len(pair.primal)):
-        cm = chern_mather(pair, r, table.primal[r][r:])
-        cm_primal[pair.primal[r].name] = cm.to_list()
-    cm_dual = {}
-    for r in range(len(pair.dual)):
-        cm = chern_mather(pair, r, table.dual[r][r:], side="dual")
-        cm_dual[pair.dual[r].name] = cm.to_list()
+def _table_payload(table: EulerTable) -> dict:
     return {
-        "euler_table_primal": [list(row) for row in table.primal],
-        "euler_table_dual": [list(row) for row in table.dual],
-        "origin_column": list(table.origin),
-        "chern_mather_primal": cm_primal,
-        "chern_mather_dual": cm_dual,
+        "euler_table_primal": table.primal,
+        "euler_table_dual": table.dual,
+        "origin_column": table.origin,
     }
 
 
-def _emit_strata(report: dict, pair: StratifiedPair, path: str) -> None:
-    """Write the solver input of a generated family, ready for `solve`."""
-    _write(path, json.dumps(pair.to_dict(), sort_keys=True, indent=2) + "\n")
-    report["diagnostics"]["emitted"] = path
+def _chern_mather_payload(table: EulerTable, pair: StratifiedPair) -> dict:
+    """The Chern-Mather class of each stratum closure, by stratum name."""
+    sides = (("primal", pair.primal, table.primal), ("dual", pair.dual, table.dual))
+    return {
+        f"chern_mather_{side}": {
+            s.name: chern_mather(pair, r, rows[r][r:], side=side)
+            for r, s in enumerate(strata)
+        }
+        for side, strata, rows in sides
+    }
 
 
-def _cmd_involute(args) -> dict:
+def _cmd_involute(args):
     coeffs = _parse_coeffs(args.poly)
     modulus = max(len(coeffs), args.d + 2)
-    if modulus > MAX_AMBIENT:
-        raise ValueError(
-            f"need --d + 2 and the --poly length at most {MAX_AMBIENT}, got {modulus}"
-        )
+    _at_most("--d + 2 and the --poly length", modulus, MAX_AMBIENT)
     result = involute(ClassPoly(coeffs, modulus), args.d)
-    return {
-        "command": "involute",
-        "inputs": {"d": args.d, "poly": coeffs},
-        "outputs": {
-            "result": _trimmed(result.coeffs),
-            "text": result.text(),
-        },
-        "diagnostics": {},
-    }
+    # trailing zeros dropped; the zero class keeps its constant term
+    trimmed = result.coeffs[: max(result.degree, 0) + 1]
+    outputs = {"result": trimmed, "text": result.text()}
+    return {"d": args.d, "poly": coeffs}, outputs, {}, None
 
 
-def _cmd_solve(args) -> dict:
+def _cmd_solve(args):
     try:
         with open(args.strata, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -144,59 +134,46 @@ def _cmd_solve(args) -> dict:
         raise ValueError(f"cannot read {args.strata}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"{args.strata} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ValueError(f"{args.strata} is nested too deeply to read as JSON") from exc
     pair = StratifiedPair.from_dict(data)
     table = euler_table(pair)
-    return {
-        "command": "solve",
-        "inputs": pair.to_dict(),
-        "outputs": _table_payload(table, pair),
-        "diagnostics": {"systems": list(table.diagnostics)},
-    }
+    outputs = {**_table_payload(table), **_chern_mather_payload(table, pair)}
+    return pair.to_dict(), outputs, {"systems": table.diagnostics}, None
 
 
-def _cmd_detvar(args) -> dict:
+def _cmd_detvar(args):
     n = args.n
     if n < 2:
         raise ValueError("need --n at least 2")
-    if n > MAX_DETVAR_N:
-        raise ValueError(f"need --n at most {MAX_DETVAR_N}, got {n}")
+    _at_most("--n", n, MAX_DETVAR_N)
     pair = dv.build_pair(n)
     table = dv.eu_table_det(n)
-    outputs = _table_payload(table, pair)
+    outputs = {**_table_payload(table), **_chern_mather_payload(table, pair)}
     for r in range(n):
-        outputs[f"q_{n}_{r}"] = dv.q_poly(n, r).to_list()
+        outputs[f"q_{n}_{r}"] = dv.q_poly(n, r)
     for k in range(n):
-        outputs[f"csm_{n}_{k}"] = dv.csm_stratum(n, k).to_list()
+        outputs[f"csm_{n}_{k}"] = dv.csm_stratum(n, k)
     for r in range(1, n):
         outputs[f"duality_{n}_{r}"] = dv.duality_check(n, r)
-    report = {
-        "command": "detvar",
-        "inputs": {"n": n},
-        "outputs": outputs,
-        "diagnostics": {"systems": list(table.diagnostics)},
-    }
-    if args.emit_strata:
-        _emit_strata(report, pair, args.emit_strata)
-    return report
+    diagnostics = {"systems": table.diagnostics}
+    return {"n": n}, outputs, diagnostics, pair if args.emit_strata else None
 
 
-def _cmd_quadric(args) -> dict:
-    if args.n + 1 > MAX_AMBIENT:
-        raise ValueError(f"need --n + 1 at most {MAX_AMBIENT}, got {args.n + 1}")
+def _cmd_quadric(args):
+    _at_most("--n + 1", args.n + 1, MAX_AMBIENT)
     spec = qd.QuadricSpec(args.n, args.rank)
-    csm = qd.csm_quadric(spec)
-    milnor = qd.milnor_class(spec)
     x_dual, s_dual = qd.dual_cm_classes(spec)
     eu_generic, eu_singular = qd.eu_values(spec)
     outputs = {
-        "csm": csm.to_list(),
-        "chern_mather": qd.chern_mather_quadric(spec).to_list(),
-        "milnor_class": milnor.to_list(),
+        "csm": qd.csm_quadric(spec),
+        "chern_mather": qd.chern_mather_quadric(spec),
+        "milnor_class": qd.milnor_class(spec),
         "eu_generic": eu_generic,
         "eu_singular": eu_singular,
         "complex_link_chi": qd.complex_link_chi(),
-        "dual_quadric_cm": x_dual.to_list(),
-        "dual_singular_cm": s_dual.to_list() if s_dual else None,
+        "dual_quadric_cm": x_dual,
+        "dual_singular_cm": s_dual,
     }
     diagnostics: dict = {}
     if spec.is_smooth:
@@ -206,19 +183,10 @@ def _cmd_quadric(args) -> dict:
         outputs["milnor_number"] = qd.milnor_number(spec)
         table = qd.cross_validate(spec)
         outputs["cross_validation"] = "ok"
-        outputs["euler_table_primal"] = [list(row) for row in table.primal]
-        outputs["euler_table_dual"] = [list(row) for row in table.dual]
-        outputs["origin_column"] = list(table.origin)
-        diagnostics["systems"] = list(table.diagnostics)
-    report = {
-        "command": "quadric",
-        "inputs": {"n": args.n, "rank": args.rank},
-        "outputs": outputs,
-        "diagnostics": diagnostics,
-    }
-    if args.emit_strata:
-        _emit_strata(report, qd.build_pair(spec), args.emit_strata)
-    return report
+        outputs.update(_table_payload(table))
+        diagnostics["systems"] = table.diagnostics
+    pair = qd.build_pair(spec) if args.emit_strata else None
+    return {"n": args.n, "rank": args.rank}, outputs, diagnostics, pair
 
 
 def _join(p: tuple[int, ...]) -> str:
@@ -251,12 +219,11 @@ def _render_chow(elem: ChowElement) -> str:
     return " ".join(bits)
 
 
-def _cmd_chow(args) -> dict:
+def _cmd_chow(args):
     r, n = args.r, args.n
     if not 0 <= r <= n:
         raise ValueError(f"G({r},{n}) is not a Grassmannian")
-    if n > MAX_CHOW_N:
-        raise ValueError(f"need --n at most {MAX_CHOW_N}, got {n}")
+    _at_most("--n", n, MAX_CHOW_N)
     mode = "mult" if args.mult else "integrate"
     parts = [_parse_partition(p) for p in getattr(args, mode)]
     elem = ChowElement.one(r, n)
@@ -269,12 +236,7 @@ def _cmd_chow(args) -> dict:
         }
     else:
         outputs = {"integral": integrate(elem)}
-    return {
-        "command": "chow",
-        "inputs": {"r": r, "n": n, mode: [_join(p) for p in parts]},
-        "outputs": outputs,
-        "diagnostics": {},
-    }
+    return {"r": r, "n": n, mode: [_join(p) for p in parts]}, outputs, {}, None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -288,22 +250,27 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_inv = sub.add_parser("involute", help="apply the degree-d duality transform")
+    p_inv.set_defaults(handler=_cmd_involute)
     p_inv.add_argument("--d", type=int, required=True)
     p_inv.add_argument("--poly", required=True, help="comma list, ascending powers")
 
     p_solve = sub.add_parser("solve", help="solve a stratification file")
+    p_solve.set_defaults(handler=_cmd_solve)
     p_solve.add_argument("strata", help="stratification JSON file")
 
     p_det = sub.add_parser("detvar", help="rank strata of n x n matrices")
+    p_det.set_defaults(handler=_cmd_detvar)
     p_det.add_argument("--n", type=int, required=True)
     p_det.add_argument("--emit-strata", metavar="FILE", default=None)
 
     p_quad = sub.add_parser("quadric", help="rank-r quadric hypersurface in P^n")
+    p_quad.set_defaults(handler=_cmd_quadric)
     p_quad.add_argument("--n", type=int, required=True)
     p_quad.add_argument("--rank", type=int, required=True)
     p_quad.add_argument("--emit-strata", metavar="FILE", default=None)
 
     p_chow = sub.add_parser("chow", help="Schubert calculus on G(r, n)")
+    p_chow.set_defaults(handler=_cmd_chow)
     p_chow.add_argument("--r", type=int, required=True)
     p_chow.add_argument("--n", type=int, required=True)
     group = p_chow.add_mutually_exclusive_group(required=True)
@@ -316,20 +283,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_HANDLERS = {
-    "involute": _cmd_involute,
-    "solve": _cmd_solve,
-    "detvar": _cmd_detvar,
-    "quadric": _cmd_quadric,
-    "chow": _cmd_chow,
-}
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _emit(_HANDLERS[args.command](args), args)
+        inputs, outputs, diagnostics, pair = args.handler(args)
+        if pair is not None:
+            # the solver input of a generated family, ready for `solve`
+            text = json.dumps(pair.to_dict(), sort_keys=True, indent=2) + "\n"
+            _write(args.emit_strata, text)
+            diagnostics["emitted"] = args.emit_strata
+        report = {
+            "command": args.command,
+            "inputs": inputs,
+            "outputs": outputs,
+            "diagnostics": diagnostics,
+        }
+        _emit(report, args)
     except (LinearSystemError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -221,7 +221,10 @@ def lr_multiply(a: ChowElement, b: ChowElement) -> ChowElement:
     for (lam, ca), (mu, cb) in iproduct(a.terms.items(), b.terms.items()):
         for nu in _lr_tableaux(lam, mu, r, n - r):
             out[nu] = out.get(nu, 0) + ca * cb
-    return ChowElement(r, n, out)
+    # every nu is normalized and inside the box: skip the constructor's checks
+    prod = ChowElement(r, n)
+    prod.terms = {nu: c for nu, c in out.items() if c}
+    return prod
 
 
 def integrate(x: ChowElement) -> int:

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import chernmather
+from chernmather.classpoly import ClassPoly
 from chernmather.cli import MAX_CHOW_N, MAX_DETVAR_N, _stringify_big, main
 from chernmather.strata import MAX_AMBIENT
 
@@ -82,6 +84,14 @@ class TestSolve:
         bad.write_text("{not json")
         code, _, err = run(capsys, "solve", str(bad))
         assert code == 2
+
+    def test_deeply_nested_json(self, capsys, tmp_path):
+        # json.load recurses once per bracket and would exhaust the stack
+        bad = tmp_path / "nested.json"
+        bad.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run(capsys, "solve", str(bad))
+        assert code == 2 and out == ""
+        assert err == f"error: {bad} is nested too deeply to read as JSON\n"
 
     def test_empty_strata(self, capsys, tmp_path):
         bad = tmp_path / "empty.json"
@@ -291,13 +301,117 @@ class TestReportPlumbing:
     def test_big_integer_stringification(self):
         small = 2**63 - 1
         big = 2**63
-        payload = {"a": [small, big, -big], "b": {"c": True, "d": -small}}
+        payload = {
+            "a": [small, big, -big],
+            "b": {"c": True, "d": -small},
+            "e": (big, (small,)),
+            "f": ClassPoly([1, -big, 0]),
+        }
         out = _stringify_big(payload)
         assert out["a"] == [small, str(big), str(-big)]
         assert out["b"]["c"] is True
         assert out["b"]["d"] == -small
+        assert out["e"] == [str(big), [small]]
+        assert out["f"] == [1, str(-big), 0]
 
     def test_missing_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+# Values a hostile or careless stratification file may hold in place of a leaf.
+_LEAF_MUTANTS = (True, False, None, "x", -1, 2**70, 1.5, [], {})
+
+
+def _leaf_paths(data, path=()):
+    if isinstance(data, dict):
+        items = data.items()
+    elif isinstance(data, list):
+        items = enumerate(data)
+    else:
+        return [path]
+    return [p for key, value in items for p in _leaf_paths(value, path + (key,))]
+
+
+def _mutant(rng, data):
+    """A copy of data with one to three leaves replaced or deleted."""
+    data = json.loads(json.dumps(data))
+    for _ in range(rng.randint(1, 3)):
+        path = rng.choice(_leaf_paths(data))
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        if rng.random() < 0.2:
+            del target[path[-1]]
+        else:
+            old = target[path[-1]]
+            negative = -abs(old) - 1 if type(old) is int else -1
+            target[path[-1]] = rng.choice(_LEAF_MUTANTS + (negative,))
+    return data
+
+
+def _partition_arg(rng):
+    if rng.random() < 0.3:
+        return rng.choice(["", "x", "2,,1", "2,0,1", "-1"])
+    return ",".join(str(rng.randint(0, 4)) for _ in range(rng.randint(1, 4)))
+
+
+def _random_argv(rng, tmp_path):
+    """A small command line of one of the five subcommands, often malformed."""
+    num = lambda hi: str(rng.randint(-1, hi))  # noqa: E731
+    command = rng.choice(["involute", "solve", "detvar", "quadric", "chow"])
+    if command == "involute":
+        poly = [rng.choice([0, 1, -3, 7, 2**70]) for _ in range(rng.randint(1, 14))]
+        argv = ["--d", num(12), "--poly", rng.choice([",".join(map(str, poly)), "1,,2"])]
+    elif command == "solve":
+        argv = [rng.choice([str(FIXTURE), str(tmp_path / "missing.json"), str(tmp_path)])]
+    elif command == "detvar":
+        argv = ["--n", num(6)]
+    elif command == "quadric":
+        argv = ["--n", num(12), "--rank", num(14)]
+    else:
+        argv = ["--r", num(9), "--n", num(8)]
+        if rng.random() < 0.5:
+            argv += ["--mult", _partition_arg(rng), _partition_arg(rng)]
+        else:
+            argv += ["--integrate"] + [_partition_arg(rng) for _ in range(rng.randint(1, 4))]
+    if rng.random() < 0.1:
+        del argv[rng.randrange(len(argv))]
+    if rng.random() < 0.2:
+        argv += ["--format", rng.choice(["text", "json", "xml"])]
+    if rng.random() < 0.3:
+        emits = command in ("detvar", "quadric") or rng.random() < 0.1
+        flag = "--emit-strata" if emits and rng.random() < 0.7 else "--out"
+        argv += [flag, str(rng.choice([tmp_path, tmp_path / "missing"]) / "file.json")]
+    return [command] + argv
+
+
+def test_cli_fuzz(capsys, tmp_path):
+    """Seeded mutants of the fixture file and random command lines: every
+    call exits 0, 2 or 3, or argparse exits 2, and raises nothing else; a
+    nonzero exit writes exactly one line to stderr."""
+
+    def check(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, argv
+            capsys.readouterr()
+            return
+        except Exception as exc:
+            raise AssertionError(f"{argv} raised {exc!r}") from exc
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3), argv
+        if code:
+            assert err.count("\n") == 1 and err.startswith("error: "), (argv, err)
+        else:
+            assert err == "", argv
+
+    rng = random.Random(0)
+    data = json.loads(FIXTURE.read_text())
+    mutant = tmp_path / "mutant.json"
+    for _ in range(120):
+        mutant.write_text(json.dumps(_mutant(rng, data)))
+        check(["solve", str(mutant)])
+        check(_random_argv(rng, tmp_path))
