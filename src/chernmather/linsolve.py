@@ -4,13 +4,17 @@ Systems here are typically overdetermined (one equation per coefficient of
 H, a handful of unknowns) and arithmetic is exact, so inconsistency is a
 diagnostic, never noise: every row must be satisfied on the nose.
 
-The solver works in integers from input to verification.  Rows of plain
-integers are used as they are; a row with rational entries is first
-scaled by the lcm of its denominators.  Bareiss elimination keeps every
-entry an integer, and back substitution over the final pivot D yields
-integer numerators X with x = X / D.  Every original equation is then
-checked as sum_j a_ij X_j == b_i D, in integers when the caller's entries
-are integers, and a Fraction is built only once per unknown, at the end.
+The solver works in integers from input to verification.  It reads the
+equations one at a time, in the order given, and stops as soon as every
+unknown has a pivot, so callers put the most informative equations first.
+Each row it reads is made integral (a row with rational entries is scaled
+by the lcm of its denominators), reduced by the pivot rows found so far
+and divided by the gcd of its entries.  A primitive row is bounded in size
+by Cramer's rule, so entries grow polynomially, not exponentially.  Back
+substitution yields integer numerators X over a common denominator D, with
+x = X / D.  Every original equation, read or not, is then checked as
+sum_j a_ij X_j == b_i D, in integers when the caller's entries are
+integers, and a Fraction is built only once per unknown, at the end.
 """
 
 from __future__ import annotations
@@ -37,36 +41,38 @@ class NonIntegerSolution(LinearSystemError):
     """The unique rational solution fails to be integral."""
 
 
-def _as_integer_rows(rows, rhs):
-    """Augmented integer rows [a_i1 .. a_in, b_i], each scaled by the lcm
-    of its denominators; rows of plain integers are taken as they are."""
-    out = []
-    for row, b in zip(rows, rhs):
-        ents = [*row, b]
-        if set(map(type, ents)) != {int}:
-            ents = [Fraction(e) for e in ents]
-            scale = 1
-            for e in ents:
-                scale = scale * e.denominator // gcd(scale, e.denominator)
-            ents = [int(e * scale) for e in ents]
-        out.append(ents)
-    return out
+def _integer_row(row, b) -> list[int]:
+    """The augmented integer row [a_1 .. a_n, b], scaled by the lcm of its
+    denominators; a row of plain integers is taken as it is."""
+    ents = [*row, b]
+    if set(map(type, ents)) != {int}:
+        ents = [Fraction(e) for e in ents]
+        scale = 1
+        for e in ents:
+            scale = scale * e.denominator // gcd(scale, e.denominator)
+        ents = [int(e * scale) for e in ents]
+    return ents
 
 
 def exact_solve(
     rows: Sequence[Sequence], rhs: Sequence, context: str = ""
 ) -> list[Fraction]:
-    """Unique exact solution of A.x = b, fraction-free elimination.
+    """Unique exact solution of A.x = b by fraction-free elimination.
 
     A must have at least as many rows as columns; the system may be
-    overdetermined but has to be consistent on every row.  The solution is
-    computed as integer numerators over the final Bareiss pivot, and those
-    are re-substituted into all original equations (in integers when the
-    entries are integers) as a final check; Fractions are formed only for
+    overdetermined but has to be consistent on every row.  Equations are
+    read in the order given, each reduced by the pivot rows found so far
+    and kept as a primitive integer row, and reading stops once every
+    unknown has a pivot, so the caller should put the equations most
+    likely to be independent first.  Back substitution gives integer
+    numerators over a common denominator, and those are re-substituted
+    into all original equations, including the ones never read (in
+    integers when the entries are integers); Fractions are formed only for
     the returned values.
 
-    Raises InconsistentSystem or NonUniqueSolution, tagging the message with
-    `context` so callers can name the offending subsystem.
+    Raises NonUniqueSolution when the equations leave an unknown free, and
+    otherwise InconsistentSystem when they admit no solution, tagging the
+    message with `context` so callers can name the offending subsystem.
     """
     m = len(rows)
     ncols = len(rows[0]) if m else 0
@@ -78,57 +84,59 @@ def exact_solve(
         raise ValueError("need at least as many equations as unknowns")
 
     tag = f" [{context}]" if context else ""
-    aug = _as_integer_rows(rows, rhs)
 
-    if ncols == 0:
-        if any(r[-1] != 0 for r in aug):
-            raise InconsistentSystem(f"no unknowns but nonzero residual{tag}")
-        return []
+    # Row reduction one equation at a time.  Each pivot row is zero in the
+    # pivot columns found before it, so reducing by the pivots in the order
+    # they were found leaves a row that is zero in all of them.  A row that
+    # reduces to 0 = c != 0 proves inconsistency, but a free unknown takes
+    # precedence, so that the error class does not depend on row order.
+    pivots: list[tuple[int, list[int]]] = []
+    contradiction = False
+    for row, b in zip(rows, rhs):
+        if len(pivots) == ncols:
+            break
+        red = _integer_row(row, b)
+        for col, piv in pivots:
+            f = red[col]
+            if f:
+                p = piv[col]
+                g = gcd(p, f)
+                p, f = p // g, f // g
+                red = [p * a - f * t for a, t in zip(red, piv)]
+        col = next((j for j in range(ncols) if red[j]), None)
+        if col is None:
+            contradiction = contradiction or red[ncols] != 0
+            continue
+        g = gcd(*red)
+        pivots.append((col, [a // g for a in red]))
+    if len(pivots) < ncols:
+        free = min(set(range(ncols)).difference(c for c, _ in pivots))
+        raise NonUniqueSolution(
+            f"unknown #{free} is not determined by the equations{tag}"
+        )
+    if contradiction:
+        raise InconsistentSystem(f"equations are mutually inconsistent{tag}")
 
-    # Bareiss fraction-free forward elimination; pivot for column k ends
-    # up in row k, failure to find one means a free unknown.  Below the
-    # pivot row, entries in and left of the pivot column are never read
-    # again, so only the slice right of it is updated; a row with a zero
-    # entry in the pivot column is merely rescaled by p / prev.
-    prev = 1
-    for col in range(ncols):
-        sel = next((i for i in range(col, m) if aug[i][col] != 0), None)
-        if sel is None:
-            raise NonUniqueSolution(
-                f"unknown #{col} is not determined by the equations{tag}"
-            )
-        aug[col], aug[sel] = aug[sel], aug[col]
-        p = aug[col][col]
-        tail = aug[col][col + 1 :]
-        for row in aug[col + 1 :]:
-            fi = row[col]
-            if fi:
-                row[col + 1 :] = [
-                    (p * a - fi * t) // prev for a, t in zip(row[col + 1 :], tail)
-                ]
-            elif p != prev:
-                row[col + 1 :] = [p * a // prev for a in row[col + 1 :]]
-        prev = p
-
-    for i in range(ncols, m):
-        if aug[i][ncols] != 0:
-            raise InconsistentSystem(f"equations are mutually inconsistent{tag}")
-
-    # Fraction-free back substitution: X[k] = D * x[k] is an integer by
-    # Cramer's rule, D being the determinant of the pivot rows.
-    d = prev
+    # Back substitution from the last pivot to the first: x_j = num[j] / d.
+    # Solving pivot row (col, piv) gives piv[col] * x_col = (b d - s) / d;
+    # the reduced factor of piv[col] joins the common denominator.
+    d = 1
     num = [0] * ncols
-    for col in range(ncols - 1, -1, -1):
-        row = aug[col]
-        acc = d * row[ncols] - sum(map(mul, row[col + 1 : ncols], num[col + 1 :]))
-        num[col], rem = divmod(acc, row[col])
-        if rem:
-            raise InconsistentSystem(f"back substitution is not exact{tag}")
+    for col, piv in reversed(pivots):
+        acc = d * piv[ncols] - sum(map(mul, piv, num))
+        p = piv[col]
+        g = gcd(acc, p)
+        p, acc = p // g, acc // g
+        num = [x * p for x in num]
+        num[col] = acc
+        d *= p
 
     # Verify every original equation exactly: sum_j a_ij X_j == b_i D.
     for row, b in zip(rows, rhs):
         if sum(map(mul, row, num)) != b * d:
-            raise InconsistentSystem(f"residual check failed{tag}")
+            raise InconsistentSystem(
+                f"equations are mutually inconsistent (residual check failed){tag}"
+            )
     return [Fraction(x, d) for x in num]
 
 

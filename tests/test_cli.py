@@ -10,7 +10,7 @@ import pytest
 import chernmather
 from chernmather.classpoly import ClassPoly
 from chernmather.cli import MAX_CHOW_N, MAX_DETVAR_N, _stringify_big, main
-from chernmather.strata import MAX_AMBIENT
+from chernmather.strata import MAX_AMBIENT, MAX_STRATA
 
 DATA = Path(__file__).parent / "data"
 FIXTURE = DATA / "symmetric_3x3.json"
@@ -144,6 +144,19 @@ class TestSolve:
         code, _, err = run(capsys, "solve", str(bad))
         assert code == 2
         assert message in err
+
+    @pytest.mark.parametrize("side", ["primal", "dual"])
+    def test_too_many_strata_rejected(self, capsys, tmp_path, side):
+        # the solve grows about as the cube of the number of strata
+        data = json.loads(FIXTURE.read_text())
+        point = [0, 0, 0, 0, 0, 1]
+        extra = MAX_STRATA + 1 - len(data[side])
+        data[side] += [{"name": f"extra{i}", "dim": 0, "csm": point} for i in range(extra)]
+        bad = tmp_path / "many.json"
+        bad.write_text(json.dumps(data))
+        code, out, err = run(capsys, "solve", str(bad))
+        assert code == 2 and out == ""
+        assert err == f"error: need at most {MAX_STRATA} strata per side, got {MAX_STRATA + 1}\n"
 
     def test_inconsistent_names_subsystem(self, capsys, tmp_path):
         data = json.loads(FIXTURE.read_text())

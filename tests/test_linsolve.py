@@ -74,6 +74,67 @@ def test_more_unknowns_than_equations():
         exact_solve([[1, 2]], [3])
 
 
+def test_inconsistent_equation_after_a_full_set_of_pivots():
+    # The first two equations pin x down, so elimination stops before the
+    # third; only the residual check over every equation can reject it.
+    with pytest.raises(InconsistentSystem, match=r"inconsistent.*\[late row\]$"):
+        exact_solve([[1, 0], [0, 1], [1, 1], [2, 3]], [2, 3, 5, 14], context="late row")
+
+
+# Zero and dependent equations first, independent ones last: the row shape of
+# a duality system read from H^0 up.
+LATE_ROWS = [[0, 0, 0], [0, 0, 0], [0, 0, 0], [1, 2, 3], [2, 4, 6], [0, 1, 1]]
+
+
+def test_independent_equations_last():
+    rows = LATE_ROWS + [[0, 0, 1]]
+    x = [3, -1, 2]
+    assert exact_solve(rows, [sum(map(mul, row, x)) for row in rows]) == x
+
+
+def test_independent_equations_last_rank_deficient():
+    # The last row is the sum of rows 3 and 5, so x_2 stays free.
+    rows = LATE_ROWS + [[1, 3, 4]]
+    x = [3, -1, 2]
+    rhs = [sum(map(mul, row, x)) for row in rows]
+    with pytest.raises(NonUniqueSolution, match=r"unknown #2 is not determined"):
+        exact_solve(rows, rhs)
+
+
+@pytest.mark.parametrize("rows, rhs", [
+    ([[1, 1], [1, 1]], [1, 2]),
+    ([[1, 1, 0], [2, 2, 0], [0, 0, 1]], [1, 3, 4]),
+], ids=["square", "tall"])
+def test_free_unknown_outranks_contradiction(rows, rhs):
+    # Rank deficient and inconsistent at once: the error class must not
+    # depend on whether the contradiction is read before the rows run out.
+    assert check_against_sympy(rows, rhs) == NONUNIQUE
+    assert check_against_sympy(rows[::-1], rhs[::-1]) == NONUNIQUE
+
+
+def _wide_int(rng):
+    return rng.choice((-1, 1)) * (rng.getrandbits(rng.randint(60, 90)) | 1 << 59)
+
+
+@pytest.mark.parametrize("case", ["consistent", "perturbed", "dependent_column"])
+def test_tall_system_with_wide_entries(case):
+    # 40 equations in 7 unknowns with 60- to 90-bit entries and a rational
+    # solution: the reduced rows grow well past the input size.
+    rng = random.Random(case)
+    rows = [[_wide_int(rng) for _ in range(7)] for _ in range(40)]
+    x = [Fraction(_wide_int(rng), rng.randint(1, 10**6)) for _ in range(7)]
+    rhs = [sum(map(mul, row, x)) for row in rows]
+    if case == "perturbed":
+        rhs[-1] += 1
+    elif case == "dependent_column":
+        for row in rows:
+            row[4] = 3 * row[1] - row[6]
+    expect = check_against_sympy(rows, rhs)
+    assert expect == {
+        "consistent": x, "perturbed": INCONSISTENT, "dependent_column": NONUNIQUE
+    }[case]
+
+
 def test_solve_integer():
     assert solve_integer([[2, 0], [0, 3], [2, 3]], [4, 9, 13]) == [2, 3]
     with pytest.raises(NonIntegerSolution):
@@ -81,9 +142,9 @@ def test_solve_integer():
 
 
 # Property tests against sympy's exact rational elimination (reduced row
-# echelon form over QQ), an implementation independent of the Bareiss
-# solver.  Fixed example counts and derandomized draws keep them
-# deterministic.
+# echelon form over QQ), an implementation independent of the solver's
+# row-at-a-time elimination with its early stop.  Fixed example counts and
+# derandomized draws keep them deterministic.
 
 ORACLE = settings(max_examples=10, derandomize=True, database=None, deadline=None)
 NONUNIQUE, INCONSISTENT = "nonunique", "inconsistent"
@@ -183,6 +244,20 @@ class TestSympyOracle:
     def test_fraction_entries(self, system):
         rows, rhs, x = system
         assert check_against_sympy(rows, rhs) in (NONUNIQUE, x)
+
+    @ORACLE
+    @given(systems(entries=st.integers(-2, 2)), st.data())
+    def test_equation_order_does_not_matter(self, system, data):
+        # Small entries make rank deficiency common; one perturbed right-hand
+        # side makes inconsistency common.  Neither the solution nor the error
+        # class may depend on which equations the elimination reads first.
+        rows, rhs, _ = system
+        m = len(rows)
+        if data.draw(st.booleans()):
+            rhs[data.draw(st.integers(0, m - 1))] += data.draw(st.integers(-5, 5).filter(bool))
+        order = data.draw(st.permutations(range(m)))
+        expect = check_against_sympy(rows, rhs)
+        assert check_against_sympy([rows[i] for i in order], [rhs[i] for i in order]) == expect
 
     @ORACLE
     @given(systems(), st.integers(2, 7))

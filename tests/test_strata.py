@@ -51,6 +51,27 @@ def quadric_cone_pair():
     return StratifiedPair(4, primal, dual, [(0, 0)])
 
 
+def linear_flag_pair(modulus, dims):
+    """A flag of linear spaces P^d in P^(N-1), largest first, against the flag
+    of their duals P^(N-2-d); the deepest primal closure pairs with the
+    largest dual closure.  Each open stratum is a difference of closures."""
+
+    def side(ds, prefix):
+        closures = [csm_linear_space(d, modulus) for d in ds] + [ClassPoly.zero(modulus)]
+        return [
+            Stratum(f"{prefix}{i}", closures[i] - closures[i + 1], d)
+            for i, d in enumerate(ds)
+        ]
+
+    dims = sorted(dims, reverse=True)
+    m = len(dims)
+    coflag = [modulus - 2 - d for d in reversed(dims)]
+    return StratifiedPair(
+        modulus, side(dims, "flag"), side(coflag, "coflag"),
+        [(r, m - 1 - r) for r in range(m)],
+    )
+
+
 class TestSolveSystem:
     def test_symmetric_fixture_unique_zero(self):
         alpha, beta = solve_system(sym3_pair(), 1)
@@ -149,6 +170,18 @@ class TestEulerTable:
         table = euler_table(pair)
         assert table.primal == ((1, 0), (0, 1))
         assert table.dual == ((1, 0), (0, 1))
+
+    def test_linear_flag_of_twenty_strata(self):
+        # Every closure is a linear space, so every obstruction is 1.  At
+        # N = 128 the low powers of H vanish on all but the largest strata:
+        # each system has the row shape of real inputs, 128 equations in 19
+        # unknowns.
+        m = 20
+        table = euler_table(linear_flag_pair(128, [6 * k + 1 for k in range(m)]))
+        ones = tuple((0,) * r + (1,) * (m - r) for r in range(m))
+        assert table.primal == ones
+        assert table.dual == ones
+        assert table.origin == (1,) * m
 
     def test_quadric_cone_table(self):
         table = euler_table(quadric_cone_pair())
