@@ -24,7 +24,8 @@ from .strata import MAX_AMBIENT, EulerTable, StratifiedPair, chern_mather, euler
 
 _INT64_MAX = 2**63 - 1
 # Largest n accepted by `detvar` (each step costs about 2.4x the last; n = 14
-# takes about 14 s) and by `chow` (at most C(20, 10) Schubert classes).
+# takes about 14 s) and by `chow` (at most C(20, 10) Schubert classes; the
+# work of each product is bounded by grassmann.MAX_LR_TABLEAUX).
 MAX_DETVAR_N = 14
 MAX_CHOW_N = 20
 
@@ -226,9 +227,14 @@ def _cmd_chow(args):
     _at_most("--n", n, MAX_CHOW_N)
     mode = "mult" if args.mult else "integrate"
     parts = [_parse_partition(p) for p in getattr(args, mode)]
+    inputs = {"r": r, "n": n, mode: [_join(p) for p in parts]}
+    # sigma of the empty partition is the unit, so it is not multiplied in
+    factors = [ChowElement.sigma(p, r, n) for p in parts if p]
+    if args.integrate and sum(map(sum, parts)) != r * (n - r):
+        return inputs, {"integral": 0}, {}, None  # 0 by degree
     elem = ChowElement.one(r, n)
-    for p in parts:
-        elem = lr_multiply(elem, ChowElement.sigma(p, r, n))
+    for f in factors:
+        elem = lr_multiply(elem, f)
     if args.mult:
         outputs = {
             "product": _render_chow(elem),
@@ -236,7 +242,7 @@ def _cmd_chow(args):
         }
     else:
         outputs = {"integral": integrate(elem)}
-    return {"r": r, "n": n, mode: [_join(p) for p in parts]}, outputs, {}, None
+    return inputs, outputs, {}, None
 
 
 def _build_parser() -> argparse.ArgumentParser:

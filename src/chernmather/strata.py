@@ -47,30 +47,26 @@ def _is_int(value) -> bool:
 
 @dataclass(frozen=True)
 class Stratum:
-    """A named stratum with its class polynomial.
+    """A named stratum with its declared dimension and class polynomial.
 
-    The dimension defaults to the one implied by the lowest nonzero
-    coefficient of the class; an explicit value wins (input files always
-    state one) and any disagreement with the class is surfaced as a
-    diagnostic, not an error.
+    The declared dimension orders the strata and sets the parity signs of
+    the duality systems (input files always state one); any disagreement
+    with the dimension implied by the lowest nonzero coefficient of the
+    class is surfaced as a diagnostic, not an error.
     """
 
     name: str
     csm: ClassPoly
-    dim: int | None = None
+    dim: int
 
     def __post_init__(self):
         if self.csm.is_zero():
             raise ValueError(f"stratum {self.name!r} has zero class polynomial")
-        if self.dim is not None and self.dim < 0:
+        if self.dim < 0:
             raise ValueError(f"stratum {self.name!r} has negative dimension")
 
-    @property
-    def effective_dim(self) -> int:
-        return self.csm.dim if self.dim is None else self.dim
-
     def dim_note(self) -> str | None:
-        if self.dim is not None and self.dim != self.csm.dim:
+        if self.dim != self.csm.dim:
             return (
                 f"stratum {self.name!r}: declared dimension {self.dim} "
                 f"differs from the class-implied {self.csm.dim}"
@@ -99,17 +95,29 @@ class StratifiedPair:
         dual: Iterable[Stratum],
         pairing: Iterable[Sequence[int]],
     ):
-        primal = list(primal)
-        dual = list(dual)
-        pairing = [tuple(p) for p in pairing]
+        primal, dual = list(primal), list(dual)
         if not primal or not dual:
             raise ValueError("both sides need at least one stratum")
-        for side, label in ((primal, "primal"), (dual, "dual")):
+
+        def _sorted(side, label):
+            """Check names and moduli, then order by declared dimension."""
             names: set[str] = set()
             for s in side:
                 if s.name in names:
                     raise ValueError(f"{label} stratum name {s.name!r} is repeated")
                 names.add(s.name)
+                if s.csm.modulus != ambient:
+                    raise ValueError(
+                        f"{label} stratum {s.name!r} has modulus "
+                        f"{s.csm.modulus}, expected {ambient}"
+                    )
+            order = sorted(range(len(side)), key=lambda i: -side[i].dim)
+            remap = {old: new for new, old in enumerate(order)}
+            return tuple(side[i] for i in order), remap
+
+        primal, pmap = _sorted(primal, "primal")
+        dual, dmap = _sorted(dual, "dual")
+        pairing = [tuple(p) for p in pairing]
         seen_r, seen_p = set(), set()
         for r, p in pairing:
             if not (0 <= r < len(primal) and 0 <= p < len(dual)):
@@ -118,25 +126,10 @@ class StratifiedPair:
                 raise ValueError(f"pairing ({r}, {p}) repeats an index")
             seen_r.add(r)
             seen_p.add(p)
+        pairing = tuple(sorted((pmap[r], dmap[p]) for r, p in pairing))
 
-        def _sorted(side):
-            order = sorted(range(len(side)), key=lambda i: -side[i].effective_dim)
-            remap = {old: new for new, old in enumerate(order)}
-            return [side[i] for i in order], remap
-
-        primal, pmap = _sorted(primal)
-        dual, dmap = _sorted(dual)
-        pairing = sorted((pmap[r], dmap[p]) for r, p in pairing)
-
-        for side, label in ((primal, "primal"), (dual, "dual")):
-            for s in side:
-                if s.csm.modulus != ambient:
-                    raise ValueError(
-                        f"{label} stratum {s.name!r} has modulus "
-                        f"{s.csm.modulus}, expected {ambient}"
-                    )
         # Reflectivity: deeper primal strata must pair with larger duals.
-        chain = [dual[p].effective_dim for _, p in pairing]
+        chain = [dual[p].dim for _, p in pairing]
         if any(a >= b for a, b in zip(chain, chain[1:])):
             raise ValueError(
                 "dual dimensions do not increase strictly along the pairing; "
@@ -144,15 +137,9 @@ class StratifiedPair:
             )
 
         object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "primal", tuple(primal))
-        object.__setattr__(self, "dual", tuple(dual))
-        object.__setattr__(self, "pairing", tuple(pairing))
-
-    def dual_index(self, r: int) -> int | None:
-        for a, b in self.pairing:
-            if a == r:
-                return b
-        return None
+        object.__setattr__(self, "primal", primal)
+        object.__setattr__(self, "dual", dual)
+        object.__setattr__(self, "pairing", pairing)
 
     def dim_notes(self) -> list[str]:
         notes = [s.dim_note() for s in self.primal + self.dual]
@@ -229,7 +216,7 @@ class StratifiedPair:
     def to_dict(self) -> dict:
         def _side(strata):
             return [
-                {"name": s.name, "dim": s.effective_dim, "csm": s.csm.to_list()}
+                {"name": s.name, "dim": s.dim, "csm": s.csm.to_list()}
                 for s in strata
             ]
 
@@ -263,25 +250,27 @@ def _involutes(pair: StratifiedPair) -> list[ClassPoly]:
 
 
 def _signed_system(pair: StratifiedPair, inv, r: int, p: int, signs=True):
-    """Rows/rhs of the coefficient-matching system for paired strata (r, p),
-    given the transforms `inv` of the primal classes.
+    """Rows and right-hand sides of the coefficient-matching system for
+    paired strata (r, p), given the transforms `inv` of the primal classes;
+    the unknowns are the primal weights beyond r, then the dual ones beyond p.
 
     Equations run from H^(N-1) down to H^0: at high powers every stratum
     has a nonzero coefficient, while at low powers all but the largest
     strata vanish, so the solver finds its pivots in the first rows."""
-    n = pair.ambient
-    sx = (-1) ** pair.primal[r].effective_dim if signs else 1
-    sy = (-1) ** pair.dual[p].effective_dim if signs else 1
-
-    prim_unknowns = list(range(r + 1, len(pair.primal)))
-    dual_unknowns = list(range(p + 1, len(pair.dual)))
+    sx = (-1) ** pair.primal[r].dim if signs else 1
+    sy = (-1) ** pair.dual[p].dim if signs else 1
+    x, y = inv[r].coeffs, pair.dual[p].csm.coeffs
+    prim = [f.coeffs for f in inv[r + 1 :]]
+    dual = [s.csm.coeffs for s in pair.dual[p + 1 :]]
     rows, rhs = [], []
-    for k in reversed(range(n)):
-        row = [sx * inv[i].coeffs[k] for i in prim_unknowns]
-        row += [-sy * pair.dual[j].csm.coeffs[k] for j in dual_unknowns]
-        rows.append(row)
-        rhs.append(sy * pair.dual[p].csm.coeffs[k] - sx * inv[r].coeffs[k])
-    return rows, rhs, prim_unknowns, dual_unknowns
+    for k in reversed(range(pair.ambient)):
+        rows.append([sx * c[k] for c in prim] + [-sy * c[k] for c in dual])
+        rhs.append(sy * y[k] - sx * x[k])
+    return rows, rhs
+
+
+def _system_name(pair: StratifiedPair, r: int, p: int) -> str:
+    return f"primal[{r}] {pair.primal[r].name!r} <-> dual[{p}] {pair.dual[p].name!r}"
 
 
 def solve_system(pair: StratifiedPair, r: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -291,35 +280,32 @@ def solve_system(pair: StratifiedPair, r: int) -> tuple[tuple[int, ...], tuple[i
     of stratum r at stratum r+i, beta likewise on the dual side starting at
     the paired stratum; both are normalized to 1 at their first entry.
     """
-    return _solve_paired(pair, _involutes(pair), r)
-
-
-def _solve_paired(pair: StratifiedPair, inv, r: int):
-    """solve_system, given the transforms `inv` of the primal classes."""
-    p = pair.dual_index(r)
+    p = dict(pair.pairing).get(r)
     if p is None:
         raise ValueError(
             f"primal stratum {pair.primal[r].name!r} has no paired dual stratum"
         )
-    context = f"primal[{r}] {pair.primal[r].name!r} <-> dual[{p}] {pair.dual[p].name!r}"
-    rows, rhs, prim_unknowns, dual_unknowns = _signed_system(pair, inv, r, p)
+    return _solve_paired(pair, _involutes(pair), r, p)
+
+
+def _solve_paired(pair: StratifiedPair, inv, r: int, p: int):
+    """solve_system for the pair (r, p), given the transforms `inv`."""
+    context = _system_name(pair, r, p)
     try:
-        sol = solve_integer(rows, rhs, context)
+        sol = solve_integer(*_signed_system(pair, inv, r, p), context)
     except InconsistentSystem as exc:
         # Diagnose whether dropping the parity signs would have worked;
         # that points at wrongly declared stratum dimensions.
         try:
-            u_rows, u_rhs, _, _ = _signed_system(pair, inv, r, p, signs=False)
-            solve_integer(u_rows, u_rhs, context)
+            solve_integer(*_signed_system(pair, inv, r, p, signs=False), context)
         except Exception:
             raise exc from None
         raise InconsistentSystem(
             f"{exc}; note: the system becomes consistent without the "
             "(-1)^dim parity factors, check the declared stratum dimensions"
         ) from None
-    alpha = (1, *sol[: len(prim_unknowns)])
-    beta = (1, *sol[len(prim_unknowns):])
-    return alpha, beta
+    cut = len(pair.primal) - r - 1
+    return (1, *sol[:cut]), (1, *sol[cut:])
 
 
 def chern_mather(
@@ -340,41 +326,34 @@ def eu_at_origin(pair: StratifiedPair, r: int, alpha: Sequence[int]) -> int:
 
     This is the weighted count (-1)^(N-1) * sum_k csm_k(-1) * alpha_k: each
     csm_k(-1) is, up to the ambient parity, the Euler characteristic of the
-    part of stratum k surviving a generic hyperplane slice of the cone.
+    part of stratum k surviving a generic hyperplane slice of the cone.  By
+    linearity the sum is the Chern-Mather class evaluated at H = -1.
     """
-    if len(alpha) != len(pair.primal) - r:
-        raise ValueError("weight vector does not match the strata from r on")
-    total = sum(
-        a * s.csm.eval(-1) for a, s in zip(alpha, pair.primal[r:])
-    )
+    total = chern_mather(pair, r, alpha).eval(-1)
     return total if (pair.ambient - 1) % 2 == 0 else -total
 
 
-def _fill_unpaired(pair: StratifiedPair, side: str, r: int) -> tuple[int, ...]:
-    """Rows for strata without a dual partner.
+def _fill_unpaired(ambient: int, strata, r: int, label: str):
+    """Row and method for stratum r of a side, when it has no partner.
 
     Two decidable cases: the deepest stratum (nothing beneath it, row (1,)),
     and a first stratum whose strata sum to the full ambient class, so its
     closure is projective space itself and the obstruction is 1 everywhere.
     """
-    strata = pair.primal if side == "primal" else pair.dual
     if r == len(strata) - 1:
-        return (1,)
+        return (1,), "deepest stratum"
     if r == 0:
-        total = ClassPoly.zero(pair.ambient)
-        for s in strata:
-            total = total + s.csm
-        if total == chern_B(pair.ambient - 1, pair.ambient):
-            return (1,) * len(strata)
+        total = sum((s.csm for s in strata), ClassPoly.zero(ambient))
+        if total == chern_B(ambient - 1, ambient):
+            return (1,) * len(strata), "smooth closure"
     raise ValueError(
-        f"{side} stratum {strata[r].name!r} has no paired dual stratum and "
+        f"{label} stratum {strata[r].name!r} has no paired dual stratum and "
         "its row cannot be inferred"
     )
 
 
 def euler_table(pair: StratifiedPair) -> EulerTable:
     """Solve every paired stratum on both sides and assemble the tables."""
-    n_p, n_d = len(pair.primal), len(pair.dual)
     rows_p: dict[int, tuple[int, ...]] = {}
     rows_d: dict[int, tuple[int, ...]] = {}
     diags: list[dict] = []
@@ -382,42 +361,37 @@ def euler_table(pair: StratifiedPair) -> EulerTable:
     # N = 1 has no transform (d = 0), and a file without pairs needs none.
     inv = _involutes(pair) if pair.pairing else []
     for r, p in pair.pairing:
-        alpha, beta = _solve_paired(pair, inv, r)
-        rows_p[r] = alpha
-        rows_d[p] = beta
+        rows_p[r], rows_d[p] = _solve_paired(pair, inv, r, p)
         diags.append(
             {
-                "system": f"primal[{r}] {pair.primal[r].name!r}"
-                f" <-> dual[{p}] {pair.dual[p].name!r}",
-                "unknowns": (n_p - r - 1) + (n_d - p - 1),
+                "system": _system_name(pair, r, p),
+                "unknowns": (len(pair.primal) - r - 1) + (len(pair.dual) - p - 1),
                 "equations": pair.ambient,
                 "residual": "exact",
                 "method": "solved",
             }
         )
-    for side, count, rows in (("primal", n_p, rows_p), ("dual", n_d, rows_d)):
-        for r in range(count):
-            if r in rows:
+    tables = []
+    for label, strata, rows in (
+        ("primal", pair.primal, rows_p),
+        ("dual", pair.dual, rows_d),
+    ):
+        for k, s in enumerate(strata):
+            if k in rows:
                 continue
-            rows[r] = _fill_unpaired(pair, side, r)
-            strata = pair.primal if side == "primal" else pair.dual
+            rows[k], method = _fill_unpaired(pair.ambient, strata, k, label)
             diags.append(
                 {
-                    "system": f"{side}[{r}] {strata[r].name!r}",
+                    "system": f"{label}[{k}] {s.name!r}",
                     "unknowns": 0,
                     "equations": 0,
                     "residual": "exact",
-                    "method": "deepest stratum" if r == count - 1 else "smooth closure",
+                    "method": method,
                 }
             )
+        tables.append(tuple((0,) * k + rows[k] for k in range(len(strata))))
 
-    primal = tuple(
-        (0,) * r + tuple(rows_p[r]) for r in range(n_p)
-    )
-    dual = tuple(
-        (0,) * r + tuple(rows_d[r]) for r in range(n_d)
-    )
-    origin = tuple(eu_at_origin(pair, r, rows_p[r]) for r in range(n_p))
+    origin = tuple(eu_at_origin(pair, r, rows_p[r]) for r in range(len(pair.primal)))
     for note in pair.dim_notes():
         diags.append({"system": "input", "note": note, "residual": "n/a"})
-    return EulerTable(primal, dual, origin, tuple(diags))
+    return EulerTable(*tables, origin, tuple(diags))

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chernmather.classpoly import (
     ClassPoly,
@@ -118,6 +120,45 @@ class TestInvolute:
     def test_top_degree_monomial(self):
         # I_2(H^2) = (1+H)^2 - B_2 = -H - 2H^2
         assert involute(ClassPoly.monomial(2, 3), 2) == ClassPoly([0, -1, -2])
+
+
+# Property tests of the transform on classes of degree at most d+1 inside
+# the moduli d+1..d+3, with coefficients of up to 90 bits.  Fixed example
+# counts and derandomized draws keep them deterministic.
+
+PROPERTY = settings(max_examples=10, derandomize=True, database=None, deadline=None)
+WIDE = st.integers(-(2**90), 2**90)
+
+
+@st.composite
+def transform_inputs(draw, count, constant_term=True):
+    """(d, classes): `count` classes sharing a degree d and a modulus."""
+    d = draw(st.integers(1, 100))
+    modulus = d + draw(st.integers(1, 3))
+    top = min(d + 1, modulus - 1)
+    classes = []
+    for _ in range(count):
+        cs = draw(st.lists(WIDE, min_size=top + 1, max_size=top + 1))
+        if not constant_term:
+            cs[0] = 0
+        classes.append(ClassPoly(cs + [0] * (modulus - 1 - top), modulus))
+    return d, classes
+
+
+class TestInvoluteProperties:
+    @PROPERTY
+    @given(transform_inputs(1, constant_term=False))
+    def test_involution_without_constant_term(self, case):
+        d, (f,) = case
+        g = involute(f, d)
+        assert g.coeffs[0] == 0
+        assert involute(g, d) == f
+
+    @PROPERTY
+    @given(transform_inputs(2), WIDE, WIDE)
+    def test_linearity(self, case, a, b):
+        d, (f, g) = case
+        assert involute(a * f + b * g, d) == a * involute(f, d) + b * involute(g, d)
 
 
 def _wide_class(rng, d, modulus, codim):

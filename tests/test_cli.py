@@ -10,6 +10,7 @@ import pytest
 import chernmather
 from chernmather.classpoly import ClassPoly
 from chernmather.cli import MAX_CHOW_N, MAX_DETVAR_N, _stringify_big, main
+from chernmather.grassmann import MAX_LR_TABLEAUX
 from chernmather.strata import MAX_AMBIENT, MAX_STRATA
 
 DATA = Path(__file__).parent / "data"
@@ -260,6 +261,39 @@ class TestChow:
         proc = run_limited("chow", "--r", "20", "--n", "40", "--integrate", "1")
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr == f"error: need --n at most {MAX_CHOW_N}, got 40\n"
+
+    # On G(10, 20) the staircases delta_k = (k, k-1, ..., 1) make LR products
+    # whose tableaux grow about 40-fold with each step of k.
+    DELTA5, DELTA6 = "5,4,3,2,1", "6,5,4,3,2,1"
+
+    def test_tableaux_over_limit_rejected(self):
+        # delta_6 * delta_6 generates 1,095,308 tableaux, about 19 s of work
+        proc = run_limited("chow", "--r", "10", "--n", "20", "--mult", self.DELTA6, self.DELTA6)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == (
+            f"error: the product needs more than {MAX_LR_TABLEAUX} "
+            "Littlewood-Richardson tableaux\n"
+        )
+
+    def test_identity_factors_are_not_multiplied(self):
+        # delta_5^2 has 1,433 terms; multiplying each of them by sigma_() again
+        # for 20,000 empty partitions would take about a minute.  The last
+        # factor is the box complement of 2 * delta_5 = (10, 8, 6, 4, 2), whose
+        # LR coefficient in delta_5^2 is 1.
+        last = "10,10,10,10,10,8,6,4,2"
+        argv = [self.DELTA5, self.DELTA5, *["0"] * 20_000, last]
+        proc = run_limited("chow", "--r", "10", "--n", "20", "--integrate", *argv)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["outputs"]["integral"] == 1
+        assert len(report["inputs"]["integrate"]) == 20_003
+
+    def test_integral_off_top_degree_is_zero_without_products(self):
+        # delta_5^4 has degree 60 < 100, and its last product alone would
+        # take minutes
+        proc = run_limited("chow", "--r", "10", "--n", "20", "--integrate", *[self.DELTA5] * 4)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["outputs"]["integral"] == 0
 
 
 class TestReportPlumbing:

@@ -220,7 +220,7 @@ class TestEulerTables:
     def test_pair_shape(self):
         pair = build_pair(3)
         assert pair.ambient == 9
-        assert [s.effective_dim for s in pair.primal] == [8, 7, 4]
+        assert [s.dim for s in pair.primal] == [8, 7, 4]
         assert pair.pairing == ((1, 2), (2, 1))
         # solving through the generic front end agrees
         assert euler_table(pair).primal == eu_table_det(3).primal

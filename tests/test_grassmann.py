@@ -112,6 +112,23 @@ class TestLROracles:
         got = lr_multiply(sigma(lam, rows, n), sigma(mu, rows, n)).terms
         assert got == schur_product_in_box(lam, mu, rows, cols)
 
+    @pytest.mark.parametrize(
+        "lam, mu, rows, cols",
+        [
+            ((2, 1), (2, 2, 1, 1), 4, 4),
+            ((3, 1, 1), (2, 2, 2, 1), 4, 4),
+            ((2, 1, 1), (3, 3, 2, 2), 4, 5),
+            ((2, 2), (1, 1, 1, 1, 1), 5, 4),
+            ((3, 2, 1), (2, 2, 1, 1, 1), 5, 4),
+        ],
+    )
+    def test_tall_factor_matches_schur_oracle(self, lam, mu, rows, cols):
+        # mu has a part in every row, so each label's strip is held to the
+        # floor that the later labels need
+        n = rows + cols
+        got = lr_multiply(sigma(lam, rows, n), sigma(mu, rows, n)).terms
+        assert got == schur_product_in_box(lam, mu, rows, cols)
+
     @pytest.mark.parametrize("r, n", [(3, 7), (4, 8), (4, 9)])
     def test_hook_length_integrals(self, r, n):
         # integral of sigma_lam * sigma_1^(D - |lam|), D = dim G(r, n)

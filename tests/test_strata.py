@@ -200,6 +200,35 @@ class TestEulerTable:
         with pytest.raises(ValueError, match="cannot be inferred"):
             euler_table(pair)
 
+    def test_unpaired_deepest_dual_stratum(self):
+        # the quadric cone with its sides swapped: the vertex is now the
+        # deepest dual stratum, and nothing pairs with it
+        cone = quadric_cone_pair()
+        pair = StratifiedPair(4, cone.dual, cone.primal, [(0, 0)])
+        table = euler_table(pair)
+        assert table.dual == ((1, 0), (0, 1))
+        fills = [d for d in table.diagnostics if d["method"] != "solved"]
+        assert fills == [
+            {
+                "system": "dual[1] 'vertex'",
+                "unknowns": 0,
+                "equations": 0,
+                "residual": "exact",
+                "method": "deepest stratum",
+            }
+        ]
+
+    def test_unfillable_dual_row_is_an_error(self):
+        # the mirror of test_unfillable_row_is_an_error on the dual side
+        primal = [Stratum("c", SYM3_CORANK2, 2)]
+        dual = [
+            Stratum("b_d", SYM3_CORANK1, 4),
+            Stratum("c_d", SYM3_CORANK2, 2),
+        ]
+        pair = StratifiedPair(6, primal, dual, [])
+        with pytest.raises(ValueError, match="dual stratum 'b_d' .*cannot be inferred"):
+            euler_table(pair)
+
     def test_diagnostics_present(self):
         table = euler_table(sym3_pair())
         methods = {d["method"] for d in table.diagnostics if "method" in d}
@@ -272,14 +301,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="modulus"):
             StratifiedPair(
                 5,
-                [Stratum("a", SYM3_OPEN)],
-                [Stratum("b", SYM3_OPEN)],
+                [Stratum("a", SYM3_OPEN, 5)],
+                [Stratum("b", SYM3_OPEN, 5)],
                 [],
             )
 
     def test_zero_class_rejected(self):
         with pytest.raises(ValueError, match="zero"):
-            Stratum("z", ClassPoly.zero(4))
+            Stratum("z", ClassPoly.zero(4), 0)
 
     def test_reflectivity_chain(self):
         # pairing deeper primal strata to smaller duals is not reflective
