@@ -17,7 +17,6 @@ from .classpoly import (
     one_plus_h_power,
 )
 from .detvar import (
-    chern_mather_det,
     csm_stratum,
     duality_check,
     eu_table_det,
@@ -59,9 +58,7 @@ from .strata import (
     StratifiedPair,
     Stratum,
     chern_mather,
-    eu_at_origin,
     euler_table,
-    solve_system,
 )
 
 __version__ = "0.1.0"

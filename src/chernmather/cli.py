@@ -20,7 +20,7 @@ from . import quadric as qd
 from .classpoly import ClassPoly, involute
 from .grassmann import ChowElement, integrate, lr_multiply, normalize_partition
 from .linsolve import LinearSystemError
-from .strata import MAX_AMBIENT, EulerTable, StratifiedPair, chern_mather, euler_table
+from .strata import MAX_AMBIENT, EulerTable, StratifiedPair, euler_table
 
 _INT64_MAX = 2**63 - 1
 # Largest n accepted by `detvar` (each step costs about 2.4x the last; n = 14
@@ -70,7 +70,7 @@ def _emit(report: dict, args) -> None:
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     else:
         text = "\n".join(_render_text(report)) + "\n"
-    if args.out:
+    if args.out is not None:
         _write(args.out, text)
     else:
         sys.stdout.write(text)
@@ -106,14 +106,9 @@ def _table_payload(table: EulerTable) -> dict:
 
 def _chern_mather_payload(table: EulerTable, pair: StratifiedPair) -> dict:
     """The Chern-Mather class of each stratum closure, by stratum name."""
-    sides = (("primal", pair.primal, table.primal), ("dual", pair.dual, table.dual))
-    return {
-        f"chern_mather_{side}": {
-            s.name: chern_mather(pair, r, rows[r][r:], side=side)
-            for r, s in enumerate(strata)
-        }
-        for side, strata, rows in sides
-    }
+    primal = {s.name: cm for s, cm in zip(pair.primal, table.chern_mather_primal)}
+    dual = {s.name: cm for s, cm in zip(pair.dual, table.chern_mather_dual)}
+    return {"chern_mather_primal": primal, "chern_mather_dual": dual}
 
 
 def _cmd_involute(args):
@@ -158,7 +153,8 @@ def _cmd_detvar(args):
     for r in range(1, n):
         outputs[f"duality_{n}_{r}"] = dv.duality_check(n, r)
     diagnostics = {"systems": table.diagnostics}
-    return {"n": n}, outputs, diagnostics, pair if args.emit_strata else None
+    emitted = pair if args.emit_strata is not None else None
+    return {"n": n}, outputs, diagnostics, emitted
 
 
 def _cmd_quadric(args):
@@ -186,7 +182,7 @@ def _cmd_quadric(args):
         outputs["cross_validation"] = "ok"
         outputs.update(_table_payload(table))
         diagnostics["systems"] = table.diagnostics
-    pair = qd.build_pair(spec) if args.emit_strata else None
+    pair = qd.build_pair(spec) if args.emit_strata is not None else None
     return {"n": args.n, "rank": args.rank}, outputs, diagnostics, pair
 
 

@@ -41,7 +41,7 @@ from itertools import combinations
 from math import comb, lcm, prod
 
 from .classpoly import ClassPoly, involute
-from .strata import EulerTable, StratifiedPair, Stratum, chern_mather, euler_table
+from .strata import EulerTable, StratifiedPair, Stratum, euler_table
 
 
 def stratum_dim(n: int, k: int) -> int:
@@ -167,8 +167,9 @@ def build_pair(n: int) -> StratifiedPair:
 def eu_table_det(n: int) -> EulerTable:
     """Euler obstruction table of the rank strata, through the solver.
 
-    The binomial values are reproduced, not assumed: the table is checked
-    against Eu = C(r, k) and origin column C(n, k) after solving.
+    The binomial values are reproduced, not assumed: after solving, the table
+    is checked against Eu = C(r, k), the origin column against C(n, k) and
+    each class against q_{n,k}; the family is self-dual, so both halves agree.
     """
     table = euler_table(build_pair(n))
     for k in range(n):
@@ -182,19 +183,11 @@ def eu_table_det(n: int) -> EulerTable:
             raise ArithmeticError(
                 f"origin entry {k} is {table.origin[k]}, expected {comb(n, k)}"
             )
+        if table.chern_mather_primal[k] != q_poly(n, k):
+            raise ArithmeticError(
+                f"solver Chern-Mather class disagrees with q_({n},{k})"
+            )
+    primal = (table.primal, table.chern_mather_primal)
+    if (table.dual, table.chern_mather_dual) != primal:
+        raise ArithmeticError("the dual half of the table differs from the primal half")
     return table
-
-
-def chern_mather_det(n: int, r: int) -> ClassPoly:
-    """q_{n,r}(H), cross-validated against the solver's weighted sum."""
-    if not 0 <= r <= n - 1:
-        raise ValueError(f"rank parameter {r} out of range for n={n}")
-    q = q_poly(n, r)
-    pair = build_pair(n)
-    table = euler_table(pair)
-    alpha = table.primal[r][r:]
-    if chern_mather(pair, r, alpha) != q:
-        raise ArithmeticError(
-            f"solver Chern-Mather class disagrees with q_({n},{r})"
-        )
-    return q

@@ -12,9 +12,10 @@ For each paired stratum r the duality transform yields one linear system:
 with dX, dY the dimensions of the two designated strata.  Matching the
 coefficients of H^0..H^(N-1) gives N equations; the unique integer solution
 is the family of local Euler obstructions of the closure of stratum r (and,
-through the b's, of its dual).  Weighted sums of the class polynomials then
-give Chern-Mather classes, and a signed evaluation at H = -1 the Euler
-obstruction of the affine cone at the origin.
+through the b's, of its dual).  `euler_table` weights the class polynomials
+by each row for the Chern-Mather class of every stratum closure on both
+sides; a primal class at H = -1 gives the Euler obstruction of its affine
+cone at the origin.
 """
 
 from __future__ import annotations
@@ -235,12 +236,15 @@ class EulerTable:
     primal[r][j] is the obstruction of the closure of primal stratum r at
     points of stratum j; entries with j < r are 0 (the point lies off the
     closure).  origin[r] is the obstruction of the affine cone over the
-    closure of primal stratum r at the cone point.
+    closure of primal stratum r at the cone point, and chern_mather_primal[r]
+    the Chern-Mather class of that closure; likewise for the dual side.
     """
 
     primal: tuple[tuple[int, ...], ...]
     dual: tuple[tuple[int, ...], ...]
     origin: tuple[int, ...]
+    chern_mather_primal: tuple[ClassPoly, ...]
+    chern_mather_dual: tuple[ClassPoly, ...]
     diagnostics: tuple[dict, ...] = field(default_factory=tuple)
 
 
@@ -273,23 +277,9 @@ def _system_name(pair: StratifiedPair, r: int, p: int) -> str:
     return f"primal[{r}] {pair.primal[r].name!r} <-> dual[{p}] {pair.dual[p].name!r}"
 
 
-def solve_system(pair: StratifiedPair, r: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Solve the duality system at primal stratum r.
-
-    Returns (alpha, beta): alpha[i] is the Euler obstruction of the closure
-    of stratum r at stratum r+i, beta likewise on the dual side starting at
-    the paired stratum; both are normalized to 1 at their first entry.
-    """
-    p = dict(pair.pairing).get(r)
-    if p is None:
-        raise ValueError(
-            f"primal stratum {pair.primal[r].name!r} has no paired dual stratum"
-        )
-    return _solve_paired(pair, _involutes(pair), r, p)
-
-
 def _solve_paired(pair: StratifiedPair, inv, r: int, p: int):
-    """solve_system for the pair (r, p), given the transforms `inv`."""
+    """Solve the system of the pair (r, p), given the transforms `inv`: the
+    primal row from stratum r on and the dual row from p on, each led by 1."""
     context = _system_name(pair, r, p)
     try:
         sol = solve_integer(*_signed_system(pair, inv, r, p), context)
@@ -308,29 +298,13 @@ def _solve_paired(pair: StratifiedPair, inv, r: int, p: int):
     return (1, *sol[:cut]), (1, *sol[cut:])
 
 
-def chern_mather(
-    pair: StratifiedPair, r: int, alpha: Sequence[int], side: str = "primal"
-) -> ClassPoly:
-    """Weighted sum of class polynomials: the Chern-Mather class of the
-    closure of stratum r, with weights alpha from solve_system."""
-    strata = pair.primal if side == "primal" else pair.dual
-    if len(alpha) != len(strata) - r:
-        raise ValueError("weight vector does not match the strata from r on")
-    columns = zip(*(s.csm.coeffs for s in strata[r:]))
+def chern_mather(strata: Sequence[Stratum], alpha: Sequence[int]) -> ClassPoly:
+    """Weighted sum of class polynomials: the Chern-Mather class of the closure
+    of strata[0], whose Euler obstruction along strata[i] is alpha[i]."""
+    if len(alpha) != len(strata):
+        raise ValueError("weight vector does not match the strata")
+    columns = zip(*(s.csm.coeffs for s in strata))
     return ClassPoly([sum(map(mul, alpha, col)) for col in columns])
-
-
-def eu_at_origin(pair: StratifiedPair, r: int, alpha: Sequence[int]) -> int:
-    """Euler obstruction of the affine cone over the closure of primal
-    stratum r at the cone point.
-
-    This is the weighted count (-1)^(N-1) * sum_k csm_k(-1) * alpha_k: each
-    csm_k(-1) is, up to the ambient parity, the Euler characteristic of the
-    part of stratum k surviving a generic hyperplane slice of the cone.  By
-    linearity the sum is the Chern-Mather class evaluated at H = -1.
-    """
-    total = chern_mather(pair, r, alpha).eval(-1)
-    return total if (pair.ambient - 1) % 2 == 0 else -total
 
 
 def _fill_unpaired(ambient: int, strata, r: int, label: str):
@@ -371,7 +345,7 @@ def euler_table(pair: StratifiedPair) -> EulerTable:
                 "method": "solved",
             }
         )
-    tables = []
+    tables, classes = [], []
     for label, strata, rows in (
         ("primal", pair.primal, rows_p),
         ("dual", pair.dual, rows_d),
@@ -390,8 +364,16 @@ def euler_table(pair: StratifiedPair) -> EulerTable:
                 }
             )
         tables.append(tuple((0,) * k + rows[k] for k in range(len(strata))))
+        classes.append(
+            tuple(chern_mather(strata[k:], rows[k]) for k in range(len(strata)))
+        )
 
-    origin = tuple(eu_at_origin(pair, r, rows_p[r]) for r in range(len(pair.primal)))
+    # The obstruction of an affine cone at its apex is the weighted count
+    # (-1)^(N-1) * sum_k csm_k(-1) * alpha_k: up to the ambient parity, each
+    # csm_k(-1) is the Euler characteristic of the part of stratum k surviving
+    # a generic hyperplane slice of the cone.  The sum is the class at H = -1.
+    sign = (-1) ** (pair.ambient - 1)
+    origin = tuple(sign * cm.eval(-1) for cm in classes[0])
     for note in pair.dim_notes():
         diags.append({"system": "input", "note": note, "residual": "n/a"})
-    return EulerTable(*tables, origin, tuple(diags))
+    return EulerTable(*tables, origin, *classes, tuple(diags))

@@ -36,7 +36,7 @@ from chernmather.quadric import (
     milnor_class,
     milnor_number,
 )
-from chernmather.strata import StratifiedPair, eu_at_origin, solve_system
+from chernmather.strata import StratifiedPair, euler_table
 
 from oracles import chern_tensor, schur_product_in_box, taut_quot, taut_sub_dual
 
@@ -73,10 +73,10 @@ def test_criterion_1_involution_properties():
 def test_criterion_2_worked_example(capsys):
     with criterion(2, "worked symmetric 3x3 example: x = 0, origin obstruction 1", 1.0):
         pair = StratifiedPair.from_dict(json.loads(FIXTURE.read_text()))
-        alpha, beta = solve_system(pair, 1)
-        assert alpha == (1, 0)
-        assert beta == (1,)
-        assert eu_at_origin(pair, 1, alpha) == 1
+        table = euler_table(pair)  # corank 1 pairs with dual stratum 2
+        assert table.primal[1][1:] == (1, 0)
+        assert table.dual[2][2:] == (1,)
+        assert table.origin[1] == 1
         # and through the command-line path
         code = cli_main(["solve", str(FIXTURE)])
         out = capsys.readouterr().out

@@ -329,6 +329,20 @@ class TestReportPlumbing:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["involute", "--d", "1", "--poly", "0,1", "--out", ""],
+            ["detvar", "--n", "2", "--emit-strata", ""],
+        ],
+        ids=["out", "emit-strata"],
+    )
+    def test_empty_path_exits_2(self, capsys, argv):
+        # an empty path is a path that cannot be written, not a missing one
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write : ")
+
+    @pytest.mark.parametrize(
         "what, argv",
         [
             (

@@ -14,7 +14,6 @@ from chernmather.classpoly import ClassPoly, chern_B, involute
 from chernmather.cli import main as cli_main
 from chernmather.detvar import (
     build_pair,
-    chern_mather_det,
     csm_stratum,
     duality_check,
     eu_table_det,
@@ -239,47 +238,71 @@ class TestEulerTables:
 
 
 class TestChernMatherDet:
+    """The solver's Chern-Mather classes of the rank strata closures."""
+
     def test_smooth_quadric(self):
-        assert chern_mather_det(2, 1) == ClassPoly([0, 2, 4, 4], 4)
+        assert eu_table_det(2).chern_mather_primal[1] == ClassPoly([0, 2, 4, 4], 4)
 
     def test_ambient_space(self):
         for n in (2, 3):
-            assert chern_mather_det(n, 0) == chern_B(n * n - 1, n * n)
+            assert eu_table_det(n).chern_mather_primal[0] == chern_B(n * n - 1, n * n)
 
     def test_solver_path_agrees(self):
-        # the function itself checks the solver route internally
-        assert chern_mather_det(3, 1) == q_poly(3, 1)
-        assert chern_mather_det(3, 2) == SEGRE_3
+        # eu_table_det itself checks each class against q_poly
+        table = eu_table_det(3)
+        assert table.chern_mather_primal[1] == q_poly(3, 1)
+        assert table.chern_mather_primal[2] == SEGRE_3
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            chern_mather_det(3, 3)
+        # one class per stratum tau_{3,0..2} on each side; tau_{3,3} is empty
+        table = eu_table_det(3)
+        assert len(table.chern_mather_primal) == len(table.chern_mather_dual) == 3
 
 
-def _corrupt_euler_table(monkeypatch, row, col):
-    """Make detvar's solver return a table with one entry off by one."""
+def _corrupt_euler_table(monkeypatch, field, k, change):
+    """Make detvar's solver return a table whose entry k of `field` is changed."""
 
     def corrupted(pair):
         table = euler_table(pair)
-        primal = [list(r) for r in table.primal]
-        primal[row][col] += 1
-        return dataclasses.replace(table, primal=tuple(map(tuple, primal)))
+        entries = list(getattr(table, field))
+        entries[k] = change(entries[k])
+        return dataclasses.replace(table, **{field: tuple(entries)})
 
     monkeypatch.setattr(detvar, "euler_table", corrupted)
+
+
+def _bump(row):
+    """A table row with its last entry off by one."""
+    return (*row[:-1], row[-1] + 1)
 
 
 class TestRuntimeChecks:
     """The table and class checks raise ArithmeticError, which python -O keeps."""
 
     def test_eu_table_det_rejects_wrong_table(self, monkeypatch):
-        _corrupt_euler_table(monkeypatch, 0, 1)
+        _corrupt_euler_table(monkeypatch, "primal", 0, _bump)
         with pytest.raises(ArithmeticError, match="entry"):
             eu_table_det(3)
 
     def test_chern_mather_det_rejects_wrong_class(self, monkeypatch):
-        _corrupt_euler_table(monkeypatch, 1, 2)
-        with pytest.raises(ArithmeticError, match="disagrees"):
-            chern_mather_det(3, 1)
+        _corrupt_euler_table(
+            monkeypatch, "chern_mather_primal", 1, lambda cm: cm + ClassPoly.monomial(8, 9)
+        )
+        with pytest.raises(ArithmeticError, match="disagrees with q_\\(3,1\\)"):
+            eu_table_det(3)
+
+    @pytest.mark.parametrize(
+        "field, change",
+        [("dual", _bump), ("chern_mather_dual", lambda cm: cm + ClassPoly.monomial(8, 9))],
+        ids=["table", "class"],
+    )
+    def test_corrupted_dual_half_exits_3(self, monkeypatch, capsys, field, change):
+        _corrupt_euler_table(monkeypatch, field, 1, change)
+        with pytest.raises(ArithmeticError, match="dual half"):
+            eu_table_det(3)
+        assert cli_main(["detvar", "--n", "3"]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: the dual half of the table differs from the primal half\n"
 
     def test_checks_survive_python_O(self):
         # a corrupted origin column still exits 3 when asserts are stripped

@@ -1,8 +1,10 @@
 import json
+from functools import partial
 from pathlib import Path
 
 import pytest
 
+from chernmather import detvar, quadric
 from chernmather.classpoly import ClassPoly, chern_B, csm_linear_space, involute
 from chernmather.linsolve import (
     InconsistentSystem,
@@ -13,9 +15,7 @@ from chernmather.strata import (
     StratifiedPair,
     Stratum,
     chern_mather,
-    eu_at_origin,
     euler_table,
-    solve_system,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -72,11 +72,28 @@ def linear_flag_pair(modulus, dims):
     )
 
 
+# Every solved family: the fixtures, a 20-stratum linear flag, the rank
+# strata for n = 2..6 and every quadric in P^2..P^10.
+SOLVED_PAIRS = {
+    "sym3": sym3_pair,
+    "quadric_cone": quadric_cone_pair,
+    "linear_flag_20": lambda: linear_flag_pair(128, [6 * k + 1 for k in range(20)]),
+    **{f"detvar_{n}": partial(detvar.build_pair, n) for n in range(2, 7)},
+    **{
+        f"quadric_{n}_{r}": partial(quadric.build_pair, quadric.QuadricSpec(n, r))
+        for n in range(2, 11)
+        for r in range(3, n + 2)
+    },
+}
+
+
 class TestSolveSystem:
+    """One paired system at a time, through the rows of the table."""
+
     def test_symmetric_fixture_unique_zero(self):
-        alpha, beta = solve_system(sym3_pair(), 1)
-        assert alpha == (1, 0)
-        assert beta == (1,)
+        table = euler_table(sym3_pair())  # pairs (1, 2) and (2, 1)
+        assert table.primal[1][1:] == (1, 0)
+        assert table.dual[2][2:] == (1,)
 
     def test_single_smooth_self_dual_stratum(self):
         # smooth quadric surface class is fixed by the transform
@@ -84,17 +101,13 @@ class TestSolveSystem:
         pair = StratifiedPair(
             4, [Stratum("q", q, 2)], [Stratum("q_dual", q, 2)], [(0, 0)]
         )
-        alpha, beta = solve_system(pair, 0)
-        assert alpha == (1,) and beta == (1,)
+        table = euler_table(pair)
+        assert table.primal == ((1,),) and table.dual == ((1,),)
 
     def test_quadric_cone(self):
-        alpha, beta = solve_system(quadric_cone_pair(), 0)
-        assert alpha == (1, 0)
-        assert beta == (1,)
-
-    def test_unpaired_index_rejected(self):
-        with pytest.raises(ValueError, match="no paired dual"):
-            solve_system(sym3_pair(), 0)
+        table = euler_table(quadric_cone_pair())
+        assert table.primal[0] == (1, 0)
+        assert table.dual == ((1,),)
 
     def test_inconsistent_inputs_flagged(self):
         bad = ClassPoly([0, 3, 9, 10, 6, 4], 6)  # corrupted top coefficient
@@ -102,7 +115,7 @@ class TestSolveSystem:
         dual = [Stratum("a_d", SYM3_CORANK1, 4), Stratum("b_d", SYM3_CORANK2, 2)]
         pair = StratifiedPair(6, primal, dual, [(0, 1), (1, 0)])
         with pytest.raises(InconsistentSystem, match="primal\\[0\\] 'a'"):
-            solve_system(pair, 0)
+            euler_table(pair)
 
     def test_duplicate_classes_are_rank_deficient(self):
         dup = ClassPoly.monomial(3, 4)
@@ -114,7 +127,7 @@ class TestSolveSystem:
         dual = [Stratum("conic", ClassPoly([0, 0, 2, 2], 4), 1)]
         pair = StratifiedPair(4, primal, dual, [(0, 0)])
         with pytest.raises(NonUniqueSolution):
-            solve_system(pair, 0)
+            euler_table(pair)
 
     def test_fractional_solution_is_rejected(self):
         # rigged so the unique rational solution is 1/2
@@ -125,7 +138,7 @@ class TestSolveSystem:
         dual = [Stratum("rigged", ClassPoly([0, -1, -1, -1], 4), 1)]
         pair = StratifiedPair(4, primal, dual, [(0, 0)])
         with pytest.raises(NonIntegerSolution):
-            solve_system(pair, 0)
+            euler_table(pair)
 
     def test_wrong_parity_dims_point_at_unsigned_form(self):
         # flipping the parity of the declared dimension on one side only
@@ -141,7 +154,7 @@ class TestSolveSystem:
         ]
         pair = StratifiedPair(6, primal, dual, [(0, 1), (1, 0)])
         with pytest.raises(InconsistentSystem, match="parity"):
-            solve_system(pair, 0)
+            euler_table(pair)
 
 
 class TestEulerTable:
@@ -249,35 +262,33 @@ class TestDualitySymmetry:
         assert t1.primal == t2.dual
         assert t1.dual == t2.primal
 
-    def test_involution_consistency(self):
-        pair = sym3_pair()
+    @pytest.mark.parametrize("build", SOLVED_PAIRS.values(), ids=SOLVED_PAIRS.keys())
+    def test_involution_consistency(self, build):
+        # the transform exchanges the Chern-Mather classes of paired closures
+        pair = build()
         table = euler_table(pair)
         for r, p in pair.pairing:
-            cm_p = chern_mather(pair, r, table.primal[r][r:])
-            cm_d = chern_mather(pair, p, table.dual[p][p:], side="dual")
-            assert involute(cm_p.signed(), 5) == cm_d.signed()
+            cm_p, cm_d = table.chern_mather_primal[r], table.chern_mather_dual[p]
+            assert involute(cm_p.signed(), pair.ambient - 1) == cm_d.signed()
 
 
 class TestChernMather:
     def test_weighted_sum(self):
-        pair = quadric_cone_pair()
-        alpha, _ = solve_system(pair, 0)
-        assert chern_mather(pair, 0, alpha) == ClassPoly([0, 2, 4, 2], 4)
+        table = euler_table(quadric_cone_pair())
+        assert table.chern_mather_primal[0] == ClassPoly([0, 2, 4, 2], 4)
 
     def test_single_stratum_is_its_own_class(self):
-        pair = quadric_cone_pair()
-        assert chern_mather(pair, 1, (1,)) == ClassPoly.monomial(3, 4)
+        table = euler_table(quadric_cone_pair())
+        assert table.chern_mather_primal[1] == ClassPoly.monomial(3, 4)
 
     def test_length_guard(self):
         with pytest.raises(ValueError):
-            chern_mather(quadric_cone_pair(), 0, (1,))
+            chern_mather(quadric_cone_pair().primal, (1,))
 
 
 class TestEuAtOrigin:
     def test_symmetric_fixture(self):
-        pair = sym3_pair()
-        alpha, _ = solve_system(pair, 1)
-        assert eu_at_origin(pair, 1, alpha) == 1
+        assert euler_table(sym3_pair()).origin[1] == 1
 
     def test_projective_line_in_p1(self):
         pair = StratifiedPair(
@@ -287,7 +298,7 @@ class TestEuAtOrigin:
             [],
         )
         # cone over P^1 inside C^2 is the smooth plane
-        assert eu_at_origin(pair, 0, (1,)) == 1
+        assert euler_table(pair).origin == (1,)
 
     def test_whole_space(self):
         # cone over all of P^5 is C^6
@@ -345,8 +356,7 @@ class TestValidation:
         pair = StratifiedPair(6, primal, dual, [(1, 1), (0, 0)])
         assert [s.name for s in pair.primal] == ["corank1", "corank2"]
         assert pair.pairing == ((0, 1), (1, 0))
-        alpha, _ = solve_system(pair, 0)
-        assert alpha == (1, 0)
+        assert euler_table(pair).primal[0] == (1, 0)
 
     def test_dim_notes(self):
         s = Stratum("odd", SYM3_CORANK1, 6)
