@@ -25,12 +25,8 @@ from .detvar import (
 )
 from .grassmann import (
     ChowElement,
-    box_complement,
-    conjugate,
     integrate,
-    lr_coefficient,
     lr_multiply,
-    partitions_in_box,
 )
 from .linsolve import (
     InconsistentSystem,
@@ -42,7 +38,6 @@ from .linsolve import (
 )
 from .quadric import (
     QuadricSpec,
-    bilinear_embed,
     chern_mather_quadric,
     complex_link_chi,
     cross_validate,

@@ -92,16 +92,6 @@ class ClassPoly:
         """Dimension of the supported class: N - 1 - codim."""
         return self.modulus - 1 - self.codim
 
-    @property
-    def variety_degree(self) -> int:
-        """Leading coefficient: the degree of the supported variety."""
-        return self.coeffs[self.codim]
-
-    @property
-    def euler_char(self) -> int:
-        """Top coefficient: the Euler characteristic of the class."""
-        return self.coeffs[-1]
-
     # -- arithmetic ----------------------------------------------------
 
     def _check_modulus(self, other: "ClassPoly") -> None:

@@ -2,10 +2,11 @@
 
 Subcommands: involute | solve | detvar | quadric | chow.  Each handler
 returns the inputs, outputs and diagnostics of its report, and the
-stratified pair that `--emit-strata` asked for or None; `main` alone writes
-that pair and wraps the rest in the report {"command", "inputs", "outputs",
-"diagnostics"}.  Reports are deterministic (JSON by default, sorted keys, no
-timestamps); integers beyond 64 bits are serialized as decimal strings.
+stratified pair that `--emit-strata` asked for or None; `main` alone wraps
+the rest in the report {"command", "inputs", "outputs", "diagnostics"},
+renders the report and the pair, and only then writes them.  Reports are
+deterministic (JSON by default, sorted keys, no timestamps); integers
+beyond 64 bits are serialized as decimal strings.
 Exit codes: 0 success, 2 malformed input, 3 mathematical inconsistency.
 """
 
@@ -23,9 +24,9 @@ from .linsolve import LinearSystemError
 from .strata import MAX_AMBIENT, EulerTable, StratifiedPair, euler_table
 
 _INT64_MAX = 2**63 - 1
-# Largest n accepted by `detvar` (each step costs about 2.4x the last; n = 14
-# takes about 14 s) and by `chow` (at most C(20, 10) Schubert classes; the
-# work of each product is bounded by grassmann.MAX_LR_TABLEAUX).
+# Largest n accepted by `detvar` (each step costs about 2.6x the last; n = 14
+# takes 18 to 19 s on a 2-core VM) and by `chow` (at most C(20, 10) Schubert
+# classes; the work of each product is bounded by grassmann.MAX_LR_TABLEAUX).
 MAX_DETVAR_N = 14
 MAX_CHOW_N = 20
 
@@ -64,16 +65,11 @@ def _write(path: str, text: str) -> None:
         raise ValueError(f"cannot write {path}: {exc}") from exc
 
 
-def _emit(report: dict, args) -> None:
+def _render(report: dict, fmt: str) -> str:
     report = _stringify_big(report)
-    if args.format == "json":
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    else:
-        text = "\n".join(_render_text(report)) + "\n"
-    if args.out is not None:
-        _write(args.out, text)
-    else:
-        sys.stdout.write(text)
+    if fmt == "json":
+        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    return "\n".join(_render_text(report)) + "\n"
 
 
 def _parse_coeffs(text: str) -> list[int]:
@@ -292,8 +288,7 @@ def main(argv=None) -> int:
         inputs, outputs, diagnostics, pair = args.handler(args)
         if pair is not None:
             # the solver input of a generated family, ready for `solve`
-            text = json.dumps(pair.to_dict(), sort_keys=True, indent=2) + "\n"
-            _write(args.emit_strata, text)
+            strata_text = json.dumps(pair.to_dict(), sort_keys=True, indent=2) + "\n"
             diagnostics["emitted"] = args.emit_strata
         report = {
             "command": args.command,
@@ -301,7 +296,15 @@ def main(argv=None) -> int:
             "outputs": outputs,
             "diagnostics": diagnostics,
         }
-        _emit(report, args)
+        # render both texts before writing either, and write the report
+        # first, so that a report that cannot be written leaves no file behind
+        text = _render(report, args.format)
+        if args.out is not None:
+            _write(args.out, text)
+        if pair is not None:
+            _write(args.emit_strata, strata_text)
+        if args.out is None:
+            sys.stdout.write(text)
     except (LinearSystemError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

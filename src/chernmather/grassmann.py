@@ -1,10 +1,12 @@
 """Exact Schubert calculus on the Chow ring of the Grassmannian G(r, n).
 
 Classes are integer combinations of Schubert classes sigma_lambda indexed
-by partitions in the r x (n-r) box.  Products use the Littlewood-Richardson
-rule: the LR tableaux of sigma_lambda * sigma_mu are generated strip by
-strip inside the box, so partitions that overflow it never appear.
-This is the engine of the `chow` command.
+by partitions in the r x (n-r) box.  The module holds what the `chow`
+command needs: Schubert classes (`ChowElement.sigma`, `ChowElement.one`),
+their product and their integral over G(r, n).  Products use the
+Littlewood-Richardson rule: the LR tableaux of sigma_lambda * sigma_mu are
+generated strip by strip inside the box, so partitions that overflow it
+never appear.
 """
 
 from __future__ import annotations
@@ -37,36 +39,6 @@ def normalize_partition(parts: Iterable[int]) -> tuple[int, ...]:
 
 def fits_box(p: Sequence[int], rows: int, cols: int) -> bool:
     return len(p) <= rows and (not p or p[0] <= cols)
-
-
-def partitions_in_box(rows: int, cols: int) -> Iterator[tuple[int, ...]]:
-    """All partitions with at most `rows` parts, each at most `cols`."""
-    if rows == 0 or cols == 0:
-        yield ()
-        return
-
-    def rec(prefix, bound):
-        yield tuple(prefix)
-        if len(prefix) == rows:
-            return
-        for part in range(bound, 0, -1):
-            prefix.append(part)
-            yield from rec(prefix, part)
-            prefix.pop()
-
-    yield from rec([], cols)
-
-
-def conjugate(p: Sequence[int]) -> tuple[int, ...]:
-    if not p:
-        return ()
-    return tuple(sum(1 for q in p if q > i) for i in range(p[0]))
-
-
-def box_complement(p: Sequence[int], rows: int, cols: int) -> tuple[int, ...]:
-    """The 180-degree rotated complement of p inside the rows x cols box."""
-    padded = list(p) + [0] * (rows - len(p))
-    return normalize_partition([cols - padded[rows - 1 - i] for i in range(rows)])
 
 
 def _lr_tableaux(
@@ -115,15 +87,6 @@ def _lr_tableaux(
     yield from strip(0, 0, mu[0], mu[0], shape, (), (0,) * rows)
 
 
-def lr_coefficient(
-    lam: tuple[int, ...], mu: tuple[int, ...], nu: tuple[int, ...]
-) -> int:
-    """Littlewood-Richardson coefficient c^nu_{lam, mu}: the number of LR
-    tableaux of shape nu/lam and content mu, counted inside nu's own box."""
-    rows, cols = len(nu), nu[0] if nu else 0
-    return sum(1 for p in _lr_tableaux(lam, mu, rows, cols) if p == nu)
-
-
 # ---------------------------------------------------------------------------
 # The Chow ring.
 
@@ -151,16 +114,12 @@ class ChowElement:
         self.terms = clean
 
     @classmethod
-    def zero(cls, r: int, n: int) -> "ChowElement":
-        return cls(r, n)
-
-    @classmethod
     def one(cls, r: int, n: int) -> "ChowElement":
         return cls(r, n, {(): 1})
 
     @classmethod
-    def sigma(cls, parts, r: int, n: int, coeff: int = 1) -> "ChowElement":
-        return cls(r, n, {normalize_partition(parts): coeff})
+    def sigma(cls, parts, r: int, n: int) -> "ChowElement":
+        return cls(r, n, {normalize_partition(parts): 1})
 
     def _check_ring(self, other: "ChowElement") -> None:
         if (self.r, self.n) != (other.r, other.n):
@@ -171,58 +130,12 @@ class ChowElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __add__(self, other: "ChowElement") -> "ChowElement":
-        if not isinstance(other, ChowElement):
-            return NotImplemented
-        self._check_ring(other)
-        terms = dict(self.terms)
-        for p, c in other.terms.items():
-            acc = terms.get(p, 0) + c
-            if acc:
-                terms[p] = acc
-            else:
-                terms.pop(p, None)
-        return ChowElement(self.r, self.n, terms)
-
-    def __neg__(self) -> "ChowElement":
-        return ChowElement(self.r, self.n, {p: -c for p, c in self.terms.items()})
-
-    def __sub__(self, other: "ChowElement") -> "ChowElement":
-        if not isinstance(other, ChowElement):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, c: int) -> "ChowElement":
-        if c == 0:
-            return ChowElement.zero(self.r, self.n)
-        return ChowElement(self.r, self.n, {p: c * v for p, v in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        if isinstance(other, ChowElement):
-            return lr_multiply(self, other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        return NotImplemented
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ChowElement)
             and (self.r, self.n) == (other.r, other.n)
             and self.terms == other.terms
         )
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "ChowElement(0)"
-        bits = []
-        for p in sorted(self.terms, key=lambda q: (sum(q), q)):
-            bits.append(f"{self.terms[p]!r}*sigma{p}")
-        return "ChowElement(" + " + ".join(bits) + ")"
 
 
 def lr_multiply(a: ChowElement, b: ChowElement) -> ChowElement:

@@ -191,17 +191,3 @@ def cross_validate(spec: QuadricSpec) -> EulerTable:
         )
     return table
 
-
-def bilinear_embed(m: int, n_cols: int, rank_a: int) -> QuadricSpec:
-    """The hypersurface of a bilinear form X^t A Y on P^(m + n_cols - 1),
-    viewed as the quadric of the block matrix [[0, A], [A^t, 0]]: ambient
-    dimension m + n_cols - 1, rank twice the rank of A."""
-    if m < 1 or n_cols < 1:
-        raise ValueError("matrix sides must be positive")
-    if not 0 <= rank_a <= min(m, n_cols):
-        raise ValueError(f"rank {rank_a} exceeds min({m}, {n_cols})")
-    if 2 * rank_a < 3:
-        raise ValueError(
-            f"block rank {2 * rank_a} is below 3; the closed forms need rank >= 3"
-        )
-    return QuadricSpec(m + n_cols - 1, 2 * rank_a)

@@ -14,24 +14,51 @@ and the splitting-principle tensor product below, both checked against the
 Schur oracle.  It is an independent route to the integral that
 `detvar._chern_numbers` localizes.  The bundle calculus (Chern classes of
 the tautological bundles, their duals, sums, powers and tensor products)
-lives here because nothing in the package needs it.
+lives here because nothing in the package needs it, and so do the linear
+combinations of Chow-ring classes it is built from (`combine`) and the
+partition helpers of the tests (`partitions_in_box`, `conjugate`,
+`box_complement`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import comb, factorial
 
 from chernmather.classpoly import ClassPoly, one_plus_h_power
 from chernmather.grassmann import (
     ChowElement,
-    conjugate,
     fits_box,
     integrate,
+    lr_multiply,
     normalize_partition,
 )
+
+
+def partitions_in_box(rows: int, cols: int):
+    """All partitions with at most `rows` parts, each at most `cols`."""
+    return map(normalize_partition, combinations_with_replacement(range(cols, -1, -1), rows))
+
+
+def conjugate(p) -> tuple[int, ...]:
+    return tuple(sum(1 for q in p if q > i) for i in range(p[0] if p else 0))
+
+
+def box_complement(p, rows: int, cols: int) -> tuple[int, ...]:
+    """The 180-degree rotated complement of p inside the rows x cols box."""
+    padded = list(p) + [0] * (rows - len(p))
+    return normalize_partition([cols - q for q in reversed(padded)])
+
+
+def combine(r: int, n: int, *terms: tuple[int, ChowElement]) -> ChowElement:
+    """The class sum of coeff * element over the (coeff, element) terms."""
+    out: dict[tuple[int, ...], int] = {}
+    for coeff, elem in terms:
+        for p, c in elem.terms.items():
+            out[p] = out.get(p, 0) + coeff * c
+    return ChowElement(r, n, out)
 
 
 @lru_cache(maxsize=None)
@@ -137,8 +164,7 @@ def box_minus_tableaux(lam: tuple[int, ...], rows: int, cols: int) -> int:
     counts its tableaux.  This is the integral of sigma_lam * sigma_1^k on
     G(rows, rows+cols) with k = rows*cols - |lam|.
     """
-    padded = list(lam) + [0] * (rows - len(lam))
-    shape = [cols - p for p in reversed(padded)]
+    shape = box_complement(lam, rows, cols)
     hooks = 1
     for i, length in enumerate(shape):
         for j in range(length):
@@ -159,7 +185,10 @@ def q_poly_schubert(n: int, r: int) -> tuple[list[list[int]], ClassPoly]:
     c_quot = chern_power(chern_dual(taut_quot(r, n)), n).classes
     c_sub = chern_power(taut_sub_dual(r, n), n).classes
     numbers = [
-        [integrate(tangent[top - a - b] * c_quot[b] * c_sub[a]) for b in range(top + 1 - a)]
+        [
+            integrate(lr_multiply(lr_multiply(tangent[top - a - b], c_quot[b]), c_sub[a]))
+            for b in range(top + 1 - a)
+        ]
         for a in range(top + 1)
     ]
     mod = n * n + 1
@@ -197,10 +226,7 @@ class BundleChern:
         return self.classes[0].r, self.classes[0].n
 
     def total(self) -> ChowElement:
-        out = ChowElement.zero(*self._ring())
-        for c in self.classes:
-            out = out + c
-        return out
+        return combine(*self._ring(), *((1, c) for c in self.classes))
 
 
 def taut_sub(r: int, n: int) -> BundleChern:
@@ -217,7 +243,7 @@ def taut_sub_dual(r: int, n: int) -> BundleChern:
         if fits_box(p, r, n - r):
             classes.append(ChowElement.sigma(p, r, n))
         else:
-            classes.append(ChowElement.zero(r, n))
+            classes.append(ChowElement(r, n))
     return BundleChern(r, tuple(classes))
 
 
@@ -229,7 +255,7 @@ def taut_quot(r: int, n: int) -> BundleChern:
         if fits_box(p, r, n - r):
             classes.append(ChowElement.sigma(p, r, n))
         else:
-            classes.append(ChowElement.zero(r, n))
+            classes.append(ChowElement(r, n))
     return BundleChern(n - r, tuple(classes))
 
 
@@ -237,7 +263,7 @@ def chern_dual(b: BundleChern) -> BundleChern:
     """c_k(E^vee) = (-1)^k c_k(E)."""
     return BundleChern(
         b.rank,
-        tuple(c if k % 2 == 0 else -c for k, c in enumerate(b.classes)),
+        tuple(combine(*b._ring(), ((-1) ** k, c)) for k, c in enumerate(b.classes)),
     )
 
 
@@ -247,14 +273,14 @@ def chern_sum(b1: BundleChern, b2: BundleChern) -> BundleChern:
     if (r, n) != b2._ring():
         raise ValueError("bundles live on different Grassmannians")
     rank = b1.rank + b2.rank
-    classes = [ChowElement.zero(r, n) for _ in range(rank + 1)]
+    terms: list[list] = [[] for _ in range(rank + 1)]
     for i, ci in enumerate(b1.classes):
         if ci.is_zero():
             continue
         for j, cj in enumerate(b2.classes):
             if not cj.is_zero():
-                classes[i + j] = classes[i + j] + ci * cj
-    return BundleChern(rank, tuple(classes))
+                terms[i + j].append((1, lr_multiply(ci, cj)))
+    return BundleChern(rank, tuple(combine(r, n, *t) for t in terms))
 
 
 def chern_power(b: BundleChern, m: int) -> BundleChern:
@@ -358,15 +384,15 @@ def chern_tensor(b1: BundleChern, b2: BundleChern) -> BundleChern:
     if (r, n) != b2._ring():
         raise ValueError("bundles live on different Grassmannians")
     rank = b1.rank * b2.rank
-    classes = [ChowElement.zero(r, n) for _ in range(rank + 1)]
+    terms: list[list] = [[] for _ in range(rank + 1)]
     for lam, mu, coeff in _tensor_table(b1.rank, b2.rank):
         k = sum(lam) + sum(mu)
         if k > rank:
             continue
-        term = ChowElement.one(r, n).scale(coeff)
+        term = ChowElement.one(r, n)
         for part in lam:
-            term = term * b1.classes[part]
+            term = lr_multiply(term, b1.classes[part])
         for part in mu:
-            term = term * b2.classes[part]
-        classes[k] = classes[k] + term
-    return BundleChern(rank, tuple(classes))
+            term = lr_multiply(term, b2.classes[part])
+        terms[k].append((coeff, term))
+    return BundleChern(rank, tuple(combine(r, n, *t) for t in terms))

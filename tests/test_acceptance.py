@@ -18,13 +18,7 @@ import pytest
 from chernmather.classpoly import ClassPoly, chern_B, involute
 from chernmather.cli import main as cli_main
 from chernmather.detvar import duality_check, eu_table_det, q_poly
-from chernmather.grassmann import (
-    ChowElement,
-    box_complement,
-    integrate,
-    lr_multiply,
-    partitions_in_box,
-)
+from chernmather.grassmann import ChowElement, integrate, lr_multiply
 from chernmather.quadric import (
     QuadricSpec,
     chern_mather_quadric,
@@ -38,7 +32,14 @@ from chernmather.quadric import (
 )
 from chernmather.strata import StratifiedPair, euler_table
 
-from oracles import chern_tensor, schur_product_in_box, taut_quot, taut_sub_dual
+from oracles import (
+    box_complement,
+    chern_tensor,
+    partitions_in_box,
+    schur_product_in_box,
+    taut_quot,
+    taut_sub_dual,
+)
 
 FIXTURE = Path(__file__).parent / "data" / "symmetric_3x3.json"
 

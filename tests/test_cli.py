@@ -342,6 +342,20 @@ class TestReportPlumbing:
         assert code == 2 and out == ""
         assert err.startswith("error: cannot write : ")
 
+    def test_unwritable_report_leaves_no_strata_file(self, capsys, tmp_path):
+        # both texts are rendered first, and the report is written first
+        emitted, target = tmp_path / "s.json", tmp_path / "missing" / "r.json"
+        argv = ["detvar", "--n", "2", "--emit-strata", str(emitted), "--out"]
+        code, out, err = run(capsys, *argv, str(target))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert not emitted.exists()
+        target = tmp_path / "r.json"
+        code, out, _ = run(capsys, *argv, str(target))
+        assert code == 0 and out == ""
+        assert json.loads(target.read_text())["diagnostics"]["emitted"] == str(emitted)
+        assert json.loads(emitted.read_text())["N"] == 4
+
     @pytest.mark.parametrize(
         "what, argv",
         [

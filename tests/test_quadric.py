@@ -3,7 +3,6 @@ import pytest
 from chernmather.classpoly import ClassPoly, chern_B, div_1p2H, involute
 from chernmather.quadric import (
     QuadricSpec,
-    bilinear_embed,
     build_pair,
     chern_mather_quadric,
     complex_link_chi,
@@ -64,7 +63,8 @@ class TestSingularLocus:
     def test_leading_coefficient_always_one(self):
         for n in range(2, 9):
             for r in range(3, n + 1):
-                assert csm_singular_locus(QuadricSpec(n, r)).variety_degree == 1
+                f = csm_singular_locus(QuadricSpec(n, r))
+                assert f.coeffs[f.codim] == 1
 
     def test_smooth_errors(self):
         with pytest.raises(ValueError, match="singular locus"):
@@ -81,12 +81,13 @@ class TestCsmQuadric:
     def test_euler_characteristics(self):
         for n in range(2, 11):
             for r in range(3, n + 2):
-                assert csm_quadric(QuadricSpec(n, r)).euler_char == quadric_chi(n, r)
+                assert csm_quadric(QuadricSpec(n, r)).coeffs[-1] == quadric_chi(n, r)
 
     def test_degree_two(self):
         for n in range(2, 9):
             for r in range(3, n + 2):
-                assert csm_quadric(QuadricSpec(n, r)).variety_degree == 2
+                f = csm_quadric(QuadricSpec(n, r))
+                assert f.coeffs[f.codim] == 2
 
     def test_eval_at_minus_one(self):
         # singular quadrics evaluate to (-1)^n; smooth ones to (-1)^n + (-1)
@@ -206,18 +207,3 @@ class TestCrossValidate:
             assert table.primal == ((1,),)
             assert table.origin[0] == (2 if n % 2 else 0)
 
-
-class TestBilinearEmbed:
-    def test_square_full_rank(self):
-        assert bilinear_embed(2, 2, 2) == QuadricSpec(3, 4)
-
-    def test_rectangular(self):
-        assert bilinear_embed(3, 2, 2) == QuadricSpec(4, 4)
-
-    def test_low_rank_guard(self):
-        with pytest.raises(ValueError, match="rank"):
-            bilinear_embed(2, 2, 1)
-
-    def test_rank_bound(self):
-        with pytest.raises(ValueError):
-            bilinear_embed(2, 2, 3)

@@ -1,0 +1,125 @@
+"""Checks on the package source itself.
+
+- The README's Library block runs as written and gives the values its
+  comments state, so every public name it imports stays importable.
+- Every function and method defined in `src/chernmather/` is entered by the
+  golden CLI cases or the Library block: code that only the tests reach
+  belongs in the tests.  Dunder methods are exempt, and so are the methods
+  `dataclass` generates, which have no `def` in the source.
+- No `assert` statement in `src/chernmather/`: `python -O` strips them, so
+  runtime checks raise typed exceptions instead.
+"""
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+import chernmather
+from chernmather.classpoly import ClassPoly
+from chernmather.cli import main
+
+from test_golden import CASES
+
+SRC = Path(chernmather.__file__).parent
+README = Path(__file__).parents[1] / "README.md"
+
+
+def library_block() -> str:
+    """The fenced python block under the README's `## Library` heading."""
+    library = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    return re.search(r"```python\n(.*?)```", library, re.S).group(1)
+
+
+def run_library_block() -> tuple[dict, dict]:
+    """Run the Library block one statement at a time.  Returns the value of
+    each expression statement, keyed by its source text, and the namespace
+    the block leaves."""
+    block = library_block()
+    namespace: dict = {}
+    values = {}
+    for stmt in ast.parse(block).body:
+        if isinstance(stmt, ast.Expr):
+            code = compile(ast.Expression(stmt.value), "README.md", "eval")
+            values[ast.get_source_segment(block, stmt)] = eval(code, namespace)
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+    return values, namespace
+
+
+def source_functions() -> dict:
+    """(file, first line of the code object) -> qualified name, for every
+    non-dunder function defined in the package."""
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            for child in ast.iter_child_nodes(node):
+                child.parent = node  # for the qualified names below
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            # a decorated function's code object starts at its first decorator
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            names, up = [node.name], node.parent
+            while not isinstance(up, ast.Module):
+                if isinstance(up, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names.append(up.name)
+                up = up.parent
+            found[(str(path), first)] = f"{path.stem}.{'.'.join(reversed(names))}"
+    return found
+
+
+def test_library_block_runs_as_written():
+    values, namespace = run_library_block()
+    milnor = values.pop("milnor_class(spec)")
+    assert milnor.modulus == 5  # mod H^5
+    assert values == {
+        "table.origin": (0, 1),
+        "table.chern_mather_primal": (ClassPoly([0, 2, 4, 2]), ClassPoly([0, 0, 0, 1])),
+        "table.chern_mather_dual": (ClassPoly([0, 0, 2, 2]),),
+        "cross_validate(spec).primal": ((1, 2), (0, 1)),
+        "integrate(lr_multiply(lr_multiply(s1, s1), lr_multiply(s1, s1)))": 2,
+    }
+    assert namespace["q"] == ClassPoly([0, 2, 4, 4])
+    assert namespace["table"].origin == (1, 3, 3)  # eu_table_det(3)
+
+
+def test_every_source_function_is_reached(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the --emit-strata cases write here
+    for name, module in list(sys.modules.items()):
+        if name.startswith("chernmather."):
+            for obj in vars(module).values():
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()  # a cache hit would hide the function body
+    defined = source_functions()
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            entered.add((code.co_filename, code.co_firstlineno))
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for argv, _ in CASES.values():
+            assert main(argv) == 0, argv
+        run_library_block()
+    finally:
+        sys.setprofile(previous)
+    capsys.readouterr()
+    unreached = sorted(name for key, name in defined.items() if key not in entered)
+    assert not unreached, f"only the tests reach {', '.join(unreached)}"
+
+
+def test_no_assert_in_source():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, f"assert statements in src: {', '.join(found)}"
