@@ -34,7 +34,6 @@ from .linsolve import (
     NonIntegerSolution,
     NonUniqueSolution,
     exact_solve,
-    solve_integer,
 )
 from .quadric import (
     QuadricSpec,

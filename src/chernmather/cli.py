@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import detvar as dv
@@ -297,12 +298,20 @@ def main(argv=None) -> int:
             "diagnostics": diagnostics,
         }
         # render both texts before writing either, and write the report
-        # first, so that a report that cannot be written leaves no file behind
+        # first, so that a report that cannot be written leaves no file behind;
+        # if the strata file then cannot be written, the report naming it is
+        # removed again, unless its path existed before this run
         text = _render(report, args.format)
+        created = args.out is not None and not os.path.lexists(args.out)
         if args.out is not None:
             _write(args.out, text)
         if pair is not None:
-            _write(args.emit_strata, strata_text)
+            try:
+                _write(args.emit_strata, strata_text)
+            except ValueError:
+                if created:
+                    os.remove(args.out)
+                raise
         if args.out is None:
             sys.stdout.write(text)
     except (LinearSystemError, ArithmeticError) as exc:

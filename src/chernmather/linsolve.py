@@ -1,4 +1,4 @@
-"""Exact solving of small dense linear systems over the rationals.
+"""Exact solving of small dense integer linear systems for integer unknowns.
 
 Systems here are typically overdetermined (one equation per coefficient of
 H, a handful of unknowns) and arithmetic is exact, so inconsistency is a
@@ -7,19 +7,17 @@ diagnostic, never noise: every row must be satisfied on the nose.
 The solver works in integers from input to verification.  It reads the
 equations one at a time, in the order given, and stops as soon as every
 unknown has a pivot, so callers put the most informative equations first.
-Each row it reads is made integral (a row with rational entries is scaled
-by the lcm of its denominators), reduced by the pivot rows found so far
-and divided by the gcd of its entries.  A primitive row is bounded in size
-by Cramer's rule, so entries grow polynomially, not exponentially.  Back
-substitution yields integer numerators X over a common denominator D, with
-x = X / D.  Every original equation, read or not, is then checked as
-sum_j a_ij X_j == b_i D, in integers when the caller's entries are
-integers, and a Fraction is built only once per unknown, at the end.
+Each row it reads is reduced by the pivot rows found so far and divided by
+the gcd of its entries.  A primitive row is bounded in size by Cramer's
+rule, so entries grow polynomially, not exponentially.  Back substitution
+yields integer numerators X over a common denominator D, with x = X / D.
+Every original equation, read or not, is then checked as
+sum_j a_ij X_j == b_i D, and the weights are the quotients X / D, which
+must all be exact.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from operator import mul
 from typing import Sequence
@@ -41,38 +39,26 @@ class NonIntegerSolution(LinearSystemError):
     """The unique rational solution fails to be integral."""
 
 
-def _integer_row(row, b) -> list[int]:
-    """The augmented integer row [a_1 .. a_n, b], scaled by the lcm of its
-    denominators; a row of plain integers is taken as it is."""
-    ents = [*row, b]
-    if set(map(type, ents)) != {int}:
-        ents = [Fraction(e) for e in ents]
-        scale = 1
-        for e in ents:
-            scale = scale * e.denominator // gcd(scale, e.denominator)
-        ents = [int(e * scale) for e in ents]
-    return ents
-
-
 def exact_solve(
-    rows: Sequence[Sequence], rhs: Sequence, context: str = ""
-) -> list[Fraction]:
-    """Unique exact solution of A.x = b by fraction-free elimination.
+    rows: Sequence[Sequence[int]], rhs: Sequence[int], context: str = ""
+) -> list[int]:
+    """Unique integer solution of A.x = b by fraction-free elimination.
 
-    A must have at least as many rows as columns; the system may be
-    overdetermined but has to be consistent on every row.  Equations are
-    read in the order given, each reduced by the pivot rows found so far
-    and kept as a primitive integer row, and reading stops once every
-    unknown has a pivot, so the caller should put the equations most
-    likely to be independent first.  Back substitution gives integer
-    numerators over a common denominator, and those are re-substituted
-    into all original equations, including the ones never read (in
-    integers when the entries are integers); Fractions are formed only for
-    the returned values.
+    Every entry of A and b is a Python int.  A must have at least as many
+    rows as columns; the system may be overdetermined but has to be
+    consistent on every row.  Equations are read in the order given, each
+    reduced by the pivot rows found so far and kept as a primitive integer
+    row, and reading stops once every unknown has a pivot, so the caller
+    should put the equations most likely to be independent first.  Back
+    substitution gives integer numerators over a common denominator, and
+    those are re-substituted into all original equations, including the
+    ones never read.
 
-    Raises NonUniqueSolution when the equations leave an unknown free, and
-    otherwise InconsistentSystem when they admit no solution, tagging the
-    message with `context` so callers can name the offending subsystem.
+    Raises NonUniqueSolution when the equations leave an unknown free,
+    otherwise InconsistentSystem when they admit no solution, and otherwise
+    NonIntegerSolution when the unique rational solution is not integral,
+    tagging the message with `context` so callers can name the offending
+    subsystem.
     """
     m = len(rows)
     ncols = len(rows[0]) if m else 0
@@ -95,7 +81,7 @@ def exact_solve(
     for row, b in zip(rows, rhs):
         if len(pivots) == ncols:
             break
-        red = _integer_row(row, b)
+        red = [*row, b]
         for col, piv in pivots:
             f = red[col]
             if f:
@@ -137,16 +123,14 @@ def exact_solve(
             raise InconsistentSystem(
                 f"equations are mutually inconsistent (residual check failed){tag}"
             )
-    return [Fraction(x, d) for x in num]
 
-
-def solve_integer(
-    rows: Sequence[Sequence], rhs: Sequence, context: str = ""
-) -> list[int]:
-    """exact_solve plus the demand that every entry clears to an integer."""
-    sol = exact_solve(rows, rhs, context)
-    tag = f" [{context}]" if context else ""
-    for k, x in enumerate(sol):
-        if x.denominator != 1:
-            raise NonIntegerSolution(f"unknown #{k} solves to {x}, not an integer{tag}")
-    return [int(x) for x in sol]
+    # The solution is integral when D divides every numerator.
+    if d < 0:
+        d, num = -d, [-x for x in num]
+    for k, x in enumerate(num):
+        if x % d:
+            g = gcd(x, d)
+            raise NonIntegerSolution(
+                f"unknown #{k} solves to {x // g}/{d // g}, not an integer{tag}"
+            )
+    return [x // d for x in num]

@@ -25,7 +25,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .classpoly import ClassPoly, chern_B, involute
-from .linsolve import InconsistentSystem, solve_integer
+from .linsolve import InconsistentSystem, LinearSystemError, exact_solve
 
 # Largest accepted N: every class is stored densely with N coefficients and
 # each system has N equations.  At N = 1024, on a 2-core VM, a linear flag of
@@ -282,13 +282,13 @@ def _solve_paired(pair: StratifiedPair, inv, r: int, p: int):
     primal row from stratum r on and the dual row from p on, each led by 1."""
     context = _system_name(pair, r, p)
     try:
-        sol = solve_integer(*_signed_system(pair, inv, r, p), context)
+        sol = exact_solve(*_signed_system(pair, inv, r, p), context)
     except InconsistentSystem as exc:
         # Diagnose whether dropping the parity signs would have worked;
         # that points at wrongly declared stratum dimensions.
         try:
-            solve_integer(*_signed_system(pair, inv, r, p, signs=False), context)
-        except Exception:
+            exact_solve(*_signed_system(pair, inv, r, p, signs=False), context)
+        except LinearSystemError:
             raise exc from None
         raise InconsistentSystem(
             f"{exc}; note: the system becomes consistent without the "

@@ -168,6 +168,25 @@ class TestSolve:
         assert code == 3
         assert "sym3_corank1" in err
 
+    def test_fractional_solution_exits_3(self, capsys, tmp_path):
+        # the rigged pair whose unique rational weight is 1/2
+        rigged = tmp_path / "rigged.json"
+        rigged.write_text(json.dumps({
+            "N": 4,
+            "primal": [
+                {"name": "open", "dim": 2, "csm": [0, 2, 4, 2]},
+                {"name": "fat_point", "dim": 0, "csm": [0, 0, 0, 2]},
+            ],
+            "dual": [{"name": "rigged", "dim": 1, "csm": [0, -1, -1, -1]}],
+            "pairing": [[0, 0]],
+        }))
+        code, out, err = run(capsys, "solve", str(rigged))
+        assert code == 3 and out == ""
+        assert err == (
+            "error: unknown #0 solves to 1/2, not an integer "
+            "[primal[0] 'open' <-> dual[0] 'rigged']\n"
+        )
+
 
 class TestDetvar:
     def test_n2_report(self, capsys):
@@ -355,6 +374,20 @@ class TestReportPlumbing:
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["diagnostics"]["emitted"] == str(emitted)
         assert json.loads(emitted.read_text())["N"] == 4
+
+    @pytest.mark.parametrize("existed", [False, True], ids=["created", "existing"])
+    def test_unwritable_strata_file_takes_back_the_report(self, capsys, tmp_path, existed):
+        # the report names a strata file that was never written, so it is
+        # removed, but only if this run created it: a path that existed
+        # before (such as /dev/null) is kept
+        target, emitted = tmp_path / "r.json", tmp_path / "missing" / "s.json"
+        if existed:
+            target.write_text("kept\n")
+        argv = ["detvar", "--n", "2", "--out", str(target), "--emit-strata"]
+        code, out, err = run(capsys, *argv, str(emitted))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write {emitted}: ")
+        assert target.exists() == existed
 
     @pytest.mark.parametrize(
         "what, argv",

@@ -1,5 +1,7 @@
 import random
+import re
 from fractions import Fraction
+from math import lcm
 from operator import mul
 
 import pytest
@@ -11,7 +13,6 @@ from chernmather.linsolve import (
     NonIntegerSolution,
     NonUniqueSolution,
     exact_solve,
-    solve_integer,
 )
 
 
@@ -48,14 +49,7 @@ def test_random_invertible_roundtrip():
             except NonUniqueSolution:
                 continue
             break
-        assert sol == [Fraction(v) for v in x]
-
-
-def test_rational_entries():
-    rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), Fraction(-2, 5)]]
-    x = [Fraction(3, 7), Fraction(-5, 2)]
-    b = [sum(a * v for a, v in zip(row, x)) for row in rows]
-    assert exact_solve(rows, b) == x
+        assert sol == x
 
 
 def test_rank_deficiency():
@@ -118,11 +112,15 @@ def _wide_int(rng):
 
 @pytest.mark.parametrize("case", ["consistent", "perturbed", "dependent_column"])
 def test_tall_system_with_wide_entries(case):
-    # 40 equations in 7 unknowns with 60- to 90-bit entries and a rational
-    # solution: the reduced rows grow well past the input size.
+    # 40 equations in 7 unknowns with 60- to 90-bit entries and a wide
+    # solution: the reduced rows grow well past the input size.  The drawn
+    # solution is rational; scaling it by the lcm L of its denominators
+    # gives the integer system A.(L x) = L b.
     rng = random.Random(case)
     rows = [[_wide_int(rng) for _ in range(7)] for _ in range(40)]
     x = [Fraction(_wide_int(rng), rng.randint(1, 10**6)) for _ in range(7)]
+    scale = lcm(*(v.denominator for v in x))
+    x = [int(scale * v) for v in x]
     rhs = [sum(map(mul, row, x)) for row in rows]
     if case == "perturbed":
         rhs[-1] += 1
@@ -136,9 +134,23 @@ def test_tall_system_with_wide_entries(case):
 
 
 def test_solve_integer():
-    assert solve_integer([[2, 0], [0, 3], [2, 3]], [4, 9, 13]) == [2, 3]
+    sol = exact_solve([[2, 0], [0, 3], [2, 3]], [4, 9, 13])
+    assert sol == [2, 3] and all(type(v) is int for v in sol)
     with pytest.raises(NonIntegerSolution):
-        solve_integer([[2]], [3])
+        exact_solve([[2]], [3])
+
+
+def test_non_integer_message():
+    # the value is reduced and carries its sign on the numerator
+    with pytest.raises(NonIntegerSolution) as exc:
+        exact_solve([[-2], [-4]], [1, 2], "ctx")
+    assert str(exc.value) == "unknown #0 solves to -1/2, not an integer [ctx]"
+
+
+def test_residual_failure_outranks_non_integer():
+    # the first two equations give x = (1, 1/2), which the third rejects
+    with pytest.raises(InconsistentSystem, match=r"residual check failed\) \[ctx\]$"):
+        exact_solve([[1, 0], [0, 2], [1, 2]], [1, 1, 3], "ctx")
 
 
 # Property tests against sympy's exact rational elimination (reduced row
@@ -156,10 +168,7 @@ def sympy_solution(rows, rhs):
     from sympy.polys.matrices import DomainMatrix
 
     n = len(rows[0])
-    aug = [
-        [QQ(Fraction(v).numerator, Fraction(v).denominator) for v in (*row, b)]
-        for row, b in zip(rows, rhs)
-    ]
+    aug = [[QQ(v) for v in (*row, b)] for row, b in zip(rows, rhs)]
     reduced, pivots = DomainMatrix(aug, (len(rows), n + 1), QQ).rref()
     if sum(1 for p in pivots if p < n) < n:
         return NONUNIQUE
@@ -172,21 +181,25 @@ def sympy_solution(rows, rhs):
 
 
 def check_against_sympy(rows, rhs):
-    """exact_solve and solve_integer agree with the sympy oracle; returns it."""
+    """exact_solve agrees with the sympy oracle; returns the oracle's answer.
+
+    An integral solution must come back exactly, as ints; a non-integral one
+    must raise NonIntegerSolution naming the first non-integral unknown and
+    its value."""
     expect = sympy_solution(rows, rhs)
     if expect in (NONUNIQUE, INCONSISTENT):
         error = NonUniqueSolution if expect == NONUNIQUE else InconsistentSystem
         with pytest.raises(error):
             exact_solve(rows, rhs)
-        with pytest.raises(error):
-            solve_integer(rows, rhs)
         return expect
-    assert exact_solve(rows, rhs) == expect
-    if all(x.denominator == 1 for x in expect):
-        assert solve_integer(rows, rhs) == [int(x) for x in expect]
+    k = next((k for k, x in enumerate(expect) if x.denominator != 1), None)
+    if k is None:
+        sol = exact_solve(rows, rhs)
+        assert sol == expect and all(type(v) is int for v in sol)
     else:
-        with pytest.raises(NonIntegerSolution):
-            solve_integer(rows, rhs)
+        message = f"unknown #{k} solves to {expect[k]}, not an integer"
+        with pytest.raises(NonIntegerSolution, match=f"^{re.escape(message)}$"):
+            exact_solve(rows, rhs)
     return expect
 
 
@@ -235,15 +248,6 @@ class TestSympyOracle:
         for row in rows:
             row.insert(at, row[src])
         assert check_against_sympy(rows, rhs) == NONUNIQUE
-
-    @ORACLE
-    @given(systems(
-        entries=st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)),
-        values=st.builds(Fraction, st.integers(-20, 20), st.integers(1, 9)),
-    ))
-    def test_fraction_entries(self, system):
-        rows, rhs, x = system
-        assert check_against_sympy(rows, rhs) in (NONUNIQUE, x)
 
     @ORACLE
     @given(systems(entries=st.integers(-2, 2)), st.data())

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from chernmather import detvar, quadric
+from chernmather import detvar, quadric, strata
 from chernmather.classpoly import ClassPoly, chern_B, csm_linear_space, involute
 from chernmather.linsolve import (
     InconsistentSystem,
@@ -154,6 +154,24 @@ class TestSolveSystem:
         ]
         pair = StratifiedPair(6, primal, dual, [(0, 1), (1, 0)])
         with pytest.raises(InconsistentSystem, match="parity"):
+            euler_table(pair)
+
+    def test_fault_in_unsigned_retry_propagates(self, monkeypatch):
+        # only a solver failure of the unsigned system falls back to the
+        # original InconsistentSystem; any other error surfaces as it is
+        signed = strata._signed_system
+
+        def unsigned_fails(pair, inv, r, p, signs=True):
+            if not signs:
+                raise TypeError("fault in the unsigned system")
+            return signed(pair, inv, r, p)
+
+        monkeypatch.setattr(strata, "_signed_system", unsigned_fails)
+        bad = ClassPoly([0, 3, 9, 10, 6, 4], 6)  # corrupted top coefficient
+        primal = [Stratum("a", bad, 4), Stratum("b", SYM3_CORANK2, 2)]
+        dual = [Stratum("a_d", SYM3_CORANK1, 4), Stratum("b_d", SYM3_CORANK2, 2)]
+        pair = StratifiedPair(6, primal, dual, [(0, 1), (1, 0)])
+        with pytest.raises(TypeError, match="fault in the unsigned system"):
             euler_table(pair)
 
 
