@@ -17,7 +17,6 @@ from .classpoly import (
     one_plus_h_power,
 )
 from .detvar import (
-    csm_stratum,
     duality_check,
     eu_table_det,
     q_poly,

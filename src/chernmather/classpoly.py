@@ -162,27 +162,35 @@ class ClassPoly:
 
     def text(self) -> str:
         """Human form, ascending powers: "1 + 2*H + 3*H^2"."""
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            mag = abs(c)
-            if k == 0:
-                term = str(mag)
-            else:
-                var = "H" if k == 1 else f"H^{k}"
-                term = var if mag == 1 else f"{mag}*{var}"
-            if not parts:
-                parts.append(term if c > 0 else "-" + term)
-            else:
-                parts.append(("+ " if c > 0 else "- ") + term)
-        return " ".join(parts) if parts else "0"
+        names = ["", "H"] + [f"H^{k}" for k in range(2, self.modulus)]
+        return render_combination(zip(self.coeffs, names))
 
     def __str__(self) -> str:
         return self.text()
 
     def __repr__(self) -> str:
         return f"ClassPoly({list(self.coeffs)!r})"
+
+
+def render_combination(terms: Iterable[tuple[int, str]]) -> str:
+    """Human form of a signed integer combination of named classes, given as
+    (coefficient, name) pairs in print order; the name "" is the unit.
+
+    Zero terms are dropped and a coefficient of +-1 is not written; after
+    the first term the sign becomes a separate "+ " or "- ", and an empty
+    combination prints as "0": "2 - H + 3*H^2".
+    """
+    parts = []
+    for c, name in terms:
+        if c == 0:
+            continue
+        mag = abs(c)
+        term = f"{mag}*{name}" if name and mag != 1 else name or str(mag)
+        if not parts:
+            parts.append(term if c > 0 else "-" + term)
+        else:
+            parts.append(("+ " if c > 0 else "- ") + term)
+    return " ".join(parts) if parts else "0"
 
 
 def one_plus_h_power(m: int, modulus: int) -> ClassPoly:

@@ -19,7 +19,7 @@ import sys
 
 from . import detvar as dv
 from . import quadric as qd
-from .classpoly import ClassPoly, involute
+from .classpoly import ClassPoly, involute, render_combination
 from .grassmann import ChowElement, integrate, lr_multiply, normalize_partition
 from .linsolve import LinearSystemError
 from .strata import MAX_AMBIENT, EulerTable, StratifiedPair, euler_table
@@ -140,15 +140,14 @@ def _cmd_detvar(args):
     if n < 2:
         raise ValueError("need --n at least 2")
     _at_most("--n", n, MAX_DETVAR_N)
-    pair = dv.build_pair(n)
-    table = dv.eu_table_det(n)
+    q, pair, table = dv.eu_table_det(n)
     outputs = {**_table_payload(table), **_chern_mather_payload(table, pair)}
     for r in range(n):
-        outputs[f"q_{n}_{r}"] = dv.q_poly(n, r)
-    for k in range(n):
-        outputs[f"csm_{n}_{k}"] = dv.csm_stratum(n, k)
+        outputs[f"q_{n}_{r}"] = q[r]
+    for k, stratum in enumerate(pair.primal):
+        outputs[f"csm_{n}_{k}"] = stratum.csm
     for r in range(1, n):
-        outputs[f"duality_{n}_{r}"] = dv.duality_check(n, r)
+        outputs[f"duality_{n}_{r}"] = dv.duality_check(q, r)
     diagnostics = {"systems": table.diagnostics}
     emitted = pair if args.emit_strata is not None else None
     return {"n": n}, outputs, diagnostics, emitted
@@ -187,30 +186,10 @@ def _join(p: tuple[int, ...]) -> str:
     return ",".join(str(x) for x in p)
 
 
-def _sigma_name(p: tuple[int, ...]) -> str:
-    return "sigma_" + "_".join(str(x) for x in p) if p else "1"
-
-
 def _render_chow(elem: ChowElement) -> str:
-    if elem.is_zero():
-        return "0"
-    bits = []
-    for p in sorted(elem.terms, key=lambda q: (sum(q), tuple(-x for x in q))):
-        c = elem.terms[p]
-        name = _sigma_name(p)
-        if c == 1 and p:
-            term = name
-        elif c == -1 and p:
-            term = "-" + name
-        else:
-            term = f"{c}*{name}" if p else str(c)
-        if not bits:
-            bits.append(term)
-        elif term.startswith("-"):
-            bits.append("- " + term[1:])
-        else:
-            bits.append("+ " + term)
-    return " ".join(bits)
+    order = sorted(elem.terms, key=lambda p: (sum(p), tuple(-x for x in p)))
+    names = ("sigma_" + "_".join(map(str, p)) if p else "" for p in order)
+    return render_combination(zip((elem.terms[p] for p in order), names))
 
 
 def _cmd_chow(args):

@@ -36,9 +36,10 @@ the origin column C(n, k).
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations
 from math import comb, lcm, prod
+from operator import mul
+from typing import Sequence
 
 from .classpoly import ClassPoly, involute
 from .strata import EulerTable, StratifiedPair, Stratum, euler_table
@@ -103,7 +104,6 @@ def _chern_numbers(n: int, r: int) -> list[list[int]]:
     return num
 
 
-@lru_cache(maxsize=None)
 def q_poly(n: int, r: int) -> ClassPoly:
     """The degree-weighted Grassmannian integral for tau_{n,r}, as a class
     polynomial mod H^(n^2)."""
@@ -125,53 +125,40 @@ def q_poly(n: int, r: int) -> ClassPoly:
     return ClassPoly(coeffs[: n * n], n * n)
 
 
-@lru_cache(maxsize=None)
-def csm_stratum(n: int, k: int) -> ClassPoly:
-    """Class polynomial of the open stratum (kernel dimension exactly k):
-    the alternating binomial combination of the q polynomials."""
-    if not 0 <= k <= n - 1:
-        raise ValueError(f"stratum index {k} out of range for n={n}")
-    out = ClassPoly.zero(n * n)
-    for r in range(k, n):
-        term = comb(r, k) * q_poly(n, r)
-        out = out + (term if (r - k) % 2 == 0 else -term)
-    return out
-
-
-def duality_check(n: int, r: int) -> bool:
+def duality_check(q: Sequence[ClassPoly], r: int) -> bool:
     """Whether the duality transform carries the signed q polynomial of
-    tau_{n,r} to the signed one of tau_{n,n-r}."""
+    tau_{n,r} to the signed one of tau_{n,n-r}, given q = [q_{n,0..n-1}]."""
+    n = len(q)
     if not 1 <= r <= n - 1:
         raise ValueError(f"rank parameter {r} out of range for n={n}")
-    lhs = involute(q_poly(n, r).signed(), n * n - 1)
-    return lhs == q_poly(n, n - r).signed()
+    return involute(q[r].signed(), n * n - 1) == q[n - r].signed()
 
 
-def build_pair(n: int) -> StratifiedPair:
-    """Solver input for the rank stratification; the family is self-dual
-    with tau_{n,k} paired to tau_{n,n-k}."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    strata = [
-        Stratum(f"tau_{n}_{k}", csm_stratum(n, k), stratum_dim(n, k))
-        for k in range(n)
-    ]
-    dual = [
-        Stratum(f"tau_{n}_{k}_dual", csm_stratum(n, k), stratum_dim(n, k))
-        for k in range(n)
-    ]
-    pairing = [(k, n - k) for k in range(1, n)]
-    return StratifiedPair(n * n, strata, dual, pairing)
+def eu_table_det(n: int) -> tuple[list[ClassPoly], StratifiedPair, EulerTable]:
+    """The rank strata of n x n matrices, solved: (q, pair, table).
 
-
-def eu_table_det(n: int) -> EulerTable:
-    """Euler obstruction table of the rank strata, through the solver.
-
+    q[r] is q_{n,r} for r < n.  The open strata get their classes by one
+    alternating binomial pass over q; the family is self-dual, with tau_{n,k}
+    paired to tau_{n,n-k}, so both sides of the pair carry the same strata.
     The binomial values are reproduced, not assumed: after solving, the table
     is checked against Eu = C(r, k), the origin column against C(n, k) and
-    each class against q_{n,k}; the family is self-dual, so both halves agree.
+    each class against q[k]; both halves of the table must agree.
     """
-    table = euler_table(build_pair(n))
+    if n < 2:
+        raise ValueError("need n >= 2")
+    q = [q_poly(n, r) for r in range(n)]
+    # open strata by binomial inversion: csm_k = sum_(r>=k) (-1)^(r-k) C(r,k) q_r;
+    # the sign is taken as (-1)^(r+k), since a negative power of -1 is a float
+    weights = [[(-1) ** (r + k) * comb(r, k) for r in range(n)] for k in range(n)]
+    columns = list(zip(*(c.coeffs for c in q)))
+    opens = [ClassPoly([sum(map(mul, w, col)) for col in columns]) for w in weights]
+    pair = StratifiedPair(
+        n * n,
+        [Stratum(f"tau_{n}_{k}", c, stratum_dim(n, k)) for k, c in enumerate(opens)],
+        [Stratum(f"tau_{n}_{k}_dual", c, stratum_dim(n, k)) for k, c in enumerate(opens)],
+        [(k, n - k) for k in range(1, n)],
+    )
+    table = euler_table(pair)
     for k in range(n):
         for r in range(n):
             expect = comb(r, k) if r >= k else 0
@@ -183,11 +170,11 @@ def eu_table_det(n: int) -> EulerTable:
             raise ArithmeticError(
                 f"origin entry {k} is {table.origin[k]}, expected {comb(n, k)}"
             )
-        if table.chern_mather_primal[k] != q_poly(n, k):
+        if table.chern_mather_primal[k] != q[k]:
             raise ArithmeticError(
                 f"solver Chern-Mather class disagrees with q_({n},{k})"
             )
     primal = (table.primal, table.chern_mather_primal)
     if (table.dual, table.chern_mather_dual) != primal:
         raise ArithmeticError("the dual half of the table differs from the primal half")
-    return table
+    return q, pair, table

@@ -127,9 +127,6 @@ class ChowElement:
                 f"box mismatch: G({self.r},{self.n}) vs G({other.r},{other.n})"
             )
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ChowElement)

@@ -23,13 +23,7 @@ from dataclasses import dataclass
 from math import comb
 from operator import mul
 
-from .classpoly import (
-    ClassPoly,
-    chern_B,
-    csm_linear_space,
-    div_1p2H,
-    one_plus_h_power,
-)
+from .classpoly import ClassPoly, csm_linear_space, div_1p2H
 from .strata import EulerTable, StratifiedPair, Stratum, euler_table
 
 
@@ -87,10 +81,17 @@ def csm_singular_locus(spec: QuadricSpec) -> ClassPoly:
     return csm_linear_space(spec.n - spec.r, spec.modulus)
 
 
+def _smooth_quadric(dim: int, modulus: int) -> ClassPoly:
+    """Class of a smooth quadric of dimension `dim`, a hypersurface of a
+    linear P^(dim+1) inside P^(modulus-1): 2H * csm(P^(dim+1)) / (1+2H)."""
+    two_h = ClassPoly.monomial(1, modulus, 2)
+    return div_1p2H(two_h * csm_linear_space(dim + 1, modulus))
+
+
 def csm_quadric(spec: QuadricSpec) -> ClassPoly:
     """Class polynomial of the rank-r quadric in P^n."""
     n = spec.n
-    smooth = div_1p2H(2 * ClassPoly.monomial(1, spec.modulus) * chern_B(n, spec.modulus))
+    smooth = _smooth_quadric(n - 1, spec.modulus)
     if spec.is_smooth:
         return smooth
     mu = milnor_number(spec)
@@ -137,14 +138,10 @@ def dual_cm_classes(spec: QuadricSpec) -> tuple[ClassPoly, ClassPoly | None]:
     a linear P^(r-1); for a smooth quadric (r = n+1) the second entry is
     None and the first is the quadric's own class.
     """
-    n, r, mod = spec.n, spec.r, spec.modulus
-    x_dual = div_1p2H(
-        2 * ClassPoly.monomial(n - r + 2, mod) * one_plus_h_power(r, mod)
-    )
+    x_dual = _smooth_quadric(spec.r - 2, spec.modulus)
     if spec.is_smooth:
         return (x_dual, None)
-    s_dual = ClassPoly.monomial(n - r + 1, mod) * one_plus_h_power(r, mod)
-    return (x_dual, s_dual)
+    return (x_dual, csm_linear_space(spec.r - 1, spec.modulus))
 
 
 def chern_mather_quadric(spec: QuadricSpec) -> ClassPoly:

@@ -79,9 +79,10 @@ class Stratum:
 class StratifiedPair:
     """A stratified projective variety together with its stratified dual.
 
-    Strata are re-sorted by declared dimension (open stratum first); the
-    pairing maps primal indices to dual indices and must make the dual
-    dimensions strictly increasing along deeper primal strata.
+    Strata are re-sorted by declared dimension (open stratum first), which
+    is at most N - 1, that of the ambient P^(N-1); the pairing maps primal
+    indices to dual indices and must make the dual dimensions strictly
+    increasing along deeper primal strata.
     """
 
     ambient: int  # N: classes live in Z[H]/(H^N), i.e. inside P^(N-1)
@@ -101,7 +102,7 @@ class StratifiedPair:
             raise ValueError("both sides need at least one stratum")
 
         def _sorted(side, label):
-            """Check names and moduli, then order by declared dimension."""
+            """Check names, moduli and dimensions, then order by dimension."""
             names: set[str] = set()
             for s in side:
                 if s.name in names:
@@ -111,6 +112,11 @@ class StratifiedPair:
                     raise ValueError(
                         f"{label} stratum {s.name!r} has modulus "
                         f"{s.csm.modulus}, expected {ambient}"
+                    )
+                if s.dim > ambient - 1:
+                    raise ValueError(
+                        f"{label} stratum {s.name!r} has dimension {s.dim}, "
+                        f"above that of the ambient P^{ambient - 1}"
                     )
             order = sorted(range(len(side)), key=lambda i: -side[i].dim)
             remap = {old: new for new, old in enumerate(order)}

@@ -275,10 +275,10 @@ def chern_sum(b1: BundleChern, b2: BundleChern) -> BundleChern:
     rank = b1.rank + b2.rank
     terms: list[list] = [[] for _ in range(rank + 1)]
     for i, ci in enumerate(b1.classes):
-        if ci.is_zero():
+        if not ci.terms:
             continue
         for j, cj in enumerate(b2.classes):
-            if not cj.is_zero():
+            if cj.terms:
                 terms[i + j].append((1, lr_multiply(ci, cj)))
     return BundleChern(rank, tuple(combine(r, n, *t) for t in terms))
 

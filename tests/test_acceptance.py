@@ -155,11 +155,11 @@ def test_criterion_6_determinantal_suite():
         # (a) the explicit smooth-quadric value
         assert q_poly(2, 1) == ClassPoly([0, 2, 4, 4, 0, 0, 0, 0], 4)
         for n in (2, 3, 4):
+            q, _, table = eu_table_det(n)
             # (b) the duality identity, exactly
             for r in range(1, n):
-                assert duality_check(n, r)
+                assert duality_check(q, r)
             # (c) solver-derived table and origin column are binomial
-            table = eu_table_det(n)
             for k in range(n):
                 for r in range(n):
                     assert table.primal[k][r] == (comb(r, k) if r >= k else 0)

@@ -187,6 +187,25 @@ class TestSolve:
             "[primal[0] 'open' <-> dual[0] 'rigged']\n"
         )
 
+    def test_dimension_above_ambient_exits_2(self, capsys, tmp_path):
+        # the README's cone pair with the conic declared far beyond P^3
+        pair = tmp_path / "cone.json"
+        pair.write_text(json.dumps({
+            "N": 4,
+            "primal": [
+                {"name": "cone_open", "dim": 2, "csm": [0, 2, 4, 2]},
+                {"name": "vertex", "dim": 0, "csm": [0, 0, 0, 1]},
+            ],
+            "dual": [{"name": "conic", "dim": 1000001, "csm": [0, 0, 2, 2]}],
+            "pairing": [[0, 0]],
+        }))
+        code, out, err = run(capsys, "solve", str(pair))
+        assert code == 2 and out == ""
+        assert err == (
+            "error: dual stratum 'conic' has dimension 1000001, "
+            "above that of the ambient P^3\n"
+        )
+
 
 class TestDetvar:
     def test_n2_report(self, capsys):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial, prod
 from pathlib import Path
@@ -13,14 +14,12 @@ from chernmather import detvar, strata
 from chernmather.classpoly import ClassPoly, chern_B, involute
 from chernmather.cli import main as cli_main
 from chernmather.detvar import (
-    build_pair,
-    csm_stratum,
     duality_check,
     eu_table_det,
     q_poly,
     stratum_dim,
 )
-from chernmather.strata import euler_table
+from chernmather.strata import StratifiedPair, euler_table
 
 from oracles import q_poly_schubert
 
@@ -29,6 +28,24 @@ from oracles import q_poly_schubert
 # degrees of the sub-product classes: coefficient of H^(4+a+b) is
 # sum C(3,a) C(3,b) C(4-a-b, 2-a).
 SEGRE_3 = ClassPoly([0, 0, 0, 0, 6, 18, 24, 18, 9], 9)
+
+
+# The package keeps no caches, so tests that reuse a family build it once here;
+# tests that patch the package call it directly instead.
+@lru_cache(maxsize=None)
+def family(n: int):
+    """eu_table_det(n): the q polynomials, the stratified pair and the table."""
+    return eu_table_det(n)
+
+
+def q_list(n: int) -> list[ClassPoly]:
+    """q_{n,0..n-1}, from the memoized family."""
+    return family(n)[0]
+
+
+def open_class(n: int, k: int) -> ClassPoly:
+    """Class polynomial of the open stratum tau_{n,k}, from the memoized family."""
+    return family(n)[1].primal[k].csm
 
 
 class TestQPoly:
@@ -86,7 +103,6 @@ class TestQPoly:
     def test_wrong_localization_is_caught(self, monkeypatch, euler_factor, message):
         # a wrong tangent Euler class makes M[0][0] = C(3,1)/2 or -C(3,1)
         monkeypatch.setattr(detvar, "prod", lambda xs: euler_factor * prod(xs))
-        q_poly.cache_clear()
         with pytest.raises(ArithmeticError, match=message):
             q_poly(3, 1)
 
@@ -103,8 +119,7 @@ class TestLargeN:
 
     @pytest.mark.parametrize("n", [8, 9])
     def test_codimension_and_degree(self, n):
-        for r in range(1, n):
-            q = q_poly(n, r)
+        for r, q in enumerate(q_list(n)[1:], 1):
             assert q.codim == r * r
             assert q.coeffs[q.codim] == porteous_degree(n, r)
         assert q_poly(n, n).is_zero()
@@ -117,13 +132,13 @@ class TestLargeN:
     @pytest.mark.parametrize("n", [8, 9])
     def test_open_strata_euler_characteristics(self, n):
         for k in range(n - 1):
-            assert csm_stratum(n, k).coeffs[-1] == 0
-        assert csm_stratum(n, n - 1).coeffs[-1] == n * n
+            assert open_class(n, k).coeffs[-1] == 0
+        assert open_class(n, n - 1).coeffs[-1] == n * n
 
     @pytest.mark.parametrize("n", [8, 9])
     def test_duality(self, n):
         for r in range(1, n):
-            assert duality_check(n, r)
+            assert duality_check(q_list(n), r)
 
     def test_cli_n8_binomial_table(self, capsys):
         assert cli_main(["detvar", "--n", "8"]) == 0
@@ -135,46 +150,50 @@ class TestLargeN:
 
 
 class TestCsmStratum:
+    """The open-stratum classes that eu_table_det puts into its pair."""
+
     def test_n2_closed_smooth_stratum(self):
-        assert csm_stratum(2, 1) == q_poly(2, 1)
+        assert open_class(2, 1) == q_poly(2, 1)
 
     def test_n2_open_stratum(self):
-        assert csm_stratum(2, 0) == q_poly(2, 0) - q_poly(2, 1)
-        assert csm_stratum(2, 0) == ClassPoly([1, 2, 2, 0], 4)
+        assert open_class(2, 0) == q_poly(2, 0) - q_poly(2, 1)
+        assert open_class(2, 0) == ClassPoly([1, 2, 2, 0], 4)
 
     def test_sum_telescopes_to_ambient_class(self):
         for n in (2, 3, 4):
             total = ClassPoly.zero(n * n)
             for k in range(n):
-                total = total + csm_stratum(n, k)
-            assert total == q_poly(n, 0)
+                total = total + open_class(n, k)
+            assert total == q_list(n)[0]
 
     def test_euler_characteristics(self):
         # only the rank-one stratum has torus-fixed points, so all other
         # open strata have Euler characteristic zero
         for n in (2, 3, 4):
             for k in range(n - 1):
-                assert csm_stratum(n, k).coeffs[-1] == 0
-            assert csm_stratum(n, n - 1).coeffs[-1] == n * n
+                assert open_class(n, k).coeffs[-1] == 0
+            assert open_class(n, n - 1).coeffs[-1] == n * n
 
     def test_binomial_inversion_recovers_q(self):
         for n in (2, 3, 4):
             for r in range(n):
                 acc = ClassPoly.zero(n * n)
                 for k in range(r, n):
-                    acc = acc + comb(k, r) * csm_stratum(n, k)
+                    acc = acc + comb(k, r) * open_class(n, k)
                 assert acc == q_poly(n, r)
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            csm_stratum(3, 3)
+        # one open stratum tau_{3,k} for each k < 3 on each side
+        _, pair, _ = family(3)
+        assert [s.name for s in pair.primal] == ["tau_3_0", "tau_3_1", "tau_3_2"]
+        assert [s.name for s in pair.dual] == ["tau_3_0_dual", "tau_3_1_dual", "tau_3_2_dual"]
 
 
 class TestDuality:
     def test_holds_for_all_small_sizes(self):
         for n in (2, 3, 4):
             for r in range(1, n):
-                assert duality_check(n, r)
+                assert duality_check(q_list(n), r)
 
     def test_pairs_are_mutual(self):
         lhs = involute(q_poly(3, 1).signed(), 8)
@@ -187,16 +206,18 @@ class TestDuality:
         bad = q + ClassPoly.monomial(5, 9)
         lhs = involute(bad.signed(), 8)
         assert lhs != q_poly(3, 2).signed()
+        assert not duality_check([q_poly(3, 0), bad, q_poly(3, 2)], 1)
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            duality_check(3, 0)
+        for r in (0, 3):
+            with pytest.raises(ValueError, match=f"rank parameter {r} out of range for n=3"):
+                duality_check(q_list(3), r)
 
 
 class TestEulerTables:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_binomial_table(self, n):
-        table = eu_table_det(n)
+        _, _, table = family(n)
         for k in range(n):
             for r in range(n):
                 want = comb(r, k) if r >= k else 0
@@ -204,29 +225,30 @@ class TestEulerTables:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_origin_column(self, n):
-        table = eu_table_det(n)
+        _, _, table = family(n)
         assert table.origin == tuple(comb(n, k) for k in range(n))
 
     def test_diagonal(self):
-        table = eu_table_det(3)
+        _, _, table = family(3)
         for k in range(3):
             assert table.primal[k][k] == 1
 
     def test_dual_side_matches(self):
-        table = eu_table_det(3)
+        _, _, table = family(3)
         assert table.dual == table.primal
 
     def test_pair_shape(self):
-        pair = build_pair(3)
+        q, pair, table = family(3)
+        assert len(q) == 3
         assert pair.ambient == 9
         assert [s.dim for s in pair.primal] == [8, 7, 4]
         assert pair.pairing == ((1, 2), (2, 1))
         # solving through the generic front end agrees
-        assert euler_table(pair).primal == eu_table_det(3).primal
+        assert euler_table(pair) == table
 
-    def test_build_pair_guard(self):
-        with pytest.raises(ValueError):
-            build_pair(1)
+    def test_n1_guard(self):
+        with pytest.raises(ValueError, match="need n >= 2"):
+            eu_table_det(1)
 
     def test_involute_once_per_primal_stratum(self, monkeypatch, capsys):
         # every paired system shares the transforms of the primal classes
@@ -234,28 +256,44 @@ class TestEulerTables:
         monkeypatch.setattr(strata, "involute", lambda f, d: calls.append(d) or involute(f, d))
         assert cli_main(["detvar", "--n", "5"]) == 0
         capsys.readouterr()
-        assert len(calls) == len(build_pair(5).primal) == 5
+        assert len(calls) == 5
+
+    def test_one_pair_and_one_integral_per_q(self, monkeypatch, capsys):
+        # detvar builds its family once: one stratified pair, and one
+        # Grassmannian integral for each of q_{4,0..3}
+        pairs, integrals = [], []
+        monkeypatch.setattr(
+            detvar, "StratifiedPair", lambda *a: pairs.append(a) or StratifiedPair(*a)
+        )
+        chern_numbers = detvar._chern_numbers
+        monkeypatch.setattr(
+            detvar, "_chern_numbers", lambda n, r: integrals.append(r) or chern_numbers(n, r)
+        )
+        assert cli_main(["detvar", "--n", "4"]) == 0
+        capsys.readouterr()
+        assert len(pairs) == 1
+        assert integrals == [0, 1, 2, 3]
 
 
 class TestChernMatherDet:
     """The solver's Chern-Mather classes of the rank strata closures."""
 
     def test_smooth_quadric(self):
-        assert eu_table_det(2).chern_mather_primal[1] == ClassPoly([0, 2, 4, 4], 4)
+        assert family(2)[2].chern_mather_primal[1] == ClassPoly([0, 2, 4, 4], 4)
 
     def test_ambient_space(self):
         for n in (2, 3):
-            assert eu_table_det(n).chern_mather_primal[0] == chern_B(n * n - 1, n * n)
+            assert family(n)[2].chern_mather_primal[0] == chern_B(n * n - 1, n * n)
 
     def test_solver_path_agrees(self):
         # eu_table_det itself checks each class against q_poly
-        table = eu_table_det(3)
+        _, _, table = family(3)
         assert table.chern_mather_primal[1] == q_poly(3, 1)
         assert table.chern_mather_primal[2] == SEGRE_3
 
     def test_out_of_range(self):
         # one class per stratum tau_{3,0..2} on each side; tau_{3,3} is empty
-        table = eu_table_det(3)
+        _, _, table = family(3)
         assert len(table.chern_mather_primal) == len(table.chern_mather_dual) == 3
 
 

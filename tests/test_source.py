@@ -6,6 +6,8 @@
   golden CLI cases or the Library block: code that only the tests reach
   belongs in the tests.  Dunder methods are exempt, and so are the methods
   `dataclass` generates, which have no `def` in the source.
+- No function in `src/chernmather/` carries a cache (`cache_info`): each
+  call does its own work, so a caller that needs a value twice keeps it.
 - No `assert` statement in `src/chernmather/`: `python -O` strips them, so
   runtime checks raise typed exceptions instead.
 """
@@ -84,16 +86,13 @@ def test_library_block_runs_as_written():
         "integrate(lr_multiply(lr_multiply(s1, s1), lr_multiply(s1, s1)))": 2,
     }
     assert namespace["q"] == ClassPoly([0, 2, 4, 4])
-    assert namespace["table"].origin == (1, 3, 3)  # eu_table_det(3)
+    q3, pair, table = namespace["q3"], namespace["pair"], namespace["table"]
+    assert table.origin == (1, 3, 3)  # eu_table_det(3)
+    assert len(q3) == len(pair.primal) == 3 and pair.ambient == 9
 
 
 def test_every_source_function_is_reached(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # the --emit-strata cases write here
-    for name, module in list(sys.modules.items()):
-        if name.startswith("chernmather."):
-            for obj in vars(module).values():
-                if hasattr(obj, "cache_clear"):
-                    obj.cache_clear()  # a cache hit would hide the function body
     defined = source_functions()
     entered = set()
 
@@ -113,6 +112,19 @@ def test_every_source_function_is_reached(capsys, tmp_path, monkeypatch):
     capsys.readouterr()
     unreached = sorted(name for key, name in defined.items() if key not in entered)
     assert not unreached, f"only the tests reach {', '.join(unreached)}"
+
+
+def test_no_cached_function_in_source():
+    # a module-level cache is hidden state: it makes a call's cost depend on
+    # the calls before it, and keeps every result for the life of the process
+    cached = [
+        f"{name}.{attr}"
+        for name, module in sorted(sys.modules.items())
+        if name.startswith("chernmather.")
+        for attr, obj in vars(module).items()
+        if hasattr(obj, "cache_info")
+    ]
+    assert not cached, f"cached functions in src: {', '.join(cached)}"
 
 
 def test_no_assert_in_source():

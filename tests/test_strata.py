@@ -51,6 +51,11 @@ def quadric_cone_pair():
     return StratifiedPair(4, primal, dual, [(0, 0)])
 
 
+def detvar_pair(n):
+    """The stratified pair of the rank strata of n x n matrices."""
+    return detvar.eu_table_det(n)[1]
+
+
 def linear_flag_pair(modulus, dims):
     """A flag of linear spaces P^d in P^(N-1), largest first, against the flag
     of their duals P^(N-2-d); the deepest primal closure pairs with the
@@ -78,7 +83,7 @@ SOLVED_PAIRS = {
     "sym3": sym3_pair,
     "quadric_cone": quadric_cone_pair,
     "linear_flag_20": lambda: linear_flag_pair(128, [6 * k + 1 for k in range(20)]),
-    **{f"detvar_{n}": partial(detvar.build_pair, n) for n in range(2, 7)},
+    **{f"detvar_{n}": partial(detvar_pair, n) for n in range(2, 7)},
     **{
         f"quadric_{n}_{r}": partial(quadric.build_pair, quadric.QuadricSpec(n, r))
         for n in range(2, 11)
@@ -375,6 +380,17 @@ class TestValidation:
         assert [s.name for s in pair.primal] == ["corank1", "corank2"]
         assert pair.pairing == ((0, 1), (1, 0))
         assert euler_table(pair).primal[0] == (1, 0)
+
+    @pytest.mark.parametrize("dim", [6, 1000001])
+    def test_dimension_above_ambient_rejected(self, dim):
+        # P^5 holds no stratum of dimension 6 or more, on either side
+        big = Stratum("big", SYM3_CORANK1, dim)
+        fine = [Stratum("fine", SYM3_CORANK1, 4)]
+        with pytest.raises(ValueError, match=f"primal stratum 'big' has dimension {dim}"):
+            StratifiedPair(6, [big], fine, [])
+        with pytest.raises(ValueError, match=f"dual stratum 'big' has dimension {dim}"):
+            StratifiedPair(6, fine, [big], [])
+        assert StratifiedPair(6, [Stratum("top", SYM3_OPEN, 5)], fine, []).primal[0].dim == 5
 
     def test_dim_notes(self):
         s = Stratum("odd", SYM3_CORANK1, 6)
