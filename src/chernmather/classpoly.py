@@ -18,6 +18,7 @@ shift f(-1-H) is computed by Horner's rule, one linear factor at a time.
 from __future__ import annotations
 
 from math import comb
+from operator import index
 from typing import Iterable
 
 
@@ -31,7 +32,8 @@ class ClassPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int], modulus: int | None = None):
-        cs = [int(c) for c in coeffs]
+        # index, not int: a float coefficient raises TypeError, never truncates
+        cs = [index(c) for c in coeffs]
         if modulus is not None:
             if modulus < 1:
                 raise ValueError("modulus must be a positive integer")

@@ -25,9 +25,10 @@ from .linsolve import LinearSystemError
 from .strata import MAX_AMBIENT, EulerTable, StratifiedPair, euler_table
 
 _INT64_MAX = 2**63 - 1
-# Largest n accepted by `detvar` (each step costs about 2.6x the last; n = 14
-# takes 18 to 19 s on a 2-core VM) and by `chow` (at most C(20, 10) Schubert
-# classes; the work of each product is bounded by grassmann.MAX_LR_TABLEAUX).
+# Largest n accepted by `detvar` (n = 12, 13 and 14 take about 0.9, 1.5 and
+# 4 to 7 s on a 2-core VM; an even n localizes one more r than the odd n
+# below it) and by `chow` (at most C(20, 10) Schubert classes; the work of
+# each product is bounded by grassmann.MAX_LR_TABLEAUX).
 MAX_DETVAR_N = 14
 MAX_CHOW_N = 20
 

@@ -18,6 +18,10 @@ lives here because nothing in the package needs it, and so do the linear
 combinations of Chow-ring classes it is built from (`combine`) and the
 partition helpers of the tests (`partitions_in_box`, `conjugate`,
 `box_complement`).
+
+`chern_numbers_all_points` is a second oracle for the same numbers: the
+localization that `detvar` used before it visited one fixed point of each
+mirror pair, with weights t_k = k at every one of the C(n, r) fixed points.
 """
 
 from __future__ import annotations
@@ -25,9 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from math import comb, factorial
+from math import comb, factorial, lcm, prod
 
 from chernmather.classpoly import ClassPoly, one_plus_h_power
+from chernmather.detvar import _linear_product, _power
 from chernmather.grassmann import (
     ChowElement,
     fits_box,
@@ -200,6 +205,38 @@ def q_poly_schubert(n: int, r: int) -> tuple[list[list[int]], ClassPoly]:
     if q.coeffs[n * n]:
         raise ArithmeticError(f"top-degree terms failed to cancel for q_({n},{r})")
     return numbers, ClassPoly(q.coeffs[: n * n], n * n)
+
+
+def chern_numbers_all_points(n: int, r: int) -> list[list[int]]:
+    """M[a][b] for a + b <= D, by localization at all C(n, r) fixed points
+    with torus weights t_k = k."""
+    top = r * (n - r)
+    # The torus weights are t_k = k, so every weight below is an index.
+    points = []
+    for sub in combinations(range(n), r):
+        quot = [j for j in range(n) if j not in sub]
+        tangent = [j - i for i in sub for j in quot]
+        points.append((sub, quot, tangent, prod(tangent)))
+    denom = lcm(*(abs(e) for _, _, _, e in points))
+    num = [[0] * (top + 1 - a) for a in range(top + 1)]
+    for sub, quot, tangent, euler in points:
+        c_tan = _linear_product(tangent, top)
+        c_quot = _power(_linear_product([-j for j in quot], n - r), n, top)
+        c_sub = _power(_linear_product([-i for i in sub], r), n, top)
+        scale = denom // euler
+        for a, row in enumerate(num):
+            sa = scale * c_sub[a]
+            if sa:
+                for b in range(len(row)):
+                    row[b] += sa * c_quot[b] * c_tan[top - a - b]
+    for a, row in enumerate(num):
+        for b, v in enumerate(row):
+            row[b], rem = divmod(v, denom)
+            if rem:
+                raise ArithmeticError(
+                    f"Chern number M[{a}][{b}] of G({r},{n}) is not an integer"
+                )
+    return num
 
 
 # ---------------------------------------------------------------------------

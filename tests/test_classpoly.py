@@ -43,6 +43,10 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             ClassPoly([1, 0, 5], 2)
 
+    def test_constructor_rejects_float_coefficients(self):
+        with pytest.raises(TypeError):
+            ClassPoly([1, 2.0])
+
 
 class TestEval:
     def test_corank1_value(self):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from functools import lru_cache
@@ -21,7 +22,7 @@ from chernmather.detvar import (
 )
 from chernmather.strata import StratifiedPair, euler_table
 
-from oracles import q_poly_schubert
+from oracles import chern_numbers_all_points, q_poly_schubert
 
 # Pushforward class of the rank-one locus for n = 3: the Segre embedding of
 # P^2 x P^2 in P^8, computed independently from c(T(P^2 x P^2)) and the
@@ -82,6 +83,19 @@ class TestQPoly:
             numbers, q = q_poly_schubert(n, r)
             assert detvar._chern_numbers(n, r) == numbers
             assert q_poly(n, r) == q
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_matches_all_points_oracle(self, n):
+        # the half orbit under t_k = 2k - (n-1) against every fixed point under t_k = k
+        for r in range(n + 1):
+            assert detvar._chern_numbers(n, r) == chern_numbers_all_points(n, r)
+
+    def test_one_euler_class_per_mirror_pair(self, monkeypatch):
+        # G(2,4): pairs {01,23} and {02,13}, and the self-mirror 03 and 12
+        calls = []
+        monkeypatch.setattr(detvar, "prod", lambda xs: calls.append(xs) or prod(xs))
+        detvar._chern_numbers(4, 2)
+        assert len(calls) == 4
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
     def test_power_matches_repeated_product(self, n):
@@ -201,6 +215,11 @@ class TestDuality:
         back = involute(q_poly(3, 2).signed(), 8)
         assert back == q_poly(3, 1).signed()
 
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_derived_half_matches_localization(self, n):
+        # eu_table_det localizes r <= n/2 and transforms the rest
+        assert q_list(n) == [q_poly(n, r) for r in range(n)]
+
     def test_corrupted_coefficient_fails(self):
         q = q_poly(3, 1)
         bad = q + ClassPoly.monomial(5, 9)
@@ -260,7 +279,8 @@ class TestEulerTables:
 
     def test_one_pair_and_one_integral_per_q(self, monkeypatch, capsys):
         # detvar builds its family once: one stratified pair, and one
-        # Grassmannian integral for each of q_{4,0..3}
+        # Grassmannian integral for each of q_{4,0..2}; q_{4,3} is the
+        # duality transform of q_{4,1}
         pairs, integrals = [], []
         monkeypatch.setattr(
             detvar, "StratifiedPair", lambda *a: pairs.append(a) or StratifiedPair(*a)
@@ -272,7 +292,7 @@ class TestEulerTables:
         assert cli_main(["detvar", "--n", "4"]) == 0
         capsys.readouterr()
         assert len(pairs) == 1
-        assert integrals == [0, 1, 2, 3]
+        assert integrals == [0, 1, 2]
 
 
 class TestChernMatherDet:
@@ -341,6 +361,24 @@ class TestRuntimeChecks:
         assert cli_main(["detvar", "--n", "3"]) == 3
         err = capsys.readouterr().err
         assert err == "error: the dual half of the table differs from the primal half\n"
+
+    @pytest.mark.parametrize(
+        "power, message",
+        [
+            (9, r"derived q_\(5,3\) does not have degree 175 in codimension 9"),
+            (24, r"derived q_\(5,3\) has top coefficient 99, expected 100"),
+        ],
+        ids=["degree", "euler"],
+    )
+    def test_wrong_derived_class_exits_3(self, monkeypatch, capsys, power, message):
+        # q_{5,3} is the first class eu_table_det derives by the transform
+        monkeypatch.setattr(
+            detvar, "involute", lambda f, d: involute(f, d) + ClassPoly.monomial(power, d + 1)
+        )
+        with pytest.raises(ArithmeticError, match=message):
+            eu_table_det(5)
+        assert cli_main(["detvar", "--n", "5"]) == 3
+        assert re.fullmatch(f"error: {message}\n", capsys.readouterr().err)
 
     def test_checks_survive_python_O(self):
         # a corrupted origin column still exits 3 when asserts are stripped
