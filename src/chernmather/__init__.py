@@ -36,7 +36,7 @@ from .linsolve import (
 )
 from .quadric import (
     QuadricSpec,
-    chern_mather_quadric,
+    build_pair,
     complex_link_chi,
     cross_validate,
     csm_quadric,

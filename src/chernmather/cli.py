@@ -31,6 +31,11 @@ _INT64_MAX = 2**63 - 1
 # each product is bounded by grassmann.MAX_LR_TABLEAUX).
 MAX_DETVAR_N = 14
 MAX_CHOW_N = 20
+# Python converts an integer to or from decimal text only up to
+# sys.get_int_max_str_digits() digits, 4300 by default
+_TOO_LONG = (
+    "{} has an integer of more than {} digits, beyond Python's limit for decimal text"
+)
 
 
 def _stringify_big(value):
@@ -39,7 +44,13 @@ def _stringify_big(value):
     if isinstance(value, bool):
         return value
     if isinstance(value, int):
-        return str(value) if abs(value) > _INT64_MAX else value
+        if abs(value) <= _INT64_MAX:
+            return value
+        try:
+            return str(value)
+        except ValueError:
+            limit = sys.get_int_max_str_digits()
+            raise ValueError(_TOO_LONG.format("the report", limit)) from None
     if isinstance(value, ClassPoly):
         return _stringify_big(value.coeffs)
     if isinstance(value, (list, tuple)):
@@ -116,8 +127,12 @@ def _cmd_involute(args):
     result = involute(ClassPoly(coeffs, modulus), args.d)
     # trailing zeros dropped; the zero class keeps its constant term
     trimmed = result.coeffs[: max(result.degree, 0) + 1]
-    outputs = {"result": trimmed, "text": result.text()}
-    return {"d": args.d, "poly": coeffs}, outputs, {}, None
+    try:
+        text = result.text()
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(_TOO_LONG.format("the report", limit)) from None
+    return {"d": args.d, "poly": coeffs}, {"result": trimmed, "text": text}, {}, None
 
 
 def _cmd_solve(args):
@@ -130,6 +145,12 @@ def _cmd_solve(args):
         raise ValueError(f"{args.strata} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ValueError(f"{args.strata} is nested too deeply to read as JSON") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{args.strata} is not UTF-8 text: {exc}") from exc
+    except ValueError:
+        # json reads digits with int(), which refuses more than the limit
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(_TOO_LONG.format(args.strata, limit)) from None
     pair = StratifiedPair.from_dict(data)
     table = euler_table(pair)
     outputs = {**_table_payload(table), **_chern_mather_payload(table, pair)}
@@ -157,30 +178,32 @@ def _cmd_detvar(args):
 def _cmd_quadric(args):
     _at_most("--n + 1", args.n + 1, MAX_AMBIENT)
     spec = qd.QuadricSpec(args.n, args.rank)
-    x_dual, s_dual = qd.dual_cm_classes(spec)
+    pair = qd.build_pair(spec)
+    csm = sum((s.csm for s in pair.primal[1:]), pair.primal[0].csm)
     eu_generic, eu_singular = qd.eu_values(spec)
     outputs = {
-        "csm": qd.csm_quadric(spec),
-        "chern_mather": qd.chern_mather_quadric(spec),
+        "csm": csm,
         "milnor_class": qd.milnor_class(spec),
         "eu_generic": eu_generic,
         "eu_singular": eu_singular,
         "complex_link_chi": qd.complex_link_chi(),
-        "dual_quadric_cm": x_dual,
-        "dual_singular_cm": s_dual,
+        "dual_quadric_cm": pair.dual[0].csm,
+        "dual_singular_cm": qd.dual_cm_classes(spec)[1],
     }
     diagnostics: dict = {}
     if spec.is_smooth:
+        outputs["chern_mather"] = csm
         outputs["milnor_number"] = None
         diagnostics["milnor_note"] = "smooth quadric: Milnor class is zero"
     else:
+        table = qd.cross_validate(spec, pair)
+        outputs["chern_mather"] = table.chern_mather_primal[0]
         outputs["milnor_number"] = qd.milnor_number(spec)
-        table = qd.cross_validate(spec)
         outputs["cross_validation"] = "ok"
         outputs.update(_table_payload(table))
         diagnostics["systems"] = table.diagnostics
-    pair = qd.build_pair(spec) if args.emit_strata is not None else None
-    return {"n": args.n, "rank": args.rank}, outputs, diagnostics, pair
+    emitted = pair if args.emit_strata is not None else None
+    return {"n": args.n, "rank": args.rank}, outputs, diagnostics, emitted
 
 
 def _join(p: tuple[int, ...]) -> str:

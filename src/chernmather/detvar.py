@@ -129,14 +129,18 @@ def q_poly(n: int, r: int) -> ClassPoly:
     polynomial mod H^(n^2)."""
     if not 0 <= r <= n:
         raise ValueError(f"rank parameter {r} out of range for n={n}")
+    num = _chern_numbers(n, r)
     coeffs = [0] * (n * n + 1)
-    for a, row in enumerate(_chern_numbers(n, r)):
-        for b, m in enumerate(row):
+    # column b of M multiplies (1+d)^e with e = n(n-r) - b: one binomial row
+    # per column serves every row a
+    for b in range(len(num)):
+        e = n * (n - r) - b
+        binom = [comb(e, j) for j in range(e + 1)]
+        for a, row in enumerate(num[: len(num) - b]):
+            m = row[b]
             if m:
-                e = n * (n - r) - b
-                base = n * r - a
-                for j in range(e + 1):
-                    coeffs[base + j] += m * comb(e, j)
+                span = slice(n * r - a, n * r - a + e + 1)
+                coeffs[span] = [x + m * c for x, c in zip(coeffs[span], binom)]
     coeffs[n * n] -= comb(n, r)
     if coeffs[n * n]:
         raise ArithmeticError(

@@ -7,8 +7,8 @@ everything below is an exact polynomial identity mod H^(n+1):
 
   * class polynomial of X:  2H*B_n/(1+2H) - (-1)^(n-1) * mu * csm(S)/(1+2H)
     with B_n = (1+H)^(n+1) - H^(n+1) and mu = (-1)^(n+r);
-  * Milnor class: mu * csm(S)/(1+2H), also given by an explicit double
-    binomial sum;
+  * Milnor class: mu * csm(S)/(1+2H), the only route here; the explicit
+    double-binomial sum for it is the independent oracle of the tests;
   * local Euler obstruction along S: (-1)^r + 1, Milnor number mu, Euler
     characteristic of the complex link of the cone at the origin: -2.
 
@@ -20,8 +20,6 @@ transversely, and the closed forms here presuppose rank >= 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
-from operator import mul
 
 from .classpoly import ClassPoly, csm_linear_space, div_1p2H
 from .strata import EulerTable, StratifiedPair, Stratum, euler_table
@@ -88,38 +86,20 @@ def _smooth_quadric(dim: int, modulus: int) -> ClassPoly:
     return div_1p2H(two_h * csm_linear_space(dim + 1, modulus))
 
 
-def csm_quadric(spec: QuadricSpec) -> ClassPoly:
-    """Class polynomial of the rank-r quadric in P^n."""
-    n = spec.n
-    smooth = _smooth_quadric(n - 1, spec.modulus)
-    if spec.is_smooth:
-        return smooth
-    mu = milnor_number(spec)
-    correction = div_1p2H(csm_singular_locus(spec))
-    sign = (-1) ** (n - 1) * mu
-    return smooth - sign * correction
-
-
 def milnor_class(spec: QuadricSpec) -> ClassPoly:
-    """Milnor class, by the closed double-binomial form; cross-checked
-    against the division route mu * csm(S)/(1+2H)."""
+    """Milnor class mu * csm(S)/(1+2H); zero for a smooth quadric."""
     if spec.is_smooth:
         return ClassPoly.zero(spec.modulus)
-    n, r = spec.n, spec.r
-    mu = milnor_number(spec)
-    # coefficient of H^(k+r): mu * sum_j C(n-r+1, k-j) * (-2)^j
-    row = [comb(n - r + 1, i) for i in range(n - r + 1)]
-    pows = [(-2) ** j for j in range(n - r + 1)]
-    coeffs = [0] * spec.modulus
-    for k in range(n - r + 1):
-        coeffs[k + r] = mu * sum(map(mul, reversed(row[: k + 1]), pows))
-    closed = ClassPoly(coeffs, spec.modulus)
-    division = mu * div_1p2H(csm_singular_locus(spec))
-    if closed != division:
-        raise ArithmeticError(
-            f"Milnor class routes disagree for n={n}, r={r}"
-        )
-    return closed
+    return milnor_number(spec) * div_1p2H(csm_singular_locus(spec))
+
+
+def csm_quadric(spec: QuadricSpec) -> ClassPoly:
+    """Class polynomial of the rank-r quadric in P^n: the class of the smooth
+    quadric minus (-1)^(n-1) times the Milnor class."""
+    smooth = _smooth_quadric(spec.n - 1, spec.modulus)
+    if spec.is_smooth:
+        return smooth
+    return smooth - (-1) ** (spec.n - 1) * milnor_class(spec)
 
 
 def eu_values(spec: QuadricSpec) -> tuple[int, int | None]:
@@ -144,16 +124,6 @@ def dual_cm_classes(spec: QuadricSpec) -> tuple[ClassPoly, ClassPoly | None]:
     return (x_dual, csm_linear_space(spec.r - 1, spec.modulus))
 
 
-def chern_mather_quadric(spec: QuadricSpec) -> ClassPoly:
-    """Chern-Mather class of X: the obstruction-weighted sum of the open
-    part and the singular locus."""
-    if spec.is_smooth:
-        return csm_quadric(spec)
-    e = eu_values(spec)[1]
-    sing = csm_singular_locus(spec)
-    return (csm_quadric(spec) - sing) + e * sing
-
-
 def build_pair(spec: QuadricSpec) -> StratifiedPair:
     """Solver input: {open part, singular locus} against the dual quadric.
 
@@ -173,12 +143,13 @@ def build_pair(spec: QuadricSpec) -> StratifiedPair:
     return StratifiedPair(mod, primal, dual, [(0, 0)])
 
 
-def cross_validate(spec: QuadricSpec) -> EulerTable:
-    """Run the strata solver on the quadric pair and check that it returns
-    the closed-form obstruction (-1)^r + 1 along the singular locus."""
+def cross_validate(spec: QuadricSpec, pair: StratifiedPair) -> EulerTable:
+    """Run the strata solver on `pair`, the quadric pair `build_pair(spec)`,
+    and check that it returns the closed-form obstruction (-1)^r + 1 along
+    the singular locus."""
     if spec.is_smooth:
         raise ValueError("cross-validation needs a singular quadric (r <= n)")
-    table = euler_table(build_pair(spec))
+    table = euler_table(pair)
     expected = eu_values(spec)[1]
     solved = table.primal[0][1]
     if solved != expected:

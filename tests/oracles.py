@@ -22,6 +22,11 @@ partition helpers of the tests (`partitions_in_box`, `conjugate`,
 `chern_numbers_all_points` is a second oracle for the same numbers: the
 localization that `detvar` used before it visited one fixed point of each
 mirror pair, with weights t_k = k at every one of the C(n, r) fixed points.
+
+`milnor_class_binomial` is the closed double-binomial form of a quadric's
+Milnor class, an independent route to the division mu * csm(S)/(1+2H) of
+`quadric.milnor_class`; `chern_mather_quadric` is the closed form of a
+quadric's Chern-Mather class that the solved Euler table must reproduce.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from math import comb, factorial, lcm, prod
+from operator import mul
 
 from chernmather.classpoly import ClassPoly, one_plus_h_power
 from chernmather.detvar import _linear_product, _power
@@ -40,6 +46,7 @@ from chernmather.grassmann import (
     lr_multiply,
     normalize_partition,
 )
+from chernmather.quadric import QuadricSpec, csm_quadric, csm_singular_locus
 
 
 def partitions_in_box(rows: int, cols: int):
@@ -205,6 +212,27 @@ def q_poly_schubert(n: int, r: int) -> tuple[list[list[int]], ClassPoly]:
     if q.coeffs[n * n]:
         raise ArithmeticError(f"top-degree terms failed to cancel for q_({n},{r})")
     return numbers, ClassPoly(q.coeffs[: n * n], n * n)
+
+
+def milnor_class_binomial(n: int, r: int) -> ClassPoly:
+    """Milnor class of the rank-r quadric in P^n, 3 <= r <= n: the
+    coefficient of H^(k+r) is (-1)^(n+r) * sum_j C(n-r+1, k-j) * (-2)^j."""
+    mu = (-1) ** (n + r)
+    row = [comb(n - r + 1, i) for i in range(n - r + 1)]
+    pows = [(-2) ** j for j in range(n - r + 1)]
+    coeffs = [0] * (n + 1)
+    for k in range(n - r + 1):
+        coeffs[k + r] = mu * sum(map(mul, reversed(row[: k + 1]), pows))
+    return ClassPoly(coeffs, n + 1)
+
+
+def chern_mather_quadric(spec: QuadricSpec) -> ClassPoly:
+    """Chern-Mather class of a quadric: the open part weighted 1 and the
+    singular locus weighted by its Euler obstruction (-1)^r + 1."""
+    if spec.is_smooth:
+        return csm_quadric(spec)
+    sing = csm_singular_locus(spec)
+    return (csm_quadric(spec) - sing) + ((-1) ** spec.r + 1) * sing
 
 
 def chern_numbers_all_points(n: int, r: int) -> list[list[int]]:

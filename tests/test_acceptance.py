@@ -21,7 +21,7 @@ from chernmather.detvar import duality_check, eu_table_det, q_poly
 from chernmather.grassmann import ChowElement, integrate, lr_multiply
 from chernmather.quadric import (
     QuadricSpec,
-    chern_mather_quadric,
+    build_pair,
     cross_validate,
     csm_quadric,
     csm_singular_locus,
@@ -34,7 +34,9 @@ from chernmather.strata import StratifiedPair, euler_table
 
 from oracles import (
     box_complement,
+    chern_mather_quadric,
     chern_tensor,
+    milnor_class_binomial,
     partitions_in_box,
     schur_product_in_box,
     taut_quot,
@@ -100,25 +102,30 @@ def test_criterion_4_quadric_suite():
         for n in range(2, 11):
             for r in range(3, n + 2):
                 spec = QuadricSpec(n, r)
-                # (a) the two Milnor-class routes agree (checked inside
-                # milnor_class) and close the defining identity
+                pair = build_pair(spec)
+                # (a) the division route agrees with the double-binomial
+                # oracle and closes the defining identity
                 mc = milnor_class(spec)
                 smooth = csm_quadric(QuadricSpec(n, n + 1))
                 lhs = smooth - csm_quadric(spec)
                 if (n - 1) % 2 == 1:
                     lhs = -lhs
                 assert lhs == mc
-                # (c) the transform exchanges the signed Chern-Mather classes
+                # (c) the transform exchanges the signed Chern-Mather classes,
+                # the primal one read off the solved table
                 x_dual, s_dual = dual_cm_classes(spec)
-                assert involute(chern_mather_quadric(spec).signed(), n) == x_dual.signed()
+                cm = euler_table(pair).chern_mather_primal[0]
+                assert cm == chern_mather_quadric(spec)
+                assert involute(cm.signed(), n) == x_dual.signed()
                 if spec.is_smooth:
                     assert mc.is_zero()
                     continue
+                assert mc == milnor_class_binomial(n, r)
                 assert (
                     involute(csm_singular_locus(spec).signed(), n) == s_dual.signed()
                 )
                 # (b) solver path reproduces the closed forms
-                table = cross_validate(spec)
+                table = cross_validate(spec, pair)
                 assert table.primal[0][1] == (-1) ** r + 1 == eu_values(spec)[1]
                 assert milnor_number(spec) == (-1) ** (n + r)
                 assert mc.coeffs[r] == (-1) ** (n + r)

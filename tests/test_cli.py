@@ -11,7 +11,8 @@ import chernmather
 from chernmather.classpoly import ClassPoly
 from chernmather.cli import MAX_CHOW_N, MAX_DETVAR_N, _stringify_big, main
 from chernmather.grassmann import MAX_LR_TABLEAUX
-from chernmather.strata import MAX_AMBIENT, MAX_STRATA
+from chernmather.quadric import QuadricSpec, build_pair
+from chernmather.strata import MAX_AMBIENT, MAX_STRATA, euler_table
 
 DATA = Path(__file__).parent / "data"
 FIXTURE = DATA / "symmetric_3x3.json"
@@ -27,6 +28,21 @@ def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     return json.loads(out)
+
+
+# Python 3.11 (and 3.10.7 on) converts an int to or from decimal text only
+# up to this many digits; without a limit there is nothing to report
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(
+    not DIGIT_LIMIT, reason="this Python has no integer digit limit"
+)
+
+
+def too_long(where) -> str:
+    return (
+        f"error: {where} has an integer of more than {DIGIT_LIMIT} digits, "
+        "beyond Python's limit for decimal text\n"
+    )
 
 
 def run_limited(*argv):
@@ -64,6 +80,15 @@ class TestInvolute:
         assert code == 2
         assert "malformed" in err
 
+    @needs_digit_limit
+    def test_result_over_digit_limit_exits_2(self, capsys):
+        # the input fits the limit; its transform, times binomials up to
+        # C(1023, 511), does not
+        poly = "0," + "9" * (DIGIT_LIMIT - 100)
+        code, out, err = run(capsys, "involute", "--d", "1022", "--poly", poly)
+        assert code == 2 and out == ""
+        assert err == too_long("the report")
+
 
 class TestSolve:
     def test_fixture(self, capsys):
@@ -93,6 +118,48 @@ class TestSolve:
         code, out, err = run(capsys, "solve", str(bad))
         assert code == 2 and out == ""
         assert err == f"error: {bad} is nested too deeply to read as JSON\n"
+
+    @needs_digit_limit
+    def test_report_integer_over_digit_limit_exits_2(self, capsys, tmp_path):
+        # every input integer fits the limit, but the Chern-Mather class
+        # open + 2 * singular locus of the rank-4 quadric in P^6 outgrows it
+        data = build_pair(QuadricSpec(6, 4)).to_dict()
+        classes = [s["csm"] for s in data["primal"] + data["dual"]]
+        scale = (10**DIGIT_LIMIT - 1) // max(map(max, classes))
+        for csm in classes:
+            csm[:] = [scale * c for c in csm]
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps(data))
+        report = tmp_path / "report.json"
+        code, out, err = run(capsys, "solve", str(path), "--out", str(report))
+        assert code == 2 and out == ""
+        assert err == too_long("the report")
+        assert not report.exists()
+
+    @needs_digit_limit
+    def test_input_integer_over_digit_limit_exits_2(self, capsys, tmp_path):
+        data = {
+            "N": 2,
+            "primal": [{"name": "p", "dim": 1, "csm": [1, 2]}],
+            "dual": [{"name": "d", "dim": 0, "csm": [0, 1]}],
+            "pairing": [],
+        }
+        long_int = "9" * (DIGIT_LIMIT + 1)
+        text = json.dumps(data).replace("[1, 2]", f"[1, {long_int}]")
+        path = tmp_path / "long.json"
+        path.write_text(text)
+        report = tmp_path / "report.json"
+        code, out, err = run(capsys, "solve", str(path), "--out", str(report))
+        assert code == 2 and out == ""
+        assert err == too_long(path)
+        assert not report.exists()
+
+    def test_non_utf8_file(self, capsys, tmp_path):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b'{"N": 2, "name": "\xe9"}')
+        code, out, err = run(capsys, "solve", str(bad))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {bad} is not UTF-8 text: ")
 
     def test_empty_strata(self, capsys, tmp_path):
         bad = tmp_path / "empty.json"
@@ -268,6 +335,36 @@ class TestQuadric:
         run_json(capsys, "quadric", "--n", "5", "--rank", "4", "--emit-strata", str(emitted))
         report = run_json(capsys, "solve", str(emitted))
         assert report["outputs"]["euler_table_primal"][0] == [1, 2]
+
+    @pytest.mark.parametrize("emit", [False, True], ids=["report", "emit"])
+    @pytest.mark.parametrize(
+        "n,rank,builds,solves", [(4, 5, 1, 0), (5, 4, 1, 1)], ids=["smooth", "singular"]
+    )
+    def test_one_pair_built_and_solved_at_most_once(
+        self, capsys, tmp_path, n, rank, builds, solves, emit
+    ):
+        watched = {
+            build_pair.__code__: "build_pair",
+            euler_table.__code__: "euler_table",
+        }
+        calls = {"build_pair": 0, "euler_table": 0}
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in watched:
+                calls[watched[frame.f_code]] += 1
+
+        argv = ["quadric", "--n", str(n), "--rank", str(rank)]
+        if emit:
+            argv += ["--emit-strata", str(tmp_path / "quad.json")]
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            code = main(argv)
+        finally:
+            sys.setprofile(previous)
+        capsys.readouterr()
+        assert code == 0
+        assert calls == {"build_pair": builds, "euler_table": solves}
 
 
 class TestChow:

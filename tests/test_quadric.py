@@ -4,7 +4,6 @@ from chernmather.classpoly import ClassPoly, chern_B, div_1p2H, involute
 from chernmather.quadric import (
     QuadricSpec,
     build_pair,
-    chern_mather_quadric,
     complex_link_chi,
     cross_validate,
     csm_quadric,
@@ -15,6 +14,8 @@ from chernmather.quadric import (
     milnor_number,
 )
 from chernmather.strata import euler_table
+
+from oracles import chern_mather_quadric, milnor_class_binomial
 
 
 def smooth_quadric_class(n: int) -> ClassPoly:
@@ -109,23 +110,23 @@ class TestMilnorClass:
         assert milnor_class(QuadricSpec(4, 5)).is_zero()
 
     def test_division_route_agrees(self):
-        # the closed form is checked against mu*csm(S)/(1+2H) internally;
-        # also close the defining identity against the smooth-quadric class
+        # the division route mu*csm(S)/(1+2H) against the double-binomial
+        # oracle; also close the defining identity against the smooth class
         for n in range(2, 11):
             for r in range(3, n + 1):
                 spec = QuadricSpec(n, r)
                 mc = milnor_class(spec)
+                assert mc == milnor_class_binomial(n, r), (n, r)
                 lhs = smooth_quadric_class(n) - csm_quadric(spec)
                 if (n - 1) % 2 == 1:
                     lhs = -lhs
                 assert lhs == mc
-                assert mc == milnor_number(spec) * div_1p2H(csm_singular_locus(spec))
 
     @pytest.mark.parametrize("n,r", [(300, 3), (300, 150), (301, 4)])
     def test_large_ambient(self, n, r):
-        # milnor_class raises if its closed form and division route disagree
         spec = QuadricSpec(n, r)
         mc = milnor_class(spec)
+        assert mc == milnor_class_binomial(n, r)
         lhs = smooth_quadric_class(n) - csm_quadric(spec)
         assert (lhs if n % 2 == 1 else -lhs) == mc
         assert mc.coeffs[r] == milnor_number(spec)
@@ -169,7 +170,9 @@ class TestDualClasses:
             for r in range(3, n + 2):
                 spec = QuadricSpec(n, r)
                 x_dual, s_dual = dual_cm_classes(spec)
-                cm = chern_mather_quadric(spec)
+                # the Chern-Mather class as reported: read off the solved table
+                cm = euler_table(build_pair(spec)).chern_mather_primal[0]
+                assert cm == chern_mather_quadric(spec), (n, r)
                 assert involute(cm.signed(), n) == x_dual.signed(), (n, r)
                 if s_dual is not None:
                     assert (
@@ -178,27 +181,37 @@ class TestDualClasses:
                     ), (n, r)
 
 
+def solved(spec: QuadricSpec):
+    return cross_validate(spec, build_pair(spec))
+
+
 class TestCrossValidate:
     def test_cone_in_p3(self):
-        table = cross_validate(QuadricSpec(3, 3))
+        table = solved(QuadricSpec(3, 3))
         assert table.primal == ((1, 0), (0, 1))
 
     def test_even_rank_cases(self):
-        assert cross_validate(QuadricSpec(5, 4)).primal[0] == (1, 2)
-        assert cross_validate(QuadricSpec(6, 6)).primal[0] == (1, 2)
+        assert solved(QuadricSpec(5, 4)).primal[0] == (1, 2)
+        assert solved(QuadricSpec(6, 6)).primal[0] == (1, 2)
 
     def test_sweep_matches_closed_form(self):
         for n in range(2, 11):
             for r in range(3, n + 1):
                 spec = QuadricSpec(n, r)
-                table = cross_validate(spec)
+                table = solved(spec)
                 assert table.primal[0][1] == eu_values(spec)[1]
                 # cone-point value agrees with the value along the vertex locus
                 assert table.origin[0] == eu_values(spec)[1]
 
     def test_smooth_rejected(self):
         with pytest.raises(ValueError, match="singular"):
-            cross_validate(QuadricSpec(3, 4))
+            solved(QuadricSpec(3, 4))
+
+    def test_pair_of_another_rank_fails_the_check(self):
+        # the rank-3 pair solves to Eu = 0, the rank-4 closed form says 2
+        message = "solver returned Eu = 0, closed form says 2"
+        with pytest.raises(ArithmeticError, match=message):
+            cross_validate(QuadricSpec(5, 4), build_pair(QuadricSpec(5, 3)))
 
     def test_smooth_pair_still_solvable(self):
         # the degenerate single-stratum pair passes the consistency check
