@@ -17,9 +17,8 @@ shift f(-1-H) is computed by Horner's rule, one linear factor at a time.
 
 from __future__ import annotations
 
-from math import comb
+from collections.abc import Iterable
 from operator import index
-from typing import Iterable
 
 
 class ClassPoly:
@@ -196,10 +195,14 @@ def render_combination(terms: Iterable[tuple[int, str]]) -> str:
 
 
 def one_plus_h_power(m: int, modulus: int) -> ClassPoly:
-    """(1+H)^m truncated mod H^modulus."""
+    """(1+H)^m truncated mod H^modulus, as one binomial row:
+    C(m, k+1) = C(m, k) * (m-k) / (k+1), exact at every step."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    return ClassPoly([comb(m, k) for k in range(min(m, modulus - 1) + 1)], modulus)
+    row = [1]
+    for k in range(min(m, modulus - 1)):
+        row.append(row[k] * (m - k) // (k + 1))
+    return ClassPoly(row, modulus)
 
 
 def chern_B(n: int, modulus: int) -> ClassPoly:

@@ -6,7 +6,12 @@ stratified pair that `--emit-strata` asked for or None; `main` alone wraps
 the rest in the report {"command", "inputs", "outputs", "diagnostics"},
 renders the report and the pair, and only then writes them.  Reports are
 deterministic (JSON by default, sorted keys, no timestamps); integers
-beyond 64 bits are serialized as decimal strings.
+beyond 64 bits are serialized as decimal strings.  `_json` renders a report
+in one walk, byte for byte what json.dumps(..., sort_keys=True, indent=2)
+writes once those integers are strings; a list whose integers all fit in
+64 bits, such as most class polynomials, goes whole to the C encoder of the
+json module.  The `--emit-strata` file keeps every integer a JSON number,
+since `solve` reads no strings, and json.dumps writes it.
 Exit codes: 0 success, 2 malformed input, 3 mathematical inconsistency.
 """
 
@@ -16,6 +21,7 @@ import argparse
 import json
 import os
 import sys
+from json.encoder import JSONEncoder, encode_basestring_ascii
 
 from . import detvar as dv
 from . import quadric as qd
@@ -25,6 +31,7 @@ from .linsolve import LinearSystemError
 from .strata import MAX_AMBIENT, EulerTable, StratifiedPair, euler_table
 
 _INT64_MAX = 2**63 - 1
+_c_encode = JSONEncoder().encode
 # Largest n accepted by `detvar` (n = 12, 13 and 14 take about 0.9, 1.5 and
 # 4 to 7 s on a 2-core VM; an even n localizes one more r than the odd n
 # below it) and by `chow` (at most C(20, 10) Schubert classes; the work of
@@ -38,26 +45,67 @@ _TOO_LONG = (
 )
 
 
-def _stringify_big(value):
-    """Big integers become decimal strings so reports survive any JSON reader;
-    tuples become lists and a ClassPoly becomes its coefficient list."""
-    if isinstance(value, bool):
-        return value
+def _quoted(value: int) -> str:
+    """An integer beyond 64 bits as JSON text: its decimal digits, quoted."""
+    try:
+        return f'"{value}"'
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(_TOO_LONG.format("the report", limit)) from None
+
+
+def _json(value, indent: str | None = None) -> str:
+    """JSON text of a report value, with integers beyond 64 bits as quoted
+    decimals, tuples as lists and a ClassPoly as its coefficient list.
+
+    With `indent`, the indentation of the line the value starts on, the text
+    is what json.dumps(value, sort_keys=True, indent=2) writes; with None it
+    is one line, as json.dumps(value) writes it.
+    """
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
     if isinstance(value, int):
-        if abs(value) <= _INT64_MAX:
-            return value
-        try:
-            return str(value)
-        except ValueError:
-            limit = sys.get_int_max_str_digits()
-            raise ValueError(_TOO_LONG.format("the report", limit)) from None
+        if -_INT64_MAX <= value <= _INT64_MAX:
+            return int.__repr__(value)
+        return _quoted(value)
     if isinstance(value, ClassPoly):
-        return _stringify_big(value.coeffs)
-    if isinstance(value, (list, tuple)):
-        return [_stringify_big(v) for v in value]
+        value = value.coeffs
+    inner = None if indent is None else indent + "  "
     if isinstance(value, dict):
-        return {k: _stringify_big(v) for k, v in value.items()}
-    return value
+        keys = value if indent is None else sorted(value)
+        items = [
+            f"{encode_basestring_ascii(k)}: {_json(value[k], inner)}" for k in keys
+        ]
+        opening, closing = "{", "}"
+    elif isinstance(value, (list, tuple)):
+        if set(map(type, value)) == {int}:
+            if -_INT64_MAX <= min(value) and max(value) <= _INT64_MAX:
+                # the C encoder writes the items, ", " between them
+                text = _c_encode(value)
+                if indent is None:
+                    return text
+                items = text[1:-1].split(", ")
+            else:
+                items = [
+                    int.__repr__(v) if -_INT64_MAX <= v <= _INT64_MAX else _quoted(v)
+                    for v in value
+                ]
+        else:
+            items = [_json(v, inner) for v in value]
+        opening, closing = "[", "]"
+    else:
+        raise TypeError(f"cannot render a {type(value).__name__} in a report")
+    if not items:
+        return opening + closing
+    if indent is None:
+        return opening + ", ".join(items) + closing
+    return f"{opening}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{closing}"
 
 
 def _render_text(payload, prefix="") -> list[str]:
@@ -66,7 +114,7 @@ def _render_text(payload, prefix="") -> list[str]:
         for key in sorted(payload):
             lines.extend(_render_text(payload[key], f"{prefix}{key}."))
     else:
-        lines.append(f"{prefix[:-1]} = {json.dumps(payload)}")
+        lines.append(f"{prefix[:-1]} = {_json(payload)}")
     return lines
 
 
@@ -79,25 +127,31 @@ def _write(path: str, text: str) -> None:
 
 
 def _render(report: dict, fmt: str) -> str:
-    report = _stringify_big(report)
     if fmt == "json":
-        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+        return _json(report, "") + "\n"
     return "\n".join(_render_text(report)) + "\n"
 
 
-def _parse_coeffs(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",")]
-    except ValueError as exc:
-        raise ValueError(f"malformed coefficient list {text!r}") from exc
+def _parse_ints(text: str, what: str) -> list[int]:
+    """The integers of the comma list `text`, a `what` of the command line."""
+    ints = []
+    for tok in text.split(","):
+        try:
+            ints.append(int(tok))
+        except ValueError as exc:
+            digits = tok.strip()
+            if digits[:1] in ("+", "-"):
+                digits = digits[1:]
+            if digits.isdecimal():
+                # int() refuses a literal of decimal digits only past the limit
+                limit = sys.get_int_max_str_digits()
+                raise ValueError(_TOO_LONG.format(f"the {what}", limit)) from None
+            raise ValueError(f"malformed {what} {text!r}") from exc
+    return ints
 
 
 def _parse_partition(text: str) -> tuple[int, ...]:
-    try:
-        parts = [int(tok) for tok in text.split(",")] if text else []
-    except ValueError as exc:
-        raise ValueError(f"malformed partition {text!r}") from exc
-    return normalize_partition(parts)
+    return normalize_partition(_parse_ints(text, "partition") if text else [])
 
 
 def _at_most(what: str, value: int, limit: int) -> None:
@@ -121,7 +175,7 @@ def _chern_mather_payload(table: EulerTable, pair: StratifiedPair) -> dict:
 
 
 def _cmd_involute(args):
-    coeffs = _parse_coeffs(args.poly)
+    coeffs = _parse_ints(args.poly, "coefficient list")
     modulus = max(len(coeffs), args.d + 2)
     _at_most("--d + 2 and the --poly length", modulus, MAX_AMBIENT)
     result = involute(ClassPoly(coeffs, modulus), args.d)

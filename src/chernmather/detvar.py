@@ -48,10 +48,10 @@ the origin column C(n, k).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from itertools import combinations
 from math import comb, factorial, lcm, prod
 from operator import mul
-from typing import Sequence
 
 from .classpoly import ClassPoly, involute
 from .strata import EulerTable, StratifiedPair, Stratum, euler_table

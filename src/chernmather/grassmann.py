@@ -11,8 +11,8 @@ never appear.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import product as iproduct
-from typing import Iterable, Iterator, Sequence
 
 # Most LR tableaux one product may generate.  Their number, not the box,
 # sets the cost: on G(10, 20) the staircase products (5,4,3,2,1)^2 and

@@ -18,9 +18,9 @@ must all be exact.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from math import gcd
 from operator import mul
-from typing import Sequence
 
 
 class LinearSystemError(Exception):

@@ -19,36 +19,33 @@ transversely, and the closed forms here presuppose rank >= 3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .classpoly import ClassPoly, csm_linear_space, div_1p2H
 from .strata import EulerTable, StratifiedPair, Stratum, euler_table
 
 
-@dataclass(frozen=True)
-class QuadricSpec:
+class QuadricSpec(namedtuple("QuadricSpec", "n r")):
     """Ambient projective dimension n and matrix rank r; only these matter."""
 
-    n: int
-    r: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 2:
+    def __new__(cls, n: int, r: int):
+        if n < 2:
             raise ValueError("need ambient dimension n >= 2")
-        if self.r == 1:
+        if r == 1:
             raise ValueError(
                 "rank 1: the quadric is a doubled hyperplane, its reduced "
                 "structure is a smooth linear space; need rank >= 3"
             )
-        if self.r == 2:
+        if r == 2:
             raise ValueError(
                 "rank 2: the quadric is two hyperplanes meeting transversely "
                 "in a linear space; need rank >= 3"
             )
-        if not 3 <= self.r <= self.n + 1:
-            raise ValueError(
-                f"rank must satisfy 3 <= r <= n+1, got r={self.r}, n={self.n}"
-            )
+        if not 3 <= r <= n + 1:
+            raise ValueError(f"rank must satisfy 3 <= r <= n+1, got r={r}, n={n}")
+        return super().__new__(cls, n, r)
 
     @property
     def modulus(self) -> int:

@@ -20,9 +20,9 @@ cone at the origin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from operator import mul
-from typing import Iterable, Sequence
 
 from .classpoly import ClassPoly, chern_B, involute
 from .linsolve import InconsistentSystem, LinearSystemError, exact_solve
@@ -46,8 +46,7 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(namedtuple("Stratum", "name csm dim")):
     """A named stratum with its declared dimension and class polynomial.
 
     The declared dimension orders the strata and sets the parity signs of
@@ -56,15 +55,14 @@ class Stratum:
     class is surfaced as a diagnostic, not an error.
     """
 
-    name: str
-    csm: ClassPoly
-    dim: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.csm.is_zero():
-            raise ValueError(f"stratum {self.name!r} has zero class polynomial")
-        if self.dim < 0:
-            raise ValueError(f"stratum {self.name!r} has negative dimension")
+    def __new__(cls, name: str, csm: ClassPoly, dim: int):
+        if csm.is_zero():
+            raise ValueError(f"stratum {name!r} has zero class polynomial")
+        if dim < 0:
+            raise ValueError(f"stratum {name!r} has negative dimension")
+        return super().__new__(cls, name, csm, dim)
 
     def dim_note(self) -> str | None:
         if self.dim != self.csm.dim:
@@ -75,23 +73,20 @@ class Stratum:
         return None
 
 
-@dataclass(frozen=True)
-class StratifiedPair:
+class StratifiedPair(namedtuple("StratifiedPair", "ambient primal dual pairing")):
     """A stratified projective variety together with its stratified dual.
 
-    Strata are re-sorted by declared dimension (open stratum first), which
-    is at most N - 1, that of the ambient P^(N-1); the pairing maps primal
-    indices to dual indices and must make the dual dimensions strictly
+    ambient is N: classes live in Z[H]/(H^N), i.e. inside P^(N-1).  primal
+    and dual are tuples of strata, re-sorted by declared dimension (open
+    stratum first), which is at most N - 1; pairing is a sorted tuple of
+    (primal, dual) index pairs and must make the dual dimensions strictly
     increasing along deeper primal strata.
     """
 
-    ambient: int  # N: classes live in Z[H]/(H^N), i.e. inside P^(N-1)
-    primal: tuple[Stratum, ...]
-    dual: tuple[Stratum, ...]
-    pairing: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         ambient: int,
         primal: Iterable[Stratum],
         dual: Iterable[Stratum],
@@ -143,10 +138,7 @@ class StratifiedPair:
                 "the input is not a reflective pair"
             )
 
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "primal", primal)
-        object.__setattr__(self, "dual", dual)
-        object.__setattr__(self, "pairing", pairing)
+        return super().__new__(cls, ambient, primal, dual, pairing)
 
     def dim_notes(self) -> list[str]:
         notes = [s.dim_note() for s in self.primal + self.dual]
@@ -235,8 +227,13 @@ class StratifiedPair:
         }
 
 
-@dataclass(frozen=True)
-class EulerTable:
+class EulerTable(
+    namedtuple(
+        "EulerTable",
+        "primal dual origin chern_mather_primal chern_mather_dual diagnostics",
+        defaults=((),),
+    )
+):
     """Triangular tables of local Euler obstructions.
 
     primal[r][j] is the obstruction of the closure of primal stratum r at
@@ -244,14 +241,10 @@ class EulerTable:
     closure).  origin[r] is the obstruction of the affine cone over the
     closure of primal stratum r at the cone point, and chern_mather_primal[r]
     the Chern-Mather class of that closure; likewise for the dual side.
+    diagnostics holds one dict per system, () by default.  All are tuples.
     """
 
-    primal: tuple[tuple[int, ...], ...]
-    dual: tuple[tuple[int, ...], ...]
-    origin: tuple[int, ...]
-    chern_mather_primal: tuple[ClassPoly, ...]
-    chern_mather_dual: tuple[ClassPoly, ...]
-    diagnostics: tuple[dict, ...] = field(default_factory=tuple)
+    __slots__ = ()
 
 
 def _involutes(pair: StratifiedPair) -> list[ClassPoly]:

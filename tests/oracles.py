@@ -27,10 +27,15 @@ mirror pair, with weights t_k = k at every one of the C(n, r) fixed points.
 Milnor class, an independent route to the division mu * csm(S)/(1+2H) of
 `quadric.milnor_class`; `chern_mather_quadric` is the closed form of a
 quadric's Chern-Mather class that the solved Euler table must reproduce.
+
+`report_json` and `report_line` render a report value with the standard
+library's JSON encoder, after `stringify_big` has turned it into plain JSON
+values: the two texts the CLI's one-pass renderer must match byte for byte.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
@@ -461,3 +466,32 @@ def chern_tensor(b1: BundleChern, b2: BundleChern) -> BundleChern:
             term = lr_multiply(term, b2.classes[part])
         terms[k].append((coeff, term))
     return BundleChern(rank, tuple(combine(r, n, *t) for t in terms))
+
+
+_INT64_MAX = 2**63 - 1
+
+
+def stringify_big(value):
+    """Big integers become decimal strings so reports survive any JSON reader;
+    tuples become lists and a ClassPoly becomes its coefficient list."""
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, int):
+        return value if abs(value) <= _INT64_MAX else str(value)
+    if isinstance(value, ClassPoly):
+        return stringify_big(value.coeffs)
+    if isinstance(value, (list, tuple)):
+        return [stringify_big(v) for v in value]
+    if isinstance(value, dict):
+        return {k: stringify_big(v) for k, v in value.items()}
+    return value
+
+
+def report_json(value) -> str:
+    """A report value as the `--format json` report writes it."""
+    return json.dumps(stringify_big(value), sort_keys=True, indent=2)
+
+
+def report_line(value) -> str:
+    """A report value as one line of a `--format text` report writes it."""
+    return json.dumps(stringify_big(value))

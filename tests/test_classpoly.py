@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -272,6 +273,13 @@ class TestDerivedQuantities:
 
     def test_one_plus_h_power(self):
         assert one_plus_h_power(4, 3) == ClassPoly([1, 4, 6])
+
+    @pytest.mark.parametrize("modulus", [1, 2, 7, 1024])
+    def test_one_plus_h_power_matches_comb(self, modulus):
+        # m below, at and above modulus - 1: the row is cut by m or by the modulus
+        for m in {0, 1, modulus // 2, max(modulus - 2, 0), modulus - 1, modulus, 3 * modulus}:
+            expected = [math.comb(m, k) for k in range(modulus)]
+            assert one_plus_h_power(m, modulus).coeffs == tuple(expected), m
 
 
 class TestRendering:

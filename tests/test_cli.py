@@ -6,13 +6,17 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import chernmather
 from chernmather.classpoly import ClassPoly
-from chernmather.cli import MAX_CHOW_N, MAX_DETVAR_N, _stringify_big, main
+from chernmather.cli import MAX_CHOW_N, MAX_DETVAR_N, _json, main
 from chernmather.grassmann import MAX_LR_TABLEAUX
 from chernmather.quadric import QuadricSpec, build_pair
 from chernmather.strata import MAX_AMBIENT, MAX_STRATA, euler_table
+
+from oracles import report_json, report_line
 
 DATA = Path(__file__).parent / "data"
 FIXTURE = DATA / "symmetric_3x3.json"
@@ -43,6 +47,28 @@ def too_long(where) -> str:
         f"error: {where} has an integer of more than {DIGIT_LIMIT} digits, "
         "beyond Python's limit for decimal text\n"
     )
+
+
+# Report values: integers at and beyond the 64-bit edge, lists of small
+# integers (the renderer's fast path), non-ASCII keys and empty containers.
+_EDGE = [2**63 - 1, -(2**63 - 1), 2**63, -(2**63), 2**70, 0]
+_INTS = st.sampled_from(_EDGE) | st.integers()
+_SMALL = st.integers(-(2**63 - 1), 2**63 - 1) | st.booleans()
+_LEAVES = (
+    st.none()
+    | st.booleans()
+    | _INTS
+    | st.text(max_size=5)
+    | st.lists(_SMALL, max_size=6)
+    | st.lists(_INTS, min_size=1, max_size=4).map(ClassPoly)
+)
+REPORT_VALUES = st.recursive(
+    _LEAVES,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.lists(kids, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=4), kids, max_size=4),
+    max_leaves=20,
+)
 
 
 def run_limited(*argv):
@@ -79,6 +105,13 @@ class TestInvolute:
         code, _, err = run(capsys, "involute", "--d", "2", "--poly", "0,x,1")
         assert code == 2
         assert "malformed" in err
+
+    @needs_digit_limit
+    def test_poly_token_over_digit_limit_exits_2(self, capsys):
+        poly = "0," + "9" * (DIGIT_LIMIT + 1)
+        code, out, err = run(capsys, "involute", "--d", "3", "--poly", poly)
+        assert code == 2 and out == ""
+        assert err == too_long("the coefficient list")
 
     @needs_digit_limit
     def test_result_over_digit_limit_exits_2(self, capsys):
@@ -381,6 +414,13 @@ class TestChow:
         code, _, _ = run(capsys, "chow", "--r", "2", "--n", "4", "--mult", "1", "x")
         assert code == 2
 
+    @needs_digit_limit
+    def test_partition_token_over_digit_limit_exits_2(self, capsys):
+        partition = "2," + "9" * (DIGIT_LIMIT + 1)
+        code, out, err = run(capsys, "chow", "--r", "2", "--n", "4", "--mult", "1", partition)
+        assert code == 2 and out == ""
+        assert err == too_long("the partition")
+
     @pytest.mark.parametrize("partition", ["2,0,1", "2,,1"], ids=["inner_zero", "empty_part"])
     def test_gap_in_partition_rejected(self, capsys, partition):
         code, out, err = run(capsys, "chow", "--r", "3", "--n", "6", "--mult", partition, "1")
@@ -531,12 +571,26 @@ class TestReportPlumbing:
             "e": (big, (small,)),
             "f": ClassPoly([1, -big, 0]),
         }
-        out = _stringify_big(payload)
+        out = json.loads(_json(payload, ""))
         assert out["a"] == [small, str(big), str(-big)]
         assert out["b"]["c"] is True
         assert out["b"]["d"] == -small
         assert out["e"] == [str(big), [small]]
         assert out["f"] == [1, str(-big), 0]
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(REPORT_VALUES)
+    @example({"é": _EDGE, "ü": [2**63 - 1, -(2**63 - 1), True], "c": (), "d": {}})
+    @example([None, False, [], ClassPoly([0, -(2**63), 2**70])])
+    def test_renderer_matches_json_dumps(self, value):
+        assert _json(value, "") == report_json(value)
+        assert _json(value) == report_line(value)
+
+    @needs_digit_limit
+    def test_renderer_over_digit_limit(self):
+        with pytest.raises(ValueError) as exc:
+            _json({"a": [1, ClassPoly([0, 10**DIGIT_LIMIT])]}, "")
+        assert f"error: {exc.value}\n" == too_long("the report")
 
     def test_missing_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

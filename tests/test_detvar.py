@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import re
@@ -324,7 +323,7 @@ def _corrupt_euler_table(monkeypatch, field, k, change):
         table = euler_table(pair)
         entries = list(getattr(table, field))
         entries[k] = change(entries[k])
-        return dataclasses.replace(table, **{field: tuple(entries)})
+        return table._replace(**{field: tuple(entries)})
 
     monkeypatch.setattr(detvar, "euler_table", corrupted)
 
@@ -383,10 +382,10 @@ class TestRuntimeChecks:
     def test_checks_survive_python_O(self):
         # a corrupted origin column still exits 3 when asserts are stripped
         script = (
-            "import dataclasses, sys\n"
+            "import sys\n"
             "from chernmather import cli, detvar\n"
             "solve = detvar.euler_table\n"
-            "detvar.euler_table = lambda pair: dataclasses.replace(solve(pair), origin=(0, 3, 3))\n"
+            "detvar.euler_table = lambda pair: solve(pair)._replace(origin=(0, 3, 3))\n"
             "sys.exit(cli.main(['detvar', '--n', '3']) if sys.flags.optimize else 99)\n"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(detvar.__file__).parents[1])}

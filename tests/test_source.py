@@ -4,16 +4,21 @@
   comments state, so every public name it imports stays importable.
 - Every function and method defined in `src/chernmather/` is entered by the
   golden CLI cases or the Library block: code that only the tests reach
-  belongs in the tests.  Dunder methods are exempt, and so are the methods
-  `dataclass` generates, which have no `def` in the source.
+  belongs in the tests.  Dunder methods are exempt; the methods that
+  `namedtuple` gives the value classes are defined in `collections`, not
+  in the source.
 - No function in `src/chernmather/` carries a cache (`cache_info`): each
   call does its own work, so a caller that needs a value twice keeps it.
 - No `assert` statement in `src/chernmather/`: `python -O` strips them, so
   runtime checks raise typed exceptions instead.
+- `import chernmather.cli` loads none of `dataclasses`, `inspect` and
+  `typing`: every CLI run pays for what that import loads.
 """
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -135,3 +140,21 @@ def test_no_assert_in_source():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements in src: {', '.join(found)}"
+
+
+def test_cli_import_loads_no_heavy_modules():
+    # -S: the site module and the .pth files it runs may load these on their
+    # own, which would hide what the package itself loads
+    heavy = ("dataclasses", "inspect", "typing")
+    script = (
+        "import sys, chernmather.cli\n"
+        f"print(*[m for m in {heavy!r} if m in sys.modules])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert not loaded, f"import chernmather.cli loads {', '.join(loaded)}"

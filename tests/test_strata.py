@@ -12,6 +12,7 @@ from chernmather.linsolve import (
     NonUniqueSolution,
 )
 from chernmather.strata import (
+    EulerTable,
     StratifiedPair,
     Stratum,
     chern_mather,
@@ -391,6 +392,21 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"dual stratum 'big' has dimension {dim}"):
             StratifiedPair(6, fine, [big], [])
         assert StratifiedPair(6, [Stratum("top", SYM3_OPEN, 5)], fine, []).primal[0].dim == 5
+
+    def test_value_classes_are_immutable_values(self):
+        stratum = Stratum(name="a", csm=SYM3_CORANK1, dim=4)
+        pair = StratifiedPair(ambient=6, primal=[stratum], dual=[stratum], pairing=[])
+        table = EulerTable(((1,),), ((1,),), (1,), (SYM3_CORANK1,), (SYM3_CORANK1,))
+        spec = quadric.QuadricSpec(r=3, n=4)
+        assert stratum == Stratum("a", ClassPoly(SYM3_CORANK1.coeffs), 4)
+        assert pair == StratifiedPair(6, (stratum,), (stratum,), ())
+        assert hash(spec) == hash(quadric.QuadricSpec(4, 3))
+        assert table.diagnostics == ()
+        for value, field in ((stratum, "dim"), (pair, "ambient"), (table, "origin"), (spec, "n")):
+            with pytest.raises(AttributeError):
+                setattr(value, field, 0)
+            with pytest.raises(AttributeError):
+                value.extra = 0
 
     def test_dim_notes(self):
         s = Stratum("odd", SYM3_CORANK1, 6)
