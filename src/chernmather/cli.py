@@ -45,18 +45,10 @@ _TOO_LONG = (
 )
 
 
-def _quoted(value: int) -> str:
-    """An integer beyond 64 bits as JSON text: its decimal digits, quoted."""
-    try:
-        return f'"{value}"'
-    except ValueError:
-        limit = sys.get_int_max_str_digits()
-        raise ValueError(_TOO_LONG.format("the report", limit)) from None
-
-
 def _json(value, indent: str | None = None) -> str:
     """JSON text of a report value, with integers beyond 64 bits as quoted
-    decimals, tuples as lists and a ClassPoly as its coefficient list.
+    decimals, tuples as lists and a ClassPoly as its coefficient list.  A
+    tuple subclass, such as a namedtuple value class, raises TypeError.
 
     With `indent`, the indentation of the line the value starts on, the text
     is what json.dumps(value, sort_keys=True, indent=2) writes; with None it
@@ -73,7 +65,11 @@ def _json(value, indent: str | None = None) -> str:
     if isinstance(value, int):
         if -_INT64_MAX <= value <= _INT64_MAX:
             return int.__repr__(value)
-        return _quoted(value)
+        try:
+            return f'"{value}"'
+        except ValueError:
+            limit = sys.get_int_max_str_digits()
+            raise ValueError(_TOO_LONG.format("the report", limit)) from None
     if isinstance(value, ClassPoly):
         value = value.coeffs
     inner = None if indent is None else indent + "  "
@@ -83,19 +79,17 @@ def _json(value, indent: str | None = None) -> str:
             f"{encode_basestring_ascii(k)}: {_json(value[k], inner)}" for k in keys
         ]
         opening, closing = "{", "}"
-    elif isinstance(value, (list, tuple)):
-        if set(map(type, value)) == {int}:
-            if -_INT64_MAX <= min(value) and max(value) <= _INT64_MAX:
-                # the C encoder writes the items, ", " between them
-                text = _c_encode(value)
-                if indent is None:
-                    return text
-                items = text[1:-1].split(", ")
-            else:
-                items = [
-                    int.__repr__(v) if -_INT64_MAX <= v <= _INT64_MAX else _quoted(v)
-                    for v in value
-                ]
+    elif type(value) in (list, tuple):
+        if (
+            set(map(type, value)) == {int}
+            and -_INT64_MAX <= min(value)
+            and max(value) <= _INT64_MAX
+        ):
+            # the C encoder writes the items, ", " between them
+            text = _c_encode(value)
+            if indent is None:
+                return text
+            items = text[1:-1].split(", ")
         else:
             items = [_json(v, inner) for v in value]
         opening, closing = "[", "]"

@@ -26,7 +26,11 @@ from .strata import EulerTable, StratifiedPair, Stratum, euler_table
 
 
 class QuadricSpec(namedtuple("QuadricSpec", "n r")):
-    """Ambient projective dimension n and matrix rank r; only these matter."""
+    """Ambient projective dimension n and matrix rank r; only these matter.
+
+    A namedtuple, equal to and hashed as the tuple (n, r); `_make` and
+    `_replace` build one without the checks of the constructor.
+    """
 
     __slots__ = ()
 

@@ -53,6 +53,11 @@ class Stratum(namedtuple("Stratum", "name csm dim")):
     the duality systems (input files always state one); any disagreement
     with the dimension implied by the lowest nonzero coefficient of the
     class is surfaced as a diagnostic, not an error.
+
+    Like the other value classes here and `quadric.QuadricSpec`, a
+    namedtuple: immutable, and equal to and hashed as the plain tuple of its
+    fields.  Only the constructor checks the fields; namedtuple's `_make`
+    and `_replace` build an instance without those checks.
     """
 
     __slots__ = ()
@@ -80,7 +85,8 @@ class StratifiedPair(namedtuple("StratifiedPair", "ambient primal dual pairing")
     and dual are tuples of strata, re-sorted by declared dimension (open
     stratum first), which is at most N - 1; pairing is a sorted tuple of
     (primal, dual) index pairs and must make the dual dimensions strictly
-    increasing along deeper primal strata.
+    increasing along deeper primal strata.  A namedtuple, as `Stratum`
+    describes: `_make` and `_replace` skip the sorting and checks here.
     """
 
     __slots__ = ()
@@ -241,7 +247,8 @@ class EulerTable(
     closure).  origin[r] is the obstruction of the affine cone over the
     closure of primal stratum r at the cone point, and chern_mather_primal[r]
     the Chern-Mather class of that closure; likewise for the dual side.
-    diagnostics holds one dict per system, () by default.  All are tuples.
+    diagnostics holds one dict per system, () by default.  All are tuples,
+    and so is the table: a namedtuple, as `Stratum` describes.
     """
 
     __slots__ = ()

@@ -592,6 +592,14 @@ class TestReportPlumbing:
             _json({"a": [1, ClassPoly([0, 10**DIGIT_LIMIT])]}, "")
         assert f"error: {exc.value}\n" == too_long("the report")
 
+    def test_renderer_rejects_value_classes(self):
+        # json.dumps refused the dataclasses these were; a namedtuple must
+        # not slip into a report as a list either
+        spec = QuadricSpec(4, 3)
+        for value in (spec, build_pair(spec).primal[0], [1, euler_table(build_pair(spec))]):
+            with pytest.raises(TypeError):
+                _json({"a": value}, "")
+
     def test_missing_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])
