@@ -32,13 +32,13 @@ q, and the tests keep the localization over all C(n, r) points with
 t_k = k as a second one.
 
 The family is self-dual: tau_{n,r} and tau_{n,n-r} are projectively dual,
-so the duality transform carries the signed q_{n,n-r} to the signed
-q_{n,r}.  `eu_table_det` localizes only r <= n/2 and derives the rest that
-way, checking each derived class against its Giambelli-Thom-Porteous degree
-and its top coefficient n^2 C(n-1, r).  `detvar --n 10` takes about 0.16 s,
-`--n 12` about 0.9 s and `--n 14` 4 to 7 s as a subprocess (2 cores,
-Python 3.11); localizing every r over every fixed point took 0.3, 2.3 and
-13 to 16 s, and the Schubert route 32 s at n = 8.
+so the duality transform carries the signed q_{n,r} to the signed
+q_{n,n-r}.  `eu_table_det` localizes only r <= n/2: V -> V^v maps G(r, n)
+to G(n-r, n) and swaps S with Q^v, so the signed transpose
+(-1)^(a+b) M[b][a] of one localization gives q_{n,n-r} as well.  Each
+class so obtained must have its Giambelli-Thom-Porteous degree and its top
+coefficient n^2 C(n-1, r), and the transform must carry each q_{n,r},
+r <= n/2, to q_{n,n-r}; otherwise ArithmeticError is raised.
 
 Alternating binomial sums of the q polynomials give the class polynomials
 of the open rank strata, and feeding those to the strata solver reproduces
@@ -129,7 +129,11 @@ def q_poly(n: int, r: int) -> ClassPoly:
     polynomial mod H^(n^2)."""
     if not 0 <= r <= n:
         raise ValueError(f"rank parameter {r} out of range for n={n}")
-    num = _chern_numbers(n, r)
+    return _expand(_chern_numbers(n, r), n, r)
+
+
+def _expand(num: list[list[int]], n: int, r: int) -> ClassPoly:
+    """q_{n,r} from the Chern numbers M of G(r, n)."""
     coeffs = [0] * (n * n + 1)
     # column b of M multiplies (1+d)^e with e = n(n-r) - b: one binomial row
     # per column serves every row a
@@ -165,12 +169,15 @@ def _porteous_degree(n: int, r: int) -> int:
     return num // den
 
 
-def _dual_q(q_dual: ClassPoly, n: int, r: int) -> ClassPoly:
-    """q_{n,r} as the duality transform of q_{n,n-r}, checked against two
-    closed forms the transform does not use: codimension r^2 with the
-    Porteous degree there, and top coefficient n^2 C(n-1, r), the Euler
-    obstruction summed over the n^2 torus-fixed rank-1 points."""
-    q = (-1) ** stratum_dim(n, r) * involute(q_dual.signed(), n * n - 1)
+def _dual_q(num: list[list[int]], n: int, r: int) -> ClassPoly:
+    """q_{n,r} from the Chern numbers M of G(n-r, n), by their signed transpose
+    (-1)^(a+b) M[b][a], checked against codimension r^2 with the Porteous
+    degree there and top coefficient n^2 C(n-1, r), the Euler obstruction
+    summed over the n^2 torus-fixed rank-1 points."""
+    signed = [
+        [(-1) ** (a + b) * num[b][a] for b in range(len(row))] for a, row in enumerate(num)
+    ]
+    q = _expand(signed, n, r)
     degree = _porteous_degree(n, r)
     if q.coeffs[: r * r + 1] != (0,) * (r * r) + (degree,):
         raise ArithmeticError(
@@ -187,19 +194,25 @@ def _dual_q(q_dual: ClassPoly, n: int, r: int) -> ClassPoly:
 def eu_table_det(n: int) -> tuple[list[ClassPoly], StratifiedPair, EulerTable]:
     """The rank strata of n x n matrices, solved: (q, pair, table).
 
-    q[r] is q_{n,r} for r < n: localized for r <= n/2, and for larger r the
-    duality transform of q[n-r], checked by `_dual_q`.  The open strata get
-    their classes by one alternating binomial pass over q; the family is
-    self-dual, with tau_{n,k} paired to tau_{n,n-k}, so both sides of the
-    pair carry the same strata.
+    q[r] is q_{n,r} for r < n: one localization at each r <= n/2 gives
+    q_{n,r} and, by `_dual_q`, q_{n,n-r}, and the duality transform must
+    carry each q_{n,r} to q_{n,n-r}.  The open strata get their classes by
+    one alternating binomial pass over q; the family is self-dual, with
+    tau_{n,k} paired to tau_{n,n-k}, so both sides of the pair carry the
+    same strata.
     The binomial values are reproduced, not assumed: after solving, the table
     is checked against Eu = C(r, k), the origin column against C(n, k) and
     each class against q[k]; both halves of the table must agree.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    q = [q_poly(n, r) for r in range(n // 2 + 1)]
-    q += [_dual_q(q[n - r], n, r) for r in range(n // 2 + 1, n)]
+    numbers = [_chern_numbers(n, r) for r in range(n // 2 + 1)]
+    q = [_expand(num, n, r) for r, num in enumerate(numbers)]
+    q += [_dual_q(numbers[n - r], n, r) for r in range(n // 2 + 1, n)]
+    # the transform is an involution, so r <= n/2 covers every pair
+    for r in range(1, n // 2 + 1):
+        if not duality_check(q, r):
+            raise ArithmeticError(f"q_({n},{r}) and q_({n},{n - r}) are not dual")
     # open strata by binomial inversion: csm_k = sum_(r>=k) (-1)^(r-k) C(r,k) q_r;
     # the sign is taken as (-1)^(r+k), since a negative power of -1 is a float
     weights = [[(-1) ** (r + k) * comb(r, k) for r in range(n)] for k in range(n)]

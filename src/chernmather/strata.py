@@ -254,11 +254,6 @@ class EulerTable(
     __slots__ = ()
 
 
-def _involutes(pair: StratifiedPair) -> list[ClassPoly]:
-    """The transform of every primal class, shared by all paired systems."""
-    return [involute(s.csm, pair.ambient - 1) for s in pair.primal]
-
-
 def _signed_system(pair: StratifiedPair, inv, r: int, p: int, signs=True):
     """Rows and right-hand sides of the coefficient-matching system for
     paired strata (r, p), given the transforms `inv` of the primal classes;
@@ -338,8 +333,9 @@ def euler_table(pair: StratifiedPair) -> EulerTable:
     rows_d: dict[int, tuple[int, ...]] = {}
     diags: list[dict] = []
 
-    # N = 1 has no transform (d = 0), and a file without pairs needs none.
-    inv = _involutes(pair) if pair.pairing else []
+    # the transforms of the primal classes serve every paired system; N = 1
+    # has no transform (d = 0), and a file without pairs needs none.
+    inv = [involute(s.csm, pair.ambient - 1) for s in pair.primal] if pair.pairing else []
     for r, p in pair.pairing:
         rows_p[r], rows_d[p] = _solve_paired(pair, inv, r, p)
         diags.append(

@@ -106,6 +106,19 @@ class TestInvolute:
         assert code == 2
         assert "malformed" in err
 
+    @pytest.mark.parametrize(
+        "poly, shown",
+        [
+            ("0," + "9" * 77 + "x", "'0," + "9" * 77 + "x'"),
+            ("0," + "9" * 4301 + "x", "'0," + "9" * 78 + "'..."),
+        ],
+        ids=["80_characters", "long"],
+    )
+    def test_malformed_poly_echoes_80_characters(self, capsys, poly, shown):
+        code, out, err = run(capsys, "involute", "--d", "3", "--poly", poly)
+        assert code == 2 and out == ""
+        assert err == f"error: malformed coefficient list {shown}\n"
+
     @needs_digit_limit
     def test_poly_token_over_digit_limit_exits_2(self, capsys):
         poly = "0," + "9" * (DIGIT_LIMIT + 1)
@@ -413,6 +426,12 @@ class TestChow:
     def test_bad_partition(self, capsys):
         code, _, _ = run(capsys, "chow", "--r", "2", "--n", "4", "--mult", "1", "x")
         assert code == 2
+
+    def test_malformed_partition_echoes_80_characters(self, capsys):
+        partition = "2," + "1" * 200 + "x"
+        code, out, err = run(capsys, "chow", "--r", "2", "--n", "4", "--mult", "1", partition)
+        assert code == 2 and out == ""
+        assert err == "error: malformed partition '2," + "1" * 78 + "'...\n"
 
     @needs_digit_limit
     def test_partition_token_over_digit_limit_exits_2(self, capsys):

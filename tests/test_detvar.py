@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import re
@@ -216,8 +217,20 @@ class TestDuality:
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_derived_half_matches_localization(self, n):
-        # eu_table_det localizes r <= n/2 and transforms the rest
+        # eu_table_det localizes r <= n/2 and transposes the rest
         assert q_list(n) == [q_poly(n, r) for r in range(n)]
+
+    def test_signed_transpose_on_all_points_oracle(self):
+        # V -> V^v maps G(r, n) to G(n-r, n) and swaps S with Q^v, so
+        # M_(n,n-r)[a][b] = (-1)^(a+b) M_(n,r)[b][a]; checked on the oracle alone
+        for n in range(9):
+            for r in range(n + 1):
+                m = chern_numbers_all_points(n, r)
+                signed = [
+                    [(-1) ** (a + b) * m[b][a] for b in range(len(row))]
+                    for a, row in enumerate(m)
+                ]
+                assert chern_numbers_all_points(n, n - r) == signed, (n, r)
 
     def test_corrupted_coefficient_fails(self):
         q = q_poly(3, 1)
@@ -278,8 +291,8 @@ class TestEulerTables:
 
     def test_one_pair_and_one_integral_per_q(self, monkeypatch, capsys):
         # detvar builds its family once: one stratified pair, and one
-        # Grassmannian integral for each of q_{4,0..2}; q_{4,3} is the
-        # duality transform of q_{4,1}
+        # Grassmannian integral for each of q_{4,0..2}; q_{4,3} comes from
+        # the signed transpose of the Chern numbers of q_{4,1}
         pairs, integrals = [], []
         monkeypatch.setattr(
             detvar, "StratifiedPair", lambda *a: pairs.append(a) or StratifiedPair(*a)
@@ -292,6 +305,26 @@ class TestEulerTables:
         capsys.readouterr()
         assert len(pairs) == 1
         assert integrals == [0, 1, 2]
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_one_duality_transform_per_rank_pair(self, monkeypatch, capsys, n):
+        # the transform only checks q_{n,r} against q_{n,n-r}, once for each r <= n/2
+        calls = []
+        monkeypatch.setattr(detvar, "involute", lambda f, d: calls.append(d) or involute(f, d))
+        assert cli_main(["detvar", "--n", str(n)]) == 0
+        capsys.readouterr()
+        assert calls == [n * n - 1] * (n // 2)
+
+    def test_involute_only_in_duality_check(self):
+        tree = ast.parse(Path(detvar.__file__).read_text(encoding="utf-8"))
+        users = {
+            fn.name
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Name) and node.id == "involute"
+        }
+        assert users == {"duality_check"}
 
 
 class TestChernMatherDet:
@@ -370,14 +403,30 @@ class TestRuntimeChecks:
         ids=["degree", "euler"],
     )
     def test_wrong_derived_class_exits_3(self, monkeypatch, capsys, power, message):
-        # q_{5,3} is the first class eu_table_det derives by the transform
-        monkeypatch.setattr(
-            detvar, "involute", lambda f, d: involute(f, d) + ClassPoly.monomial(power, d + 1)
-        )
+        # q_{5,3} is the first class eu_table_det expands from transposed
+        # Chern numbers; only that route is corrupted
+        expand = detvar._expand
+
+        def corrupted(num, n, r):
+            q = expand(num, n, r)
+            return q - ClassPoly.monomial(power, n * n) if r > n // 2 else q
+
+        monkeypatch.setattr(detvar, "_expand", corrupted)
         with pytest.raises(ArithmeticError, match=message):
             eu_table_det(5)
         assert cli_main(["detvar", "--n", "5"]) == 3
         assert re.fullmatch(f"error: {message}\n", capsys.readouterr().err)
+
+    def test_failed_duality_exits_3(self, monkeypatch, capsys):
+        # a transform that disagrees with the transposed classes, though every
+        # class passes its own checks
+        monkeypatch.setattr(
+            detvar, "involute", lambda f, d: involute(f, d) + ClassPoly.monomial(d, d + 1)
+        )
+        with pytest.raises(ArithmeticError, match=r"q_\(5,1\) and q_\(5,4\) are not dual"):
+            eu_table_det(5)
+        assert cli_main(["detvar", "--n", "5"]) == 3
+        assert capsys.readouterr().err == "error: q_(5,1) and q_(5,4) are not dual\n"
 
     def test_checks_survive_python_O(self):
         # a corrupted origin column still exits 3 when asserts are stripped
