@@ -12,6 +12,8 @@ writes once those integers are strings; a list whose integers all fit in
 64 bits, such as most class polynomials, goes whole to the C encoder of the
 json module.  The `--emit-strata` file keeps every integer a JSON number,
 since `solve` reads no strings, and json.dumps writes it.
+A run builds the argparse parser of the subcommand it names and no other
+(all five when it names none), so messages are argparse's own.
 Exit codes: 0 success, 2 malformed input, 3 mathematical inconsistency.
 """
 
@@ -290,7 +292,13 @@ def _cmd_chow(args):
     return inputs, outputs, {}, None
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_COMMANDS = ("involute", "solve", "detvar", "quadric", "chow")
+
+
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser of `argv`: the top level and the subcommand argv[0] names,
+    or all five when it names none, so that help and "invalid choice" errors
+    list every choice."""
     parser = argparse.ArgumentParser(
         prog="chernmather",
         description=(
@@ -298,46 +306,55 @@ def _build_parser() -> argparse.ArgumentParser:
             "invariants of stratified projective varieties"
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_inv = sub.add_parser("involute", help="apply the degree-d duality transform")
-    p_inv.set_defaults(handler=_cmd_involute)
-    p_inv.add_argument("--d", type=int, required=True)
-    p_inv.add_argument("--poly", required=True, help="comma list, ascending powers")
-
-    p_solve = sub.add_parser("solve", help="solve a stratification file")
-    p_solve.set_defaults(handler=_cmd_solve)
-    p_solve.add_argument("strata", help="stratification JSON file")
-
-    p_det = sub.add_parser("detvar", help="rank strata of n x n matrices")
-    p_det.set_defaults(handler=_cmd_detvar)
-    p_det.add_argument("--n", type=int, required=True)
-    p_det.add_argument("--emit-strata", metavar="FILE", default=None)
-
-    p_quad = sub.add_parser("quadric", help="rank-r quadric hypersurface in P^n")
-    p_quad.set_defaults(handler=_cmd_quadric)
-    p_quad.add_argument("--n", type=int, required=True)
-    p_quad.add_argument("--rank", type=int, required=True)
-    p_quad.add_argument("--emit-strata", metavar="FILE", default=None)
-
-    p_chow = sub.add_parser("chow", help="Schubert calculus on G(r, n)")
-    p_chow.set_defaults(handler=_cmd_chow)
-    p_chow.add_argument("--r", type=int, required=True)
-    p_chow.add_argument("--n", type=int, required=True)
-    group = p_chow.add_mutually_exclusive_group(required=True)
-    group.add_argument("--mult", nargs=2, metavar=("LAMBDA", "MU"))
-    group.add_argument("--integrate", nargs="+", metavar="PARTITION")
-
-    for p in (p_inv, p_solve, p_det, p_quad, p_chow):
+    named = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
+    # one subcommand built: the metavar keeps all five in an error's usage
+    # line; all five: no metavar, so that errors name the argument "command"
+    choices = "{" + ",".join(_COMMANDS) + "}" if len(named) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=choices)
+    for name in named:
+        if name == "involute":
+            p = sub.add_parser(name, help="apply the degree-d duality transform")
+            p.set_defaults(handler=_cmd_involute)
+            p.add_argument("--d", type=int, required=True)
+            p.add_argument("--poly", required=True, help="comma list, ascending powers")
+        elif name == "solve":
+            p = sub.add_parser(name, help="solve a stratification file")
+            p.set_defaults(handler=_cmd_solve)
+            p.add_argument("strata", help="stratification JSON file")
+        elif name == "detvar":
+            p = sub.add_parser(name, help="rank strata of n x n matrices")
+            p.set_defaults(handler=_cmd_detvar)
+            p.add_argument("--n", type=int, required=True)
+            p.add_argument("--emit-strata", metavar="FILE", default=None)
+        elif name == "quadric":
+            p = sub.add_parser(name, help="rank-r quadric hypersurface in P^n")
+            p.set_defaults(handler=_cmd_quadric)
+            p.add_argument("--n", type=int, required=True)
+            p.add_argument("--rank", type=int, required=True)
+            p.add_argument("--emit-strata", metavar="FILE", default=None)
+        else:  # chow
+            p = sub.add_parser(name, help="Schubert calculus on G(r, n)")
+            p.set_defaults(handler=_cmd_chow)
+            p.add_argument("--r", type=int, required=True)
+            p.add_argument("--n", type=int, required=True)
+            group = p.add_mutually_exclusive_group(required=True)
+            group.add_argument("--mult", nargs=2, metavar=("LAMBDA", "MU"))
+            group.add_argument("--integrate", nargs="+", metavar="PARTITION")
         p.add_argument("--out", default=None, help="write the report to a file")
         p.add_argument("--format", choices=("json", "text"), default="json")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv).parse_args(argv)
     try:
+        emit = getattr(args, "emit_strata", None)
+        if emit is not None and args.out is not None:
+            if os.path.realpath(emit) == os.path.realpath(args.out):
+                raise ValueError(
+                    f"--out {args.out} and --emit-strata {emit} name one file"
+                )
         inputs, outputs, diagnostics, pair = args.handler(args)
         if pair is not None:
             # the solver input of a generated family, ready for `solve`

@@ -31,10 +31,15 @@ quadric's Chern-Mather class that the solved Euler table must reproduce.
 `report_json` and `report_line` render a report value with the standard
 library's JSON encoder, after `stringify_big` has turned it into plain JSON
 values: the two texts the CLI's one-pass renderer must match byte for byte.
+
+`reference_parser` builds the command-line parser with all five subcommands
+on every call, as the CLI did before it built only the subcommand a run
+names: the parses, help texts and errors the CLI's parser must reproduce.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 from dataclasses import dataclass
 from functools import lru_cache
@@ -42,6 +47,7 @@ from itertools import combinations, combinations_with_replacement
 from math import comb, factorial, lcm, prod
 from operator import mul
 
+from chernmather import cli
 from chernmather.classpoly import ClassPoly, one_plus_h_power
 from chernmather.detvar import _linear_product, _power
 from chernmather.grassmann import (
@@ -495,3 +501,48 @@ def report_json(value) -> str:
 def report_line(value) -> str:
     """A report value as one line of a `--format text` report writes it."""
     return json.dumps(stringify_big(value))
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The CLI's parser with every subcommand built, whatever the command line."""
+    parser = argparse.ArgumentParser(
+        prog="chernmather",
+        description=(
+            "Exact Euler obstructions, Chern-Mather classes and related "
+            "invariants of stratified projective varieties"
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_inv = sub.add_parser("involute", help="apply the degree-d duality transform")
+    p_inv.set_defaults(handler=cli._cmd_involute)
+    p_inv.add_argument("--d", type=int, required=True)
+    p_inv.add_argument("--poly", required=True, help="comma list, ascending powers")
+
+    p_solve = sub.add_parser("solve", help="solve a stratification file")
+    p_solve.set_defaults(handler=cli._cmd_solve)
+    p_solve.add_argument("strata", help="stratification JSON file")
+
+    p_det = sub.add_parser("detvar", help="rank strata of n x n matrices")
+    p_det.set_defaults(handler=cli._cmd_detvar)
+    p_det.add_argument("--n", type=int, required=True)
+    p_det.add_argument("--emit-strata", metavar="FILE", default=None)
+
+    p_quad = sub.add_parser("quadric", help="rank-r quadric hypersurface in P^n")
+    p_quad.set_defaults(handler=cli._cmd_quadric)
+    p_quad.add_argument("--n", type=int, required=True)
+    p_quad.add_argument("--rank", type=int, required=True)
+    p_quad.add_argument("--emit-strata", metavar="FILE", default=None)
+
+    p_chow = sub.add_parser("chow", help="Schubert calculus on G(r, n)")
+    p_chow.set_defaults(handler=cli._cmd_chow)
+    p_chow.add_argument("--r", type=int, required=True)
+    p_chow.add_argument("--n", type=int, required=True)
+    group = p_chow.add_mutually_exclusive_group(required=True)
+    group.add_argument("--mult", nargs=2, metavar=("LAMBDA", "MU"))
+    group.add_argument("--integrate", nargs="+", metavar="PARTITION")
+
+    for p in (p_inv, p_solve, p_det, p_quad, p_chow):
+        p.add_argument("--out", default=None, help="write the report to a file")
+        p.add_argument("--format", choices=("json", "text"), default="json")
+    return parser

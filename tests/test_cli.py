@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -11,12 +12,13 @@ from hypothesis import strategies as st
 
 import chernmather
 from chernmather.classpoly import ClassPoly
-from chernmather.cli import MAX_CHOW_N, MAX_DETVAR_N, _json, main
+from chernmather.cli import MAX_CHOW_N, MAX_DETVAR_N, _build_parser, _json, main
 from chernmather.grassmann import MAX_LR_TABLEAUX
 from chernmather.quadric import QuadricSpec, build_pair
 from chernmather.strata import MAX_AMBIENT, MAX_STRATA, euler_table
 
-from oracles import report_json, report_line
+from oracles import reference_parser, report_json, report_line
+from test_golden import CASES
 
 DATA = Path(__file__).parent / "data"
 FIXTURE = DATA / "symmetric_3x3.json"
@@ -623,6 +625,112 @@ class TestReportPlumbing:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "command",
+        [["detvar", "--n", "3"], ["quadric", "--n", "3", "--rank", "3"]],
+        ids=["detvar", "quadric"],
+    )
+    @pytest.mark.parametrize("out", ["X", "./X"], ids=["plain", "dot"])
+    def test_report_and_strata_on_one_file_exit_2(
+        self, capsys, tmp_path, monkeypatch, command, out
+    ):
+        # the strata file would overwrite the report; nothing is written
+        monkeypatch.chdir(tmp_path)
+        code, stdout, err = run(capsys, *command, "--emit-strata", "X", "--out", out)
+        assert code == 2 and stdout == ""
+        assert err == f"error: --out {out} and --emit-strata X name one file\n"
+        assert list(tmp_path.iterdir()) == []
+
+
+def parse_outcome(parser, argv, capsys):
+    """(the parsed vars() or the exit code, stdout, stderr) of parsing argv."""
+    try:
+        outcome = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        outcome = exc.code
+    out = capsys.readouterr()
+    return outcome, out.out, out.err
+
+
+CHOW_G24 = ["chow", "--r", "2", "--n", "4"]
+# help, the missing and the unknown subcommand, options before the command,
+# bad values, extra and unknown arguments, abbreviations and --opt=value
+PARSER_ARGVS = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["bogus"],
+    ["--", "detvar", "--n", "3"],
+    ["--format", "json", "detvar", "--n", "3"],
+    ["--format", "xml"],
+    ["detvar"],
+    ["detvar", "-h"],
+    ["detvar", "--n", "x"],
+    ["detvar", "--n", "3", "--bogus"],
+    ["detvar", "--n", "3", "solve"],
+    ["detvar", "--n", "3", "--out"],
+    ["detvar", "--n", "3", "--format", "xml"],
+    ["detvar", "--n=3", "--e", "s.json", "--fo", "text"],
+    [*CHOW_G24, "--mult", "1", "1", "--integrate", "1"],
+    [*CHOW_G24, "--integrate", "1", "1", "1", "1", "--out", "r.json"],
+    [*CHOW_G24, "--mult", "1"],
+    CHOW_G24,
+    ["chow", "-h"],
+    ["involute", "-h"],
+    ["involute", "--d", "1", "--poly", "0,1"],
+    ["quadric", "--n", "3"],
+    ["quadric", "--n", "3", "--rank", "3", "--emit", "s.json"],
+    ["quadric", "-h"],
+    ["solve"],
+    ["solve", "a", "b"],
+    ["solve", "-h"],
+    ["solve", "a.json", "--format", "text"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda argv: " ".join(argv) or "none")
+def test_parser_matches_reference(capsys, argv):
+    # the parser built for one command line parses, helps and fails exactly
+    # as the parser with every subcommand does
+    expected = parse_outcome(reference_parser(), argv, capsys)
+    assert parse_outcome(_build_parser(argv), argv, capsys) == expected
+
+
+@pytest.mark.parametrize(
+    "argv, built",
+    [
+        *(
+            (CASES[name][0], 2)
+            for name in (
+                "involute_d5",
+                "solve_symmetric_3x3",
+                "detvar_n2",
+                "quadric_n3_r3",
+                "chow_integrate_g24",
+            )
+        ),
+        (["-h"], 6),
+        (["bogus"], 6),
+    ],
+    ids=["involute", "solve", "detvar", "quadric", "chow", "help", "bogus"],
+)
+def test_parsers_built_per_run(capsys, monkeypatch, argv, built):
+    # the top level and the subcommand a run names, or all five with it
+    count = 0
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        nonlocal count
+        count += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    try:
+        main(argv)
+    except SystemExit:
+        pass
+    assert count == built
 
 
 # Values a hostile or careless stratification file may hold in place of a leaf.
