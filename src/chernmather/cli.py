@@ -12,18 +12,21 @@ writes once those integers are strings; a list whose integers all fit in
 64 bits, such as most class polynomials, goes whole to the C encoder of the
 json module.  The `--emit-strata` file keeps every integer a JSON number,
 since `solve` reads no strings, and json.dumps writes it.
-A run builds the argparse parser of the subcommand it names and no other
-(all five when it names none), so messages are argparse's own.
-Exit codes: 0 success, 2 malformed input, 3 mathematical inconsistency.
+`_plain_args` reads a well-formed command line.  Any other (help, errors,
+abbreviations such as `--fo`, `--n=3`, `--`, negative numbers, repeated
+options) goes to argparse, which builds the parser of the subcommand it
+names alone (all five when it names none), so messages are argparse's own.
+Exit codes: 0 success, 1 stdout closed before the report was written,
+2 malformed input, 3 mathematical inconsistency.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from json.encoder import JSONEncoder, encode_basestring_ascii
+from types import SimpleNamespace
 
 from . import detvar as dv
 from . import quadric as qd
@@ -292,13 +295,90 @@ def _cmd_chow(args):
     return inputs, outputs, {}, None
 
 
-_COMMANDS = ("involute", "solve", "detvar", "quadric", "chow")
+_INT = {"type": int, "required": True}
+_EMIT = {"metavar": "FILE"}
+# subcommand -> (handler, help, {argument: its add_argument keywords}, the
+# options of which a run gives exactly one); every subcommand also takes
+# _COMMON.  _build_parser and _plain_args both read their arguments here.
+_COMMANDS = {
+    "involute": (_cmd_involute, "apply the degree-d duality transform", {
+        "--d": _INT, "--poly": {"required": True, "help": "comma list, ascending powers"},
+    }, ()),
+    "solve": (_cmd_solve, "solve a stratification file", {
+        "strata": {"help": "stratification JSON file"},
+    }, ()),
+    "detvar": (_cmd_detvar, "rank strata of n x n matrices", {
+        "--n": _INT, "--emit-strata": _EMIT,
+    }, ()),
+    "quadric": (_cmd_quadric, "rank-r quadric hypersurface in P^n", {
+        "--n": _INT, "--rank": _INT, "--emit-strata": _EMIT,
+    }, ()),
+    "chow": (_cmd_chow, "Schubert calculus on G(r, n)", {
+        "--r": _INT, "--n": _INT,
+        "--mult": {"nargs": 2, "metavar": ("LAMBDA", "MU")},
+        "--integrate": {"nargs": "+", "metavar": "PARTITION"},
+    }, ("--mult", "--integrate")),
+}
+_COMMON = {
+    "--out": {"help": "write the report to a file"},
+    "--format": {"choices": ("json", "text"), "default": "json"},
+}
 
 
-def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The parser of `argv`: the top level and the subcommand argv[0] names,
-    or all five when it names none, so that help and "invalid choice" errors
-    list every choice."""
+def _plain_args(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse parses from `argv` if argv[0] names a
+    subcommand and every other item is one of its arguments: each option
+    spelled out, given once and followed by its number of values, no value
+    starting with "-", every value valid and every required argument given.
+    None for any other command line."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    handler, _, arguments, one_of = _COMMANDS[argv[0]]
+    arguments = {**arguments, **_COMMON}
+    unfilled = [a for a in arguments if not a.startswith("-")]  # positionals
+    given, i = {}, 1
+    while i < len(argv):
+        name, count = argv[i], 1
+        if name.startswith("-"):
+            if name not in arguments or name in given:
+                return None
+            count, i = arguments[name].get("nargs", 1), i + 1
+        elif unfilled:
+            name = unfilled.pop(0)
+        else:
+            return None
+        end = i  # the values run up to the next "-" item or to `count` items
+        while end < len(argv) and not argv[end].startswith("-") and end - i != count:
+            end += 1
+        if end == i or count != "+" and end - i != count:
+            return None
+        given[name], i = argv[i:end], end
+    if unfilled or one_of and sum(o in given for o in one_of) != 1:
+        return None
+    args = {"command": argv[0], "handler": handler}
+    for name, keywords in arguments.items():
+        dest = name.lstrip("-").replace("-", "_")
+        if name not in given:
+            if keywords.get("required"):
+                return None
+            args[dest] = keywords.get("default")
+            continue
+        try:
+            values = [keywords.get("type", str)(v) for v in given[name]]
+        except ValueError:
+            return None
+        if not set(values) <= set(keywords.get("choices", values)):
+            return None
+        args[dest] = values if "nargs" in keywords else values[0]
+    return SimpleNamespace(**args)
+
+
+def _build_parser(argv: list[str]):
+    """The argparse parser of `argv`: the top level and the subcommand
+    argv[0] names, or all five when it names none, so that help and "invalid
+    choice" errors list every choice."""
+    import argparse  # only for command lines that _plain_args does not read
+
     parser = argparse.ArgumentParser(
         prog="chernmather",
         description=(
@@ -312,42 +392,18 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
     choices = "{" + ",".join(_COMMANDS) + "}" if len(named) == 1 else None
     sub = parser.add_subparsers(dest="command", required=True, metavar=choices)
     for name in named:
-        if name == "involute":
-            p = sub.add_parser(name, help="apply the degree-d duality transform")
-            p.set_defaults(handler=_cmd_involute)
-            p.add_argument("--d", type=int, required=True)
-            p.add_argument("--poly", required=True, help="comma list, ascending powers")
-        elif name == "solve":
-            p = sub.add_parser(name, help="solve a stratification file")
-            p.set_defaults(handler=_cmd_solve)
-            p.add_argument("strata", help="stratification JSON file")
-        elif name == "detvar":
-            p = sub.add_parser(name, help="rank strata of n x n matrices")
-            p.set_defaults(handler=_cmd_detvar)
-            p.add_argument("--n", type=int, required=True)
-            p.add_argument("--emit-strata", metavar="FILE", default=None)
-        elif name == "quadric":
-            p = sub.add_parser(name, help="rank-r quadric hypersurface in P^n")
-            p.set_defaults(handler=_cmd_quadric)
-            p.add_argument("--n", type=int, required=True)
-            p.add_argument("--rank", type=int, required=True)
-            p.add_argument("--emit-strata", metavar="FILE", default=None)
-        else:  # chow
-            p = sub.add_parser(name, help="Schubert calculus on G(r, n)")
-            p.set_defaults(handler=_cmd_chow)
-            p.add_argument("--r", type=int, required=True)
-            p.add_argument("--n", type=int, required=True)
-            group = p.add_mutually_exclusive_group(required=True)
-            group.add_argument("--mult", nargs=2, metavar=("LAMBDA", "MU"))
-            group.add_argument("--integrate", nargs="+", metavar="PARTITION")
-        p.add_argument("--out", default=None, help="write the report to a file")
-        p.add_argument("--format", choices=("json", "text"), default="json")
+        handler, help_text, arguments, one_of = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
+        group = p.add_mutually_exclusive_group(required=True) if one_of else p
+        for argument, keywords in {**arguments, **_COMMON}.items():
+            (group if argument in one_of else p).add_argument(argument, **keywords)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _build_parser(argv).parse_args(argv)
+    args = _plain_args(argv) or _build_parser(argv).parse_args(argv)
     try:
         emit = getattr(args, "emit_strata", None)
         if emit is not None and args.out is not None:
@@ -383,6 +439,14 @@ def main(argv=None) -> int:
                 raise
         if args.out is None:
             sys.stdout.write(text)
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader of stdout has gone: point stdout at the null device, so
+        # that the flush at exit neither fails nor prints a warning
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (LinearSystemError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -12,7 +12,14 @@ from hypothesis import strategies as st
 
 import chernmather
 from chernmather.classpoly import ClassPoly
-from chernmather.cli import MAX_CHOW_N, MAX_DETVAR_N, _build_parser, _json, main
+from chernmather.cli import (
+    MAX_CHOW_N,
+    MAX_DETVAR_N,
+    _build_parser,
+    _json,
+    _plain_args,
+    main,
+)
 from chernmather.grassmann import MAX_LR_TABLEAUX
 from chernmather.quadric import QuadricSpec, build_pair
 from chernmather.strata import MAX_AMBIENT, MAX_STRATA, euler_table
@@ -621,6 +628,25 @@ class TestReportPlumbing:
             with pytest.raises(TypeError):
                 _json({"a": value}, "")
 
+    @pytest.mark.parametrize("n", [2, 6])
+    def test_closed_stdout_exits_1_quietly(self, n):
+        # stdout is a pipe whose reader has already gone.  Buffered, as by
+        # default, the report of n = 2 fits the buffer and fails at its
+        # flush; that of n = 6 does not and fails in the write.
+        script = "import sys\nfrom chernmather.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+        env = {**os.environ, "PYTHONPATH": str(Path(chernmather.__file__).parents[1])}
+        env.pop("PYTHONUNBUFFERED", None)
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", script, "detvar", "--n", str(n)],
+                env=env, stdout=write, stderr=subprocess.PIPE, timeout=60,
+            )
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (1, b"")
+
     def test_missing_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])
@@ -697,11 +723,101 @@ def test_parser_matches_reference(capsys, argv):
     assert parse_outcome(_build_parser(argv), argv, capsys) == expected
 
 
+def reference_vars(argv):
+    return vars(reference_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda argv: " ".join(argv) or "none")
+def test_plain_reader_matches_reference(argv):
+    plain = _plain_args(argv)
+    assert plain is None or vars(plain) == reference_vars(argv)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_plain_reader_reads_golden_lines(name):
+    # all but the cases kept to reach argparse
+    argv = CASES[name][0]
+    plain = _plain_args(argv)
+    if name.startswith("argparse_"):
+        assert plain is None
+    else:
+        assert plain is not None and vars(plain) == reference_vars(argv)
+
+
+# Items of random command lines: every option, abbreviations, --opt=value,
+# "--", help, negative and signed numbers, empty and spaced values, integer
+# text beyond Python's digit limit, and values that name subcommands.
+_OPTIONS = [
+    "--d", "--poly", "--n", "--rank", "--r", "--mult", "--integrate",
+    "--emit-strata", "--out", "--format",
+    "--e", "--fo", "--po", "--int", "--m", "--ra", "--emit", "--n=3", "--format=text",
+    "--", "-h", "--help", "-1", "-", "--bogus",
+]
+_VALUES = [
+    "3", "2", "0", "1", "+3", " 4", "1_0", "", "x", "1,1", "2,1", "9" * 5000,
+    "json", "text", "xml", "a.json", "solve", "detvar",
+]
+_INTS = ["3", "2", "1", "+3", " 4", "1_0"]
+# each subcommand's arguments and their number of values ("" is the
+# positional argument of solve; chow takes one of --mult and --integrate)
+_ARGUMENTS = {
+    "involute": {"--d": 1, "--poly": 1},
+    "solve": {"": 1},
+    "detvar": {"--n": 1, "--emit-strata": 1},
+    "quadric": {"--n": 1, "--rank": 1, "--emit-strata": 1},
+    "chow": {"--r": 1, "--n": 1, "--mult": 2, "--integrate": 3},
+}
+
+
+@st.composite
+def command_lines(draw):
+    """A well-formed line of one subcommand, its arguments in any order, with
+    up to two arguments left out or repeated, and then up to two items of the
+    vocabulary above put in or put in place of an item, the first included."""
+    command = draw(st.sampled_from(sorted(_ARGUMENTS)))
+    arguments = {**_ARGUMENTS[command], "--out": 1, "--format": 1}
+    if command == "chow":
+        del arguments[draw(st.sampled_from(["--mult", "--integrate"]))]
+    chunks = []
+    for name in draw(st.permutations(sorted(arguments))):
+        pool = _INTS if name in ("--d", "--n", "--rank", "--r") else _VALUES
+        pool = ["json", "text"] if name == "--format" else pool
+        count = arguments[name]
+        values = draw(st.lists(st.sampled_from(pool), min_size=count, max_size=count))
+        chunks.append([name] * (name != "") + values)
+    for _ in range(draw(st.integers(0, 2))):
+        chunk = draw(st.integers(0, len(chunks) - 1))
+        if draw(st.booleans()):
+            chunks.append(chunks[chunk])
+        else:
+            del chunks[chunk]
+    argv = [command, *(item for chunk in chunks for item in chunk)]
+    for _ in range(draw(st.integers(0, 2))):
+        item = draw(st.sampled_from(_OPTIONS + _VALUES + sorted(_ARGUMENTS)))
+        where = draw(st.integers(0, len(argv)))
+        if draw(st.booleans()):
+            argv.insert(where, item)
+        else:
+            argv[min(where, len(argv) - 1)] = item
+    return argv
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(command_lines())
+@example(["chow", "--r", "2", "--n", "4", "--mult", "1", "1", "--out", "r.json"])
+@example(["solve", "--format", "text", "a.json"])
+@example(["quadric", "--rank", " 4", "--emit-strata", "", "--n", "+3"])
+def test_plain_reader_matches_reference_on_random_lines(argv):
+    # argparse reads every line; whatever the plain reader reads, it reads alike
+    plain = _plain_args(argv)
+    assert plain is None or vars(plain) == reference_vars(argv)
+
+
 @pytest.mark.parametrize(
     "argv, built",
     [
         *(
-            (CASES[name][0], 2)
+            (CASES[name][0], 0)
             for name in (
                 "involute_d5",
                 "solve_symmetric_3x3",
@@ -710,13 +826,15 @@ def test_parser_matches_reference(capsys, argv):
                 "chow_integrate_g24",
             )
         ),
+        (["detvar", "--n=3"], 2),
         (["-h"], 6),
         (["bogus"], 6),
     ],
-    ids=["involute", "solve", "detvar", "quadric", "chow", "help", "bogus"],
+    ids=["involute", "solve", "detvar", "quadric", "chow", "detvar --n=3", "help", "bogus"],
 )
 def test_parsers_built_per_run(capsys, monkeypatch, argv, built):
-    # the top level and the subcommand a run names, or all five with it
+    # none for a line the plain reader reads; else the top level and the
+    # subcommand a run names, or all five with it
     count = 0
     init = argparse.ArgumentParser.__init__
 

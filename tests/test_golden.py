@@ -55,6 +55,10 @@ CASES = {
     "text_detvar_n3": (["detvar", "--n", "3", "--format", "text"], None),
     "text_quadric_n4_r3": (["quadric", "--n", "4", "--rank", "3", "--format", "text"], None),
     "text_chow_mult_g36": (CHOW_MULT + ["--format", "text"], None),
+    # command lines that only argparse reads: the reports of detvar_n2 and
+    # text_quadric_n4_r3, byte for byte
+    "argparse_detvar_n2": (["detvar", "--n=2"], None),
+    "argparse_text_quadric_n4_r3": (["quadric", "--n", "4", "--rank", "3", "--fo", "text"], None),
 }
 
 

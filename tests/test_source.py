@@ -11,8 +11,9 @@
   call does its own work, so a caller that needs a value twice keeps it.
 - No `assert` statement in `src/chernmather/`: `python -O` strips them, so
   runtime checks raise typed exceptions instead.
-- `import chernmather.cli` loads none of `dataclasses`, `inspect` and
-  `typing`: every CLI run pays for what that import loads.
+- `import chernmather.cli` loads none of `dataclasses`, `inspect`,
+  `typing`, `argparse` and `gettext`: every CLI run pays for what that
+  import loads.
 """
 
 import ast
@@ -145,7 +146,7 @@ def test_no_assert_in_source():
 def test_cli_import_loads_no_heavy_modules():
     # -S: the site module and the .pth files it runs may load these on their
     # own, which would hide what the package itself loads
-    heavy = ("dataclasses", "inspect", "typing")
+    heavy = ("dataclasses", "inspect", "typing", "argparse", "gettext")
     script = (
         "import sys, chernmather.cli\n"
         f"print(*[m for m in {heavy!r} if m in sys.modules])\n"
