@@ -2,9 +2,10 @@
 
 Subcommands: involute | solve | detvar | quadric | chow.  Each handler
 returns the inputs, outputs and diagnostics of its report, and the
-stratified pair that `--emit-strata` asked for or None; `main` alone wraps
-the rest in the report {"command", "inputs", "outputs", "diagnostics"},
-renders the report and the pair, and only then writes them.  Reports are
+stratified pair of a generated family or None; `main` alone wraps the rest
+in the report {"command", "inputs", "outputs", "diagnostics"}, renders the
+report and the pair `--emit-strata` asks for, and only then writes them.
+A run that exits non-zero removes every file it created.  Reports are
 deterministic (JSON by default, sorted keys, no timestamps); integers
 beyond 64 bits are serialized as decimal strings.  `_json` renders a report
 in one walk, byte for byte what json.dumps(..., sort_keys=True, indent=2)
@@ -14,8 +15,8 @@ json module.  The `--emit-strata` file keeps every integer a JSON number,
 since `solve` reads no strings, and json.dumps writes it.
 `_plain_args` reads a well-formed command line.  Any other (help, errors,
 abbreviations such as `--fo`, `--n=3`, `--`, negative numbers, repeated
-options) goes to argparse, which builds the parser of the subcommand it
-names alone (all five when it names none), so messages are argparse's own.
+options) goes to argparse, which builds the parser of every subcommand, so
+help and messages are argparse's own.
 Exit codes: 0 success, 1 stdout closed before the report was written,
 2 malformed input, 3 mathematical inconsistency.
 """
@@ -224,9 +225,7 @@ def _cmd_detvar(args):
         outputs[f"csm_{n}_{k}"] = stratum.csm
     for r in range(1, n):
         outputs[f"duality_{n}_{r}"] = True  # else eu_table_det raised
-    diagnostics = {"systems": table.diagnostics}
-    emitted = pair if args.emit_strata is not None else None
-    return {"n": n}, outputs, diagnostics, emitted
+    return {"n": n}, outputs, {"systems": table.diagnostics}, pair
 
 
 def _cmd_quadric(args):
@@ -256,8 +255,7 @@ def _cmd_quadric(args):
         outputs["cross_validation"] = "ok"
         outputs.update(_table_payload(table))
         diagnostics["systems"] = table.diagnostics
-    emitted = pair if args.emit_strata is not None else None
-    return {"n": args.n, "rank": args.rank}, outputs, diagnostics, emitted
+    return {"n": args.n, "rank": args.rank}, outputs, diagnostics, pair
 
 
 def _join(p: tuple[int, ...]) -> str:
@@ -373,10 +371,8 @@ def _plain_args(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(**args)
 
 
-def _build_parser(argv: list[str]):
-    """The argparse parser of `argv`: the top level and the subcommand
-    argv[0] names, or all five when it names none, so that help and "invalid
-    choice" errors list every choice."""
+def _build_parser():
+    """The argparse parser with all five subcommands."""
     import argparse  # only for command lines that _plain_args does not read
 
     parser = argparse.ArgumentParser(
@@ -386,13 +382,8 @@ def _build_parser(argv: list[str]):
             "invariants of stratified projective varieties"
         ),
     )
-    named = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
-    # one subcommand built: the metavar keeps all five in an error's usage
-    # line; all five: no metavar, so that errors name the argument "command"
-    choices = "{" + ",".join(_COMMANDS) + "}" if len(named) == 1 else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=choices)
-    for name in named:
-        handler, help_text, arguments, one_of = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (handler, help_text, arguments, one_of) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
         group = p.add_mutually_exclusive_group(required=True) if one_of else p
@@ -403,7 +394,8 @@ def _build_parser(argv: list[str]):
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _plain_args(argv) or _build_parser(argv).parse_args(argv)
+    args = _plain_args(argv) or _build_parser().parse_args(argv)
+    created = []  # the files this run writes whose paths did not exist before
     try:
         emit = getattr(args, "emit_strata", None)
         if emit is not None and args.out is not None:
@@ -412,48 +404,50 @@ def main(argv=None) -> int:
                     f"--out {args.out} and --emit-strata {emit} name one file"
                 )
         inputs, outputs, diagnostics, pair = args.handler(args)
-        if pair is not None:
+        files = []  # (path, text), the report first
+        if emit is not None:
             # the solver input of a generated family, ready for `solve`
-            strata_text = json.dumps(pair.to_dict(), sort_keys=True, indent=2) + "\n"
-            diagnostics["emitted"] = args.emit_strata
+            strata_text = json.dumps(pair.to_dict(), sort_keys=True, indent=2)
+            files.append((emit, strata_text + "\n"))
+            diagnostics["emitted"] = emit
         report = {
             "command": args.command,
             "inputs": inputs,
             "outputs": outputs,
             "diagnostics": diagnostics,
         }
-        # render both texts before writing either, and write the report
-        # first, so that a report that cannot be written leaves no file behind;
-        # if the strata file then cannot be written, the report naming it is
-        # removed again, unless its path existed before this run
+        # render both texts before writing either, so that a text that cannot
+        # be rendered leaves no file behind
         text = _render(report, args.format)
-        created = args.out is not None and not os.path.lexists(args.out)
         if args.out is not None:
-            _write(args.out, text)
-        if pair is not None:
-            try:
-                _write(args.emit_strata, strata_text)
-            except ValueError:
-                if created:
-                    os.remove(args.out)
-                raise
+            files.insert(0, (args.out, text))
+        for path, content in files:
+            if not os.path.lexists(path):
+                created.append(path)
+            _write(path, content)
         if args.out is None:
             sys.stdout.write(text)
             sys.stdout.flush()
+        return 0
     except BrokenPipeError:
         # the reader of stdout has gone: point stdout at the null device, so
         # that the flush at exit neither fails nor prints a warning
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        return 1
+        code = 1
     except (LinearSystemError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        code = 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 0
+        code = 2
+    # a failed run takes back what it wrote, but never a path that existed
+    # before it, such as /dev/null
+    for path in created:
+        if os.path.lexists(path):
+            os.remove(path)
+    return code
 
 
 if __name__ == "__main__":

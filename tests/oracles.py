@@ -33,8 +33,8 @@ library's JSON encoder, after `stringify_big` has turned it into plain JSON
 values: the two texts the CLI's one-pass renderer must match byte for byte.
 
 `reference_parser` builds the command-line parser with all five subcommands
-on every call, as the CLI did before it built only the subcommand a run
-names: the parses, help texts and errors the CLI's parser must reproduce.
+by hand, apart from the CLI's option table: the parses, help texts and
+errors that the CLI's parser and its plain reader must reproduce.
 """
 
 from __future__ import annotations

@@ -628,11 +628,20 @@ class TestReportPlumbing:
             with pytest.raises(TypeError):
                 _json({"a": value}, "")
 
-    @pytest.mark.parametrize("n", [2, 6])
-    def test_closed_stdout_exits_1_quietly(self, n):
+    @pytest.mark.parametrize(
+        "n, strata",
+        [(n, strata) for strata in (None, "created", "existing") for n in (2, 6)],
+        ids=["2", "6", "2-strata", "6-strata", "2-existing-strata", "6-existing-strata"],
+    )
+    def test_closed_stdout_exits_1_quietly(self, tmp_path, n, strata):
         # stdout is a pipe whose reader has already gone.  Buffered, as by
         # default, the report of n = 2 fits the buffer and fails at its
-        # flush; that of n = 6 does not and fails in the write.
+        # flush; that of n = 6 does not and fails in the write.  The strata
+        # file, written before the report, goes again unless it existed.
+        emitted = tmp_path / "s.json"
+        if strata == "existing":
+            emitted.write_text("kept\n")
+        emit = ["--emit-strata", "s.json"] if strata else []
         script = "import sys\nfrom chernmather.cli import main\nsys.exit(main(sys.argv[1:]))\n"
         env = {**os.environ, "PYTHONPATH": str(Path(chernmather.__file__).parents[1])}
         env.pop("PYTHONUNBUFFERED", None)
@@ -640,12 +649,13 @@ class TestReportPlumbing:
         os.close(read)
         try:
             proc = subprocess.run(
-                [sys.executable, "-c", script, "detvar", "--n", str(n)],
-                env=env, stdout=write, stderr=subprocess.PIPE, timeout=60,
+                [sys.executable, "-c", script, "detvar", "--n", str(n), *emit],
+                cwd=tmp_path, env=env, stdout=write, stderr=subprocess.PIPE, timeout=60,
             )
         finally:
             os.close(write)
         assert (proc.returncode, proc.stderr) == (1, b"")
+        assert emitted.exists() == (strata == "existing")
 
     def test_missing_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -717,10 +727,10 @@ PARSER_ARGVS = [
 
 @pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda argv: " ".join(argv) or "none")
 def test_parser_matches_reference(capsys, argv):
-    # the parser built for one command line parses, helps and fails exactly
-    # as the parser with every subcommand does
+    # the parser built from the option table parses, helps and fails
+    # exactly as the parser built by hand does
     expected = parse_outcome(reference_parser(), argv, capsys)
-    assert parse_outcome(_build_parser(argv), argv, capsys) == expected
+    assert parse_outcome(_build_parser(), argv, capsys) == expected
 
 
 def reference_vars(argv):
@@ -826,15 +836,15 @@ def test_plain_reader_matches_reference_on_random_lines(argv):
                 "chow_integrate_g24",
             )
         ),
-        (["detvar", "--n=3"], 2),
+        (["detvar", "--n=3"], 6),
         (["-h"], 6),
         (["bogus"], 6),
     ],
     ids=["involute", "solve", "detvar", "quadric", "chow", "detvar --n=3", "help", "bogus"],
 )
 def test_parsers_built_per_run(capsys, monkeypatch, argv, built):
-    # none for a line the plain reader reads; else the top level and the
-    # subcommand a run names, or all five with it
+    # none for a line the plain reader reads; else the top level and all
+    # five subcommands
     count = 0
     init = argparse.ArgumentParser.__init__
 
