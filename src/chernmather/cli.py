@@ -18,7 +18,8 @@ abbreviations such as `--fo`, `--n=3`, `--`, negative numbers, repeated
 options) goes to argparse, which builds the parser of every subcommand, so
 help and messages are argparse's own.
 Exit codes: 0 success, 1 stdout closed before the report was written,
-2 malformed input, 3 mathematical inconsistency.
+2 malformed input or a report that cannot be written, 3 mathematical
+inconsistency.
 """
 
 from __future__ import annotations
@@ -426,15 +427,20 @@ def main(argv=None) -> int:
                 created.append(path)
             _write(path, content)
         if args.out is None:
-            sys.stdout.write(text)
-            sys.stdout.flush()
+            try:
+                sys.stdout.write(text)
+                sys.stdout.flush()
+            except OSError as exc:
+                # point stdout at the null device, so that the flush at exit
+                # neither fails nor prints a warning
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
+                if isinstance(exc, BrokenPipeError):
+                    raise  # the reader of stdout has gone
+                raise ValueError(f"cannot write the report to stdout: {exc}") from exc
         return 0
     except BrokenPipeError:
-        # the reader of stdout has gone: point stdout at the null device, so
-        # that the flush at exit neither fails nor prints a warning
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
         code = 1
     except (LinearSystemError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)

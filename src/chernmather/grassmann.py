@@ -11,8 +11,8 @@ never appear.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
-from itertools import product as iproduct
+from collections.abc import Iterable, Sequence
+from operator import sub
 
 # Most LR tableaux one product may generate.  Their number, not the box,
 # sets the cost: on G(10, 20) the staircase products (5,4,3,2,1)^2 and
@@ -39,52 +39,6 @@ def normalize_partition(parts: Iterable[int]) -> tuple[int, ...]:
 
 def fits_box(p: Sequence[int], rows: int, cols: int) -> bool:
     return len(p) <= rows and (not p or p[0] <= cols)
-
-
-def _lr_tableaux(
-    lam: tuple[int, ...], mu: tuple[int, ...], rows: int, cols: int
-) -> Iterator[tuple[int, ...]]:
-    """Yield nu once for every Littlewood-Richardson tableau of shape nu/lam
-    and content mu with nu inside the rows x cols box.
-
-    The mu_i cells labelled i are added to the shape as a horizontal strip:
-    new row k is at most old row k-1 (row 0 at most cols), so rows increase
-    weakly and columns strictly.  The reverse reading word is a lattice word
-    when, through each row k, there are no more i's than (i-1)'s through row
-    k-1; `slack` carries the difference down the rows.  Chaining that
-    condition, label i + d needs mu_(i+d) cells labelled i through row
-    rows-1-d, so each strip keeps at least that many in those rows; without
-    this floor a tall mu explores many fillings that no later label completes.
-    """
-    if not fits_box(lam, rows, cols) or len(mu) > rows:
-        return
-    if not mu:
-        yield lam
-        return
-
-    def strip(i, k, left, slack, old, new, prev):
-        # old: shape before label i; new: its rows 0..k-1 after label i;
-        # prev: the number of (i-1)'s in each row.
-        if left == 0:
-            nu = new + old[k:]
-            if i + 1 == len(mu):
-                yield tuple(p for p in nu if p)
-            else:
-                added = tuple(a - b for a, b in zip(nu, old))
-                yield from strip(i + 1, 0, mu[i + 1], 0, nu, (), added)
-            return
-        top = old[k - 1] if k else cols
-        if left > top - old[-1]:
-            return  # rows k.. cannot take `left` more cells
-        least = floor[i + rows - 1 - k] - mu[i] + left
-        for a in range(least if least > 0 else 0, min(left, slack, top - old[k]) + 1):
-            yield from strip(
-                i, k + 1, left - a, slack - a + prev[k], old, new + (old[k] + a,), prev
-            )
-
-    floor = tuple(mu) + (0,) * (2 * rows)  # mu_j, and 0 past the last label
-    shape = tuple(lam) + (0,) * (rows - len(lam))
-    yield from strip(0, 0, mu[0], mu[0], shape, (), (0,) * rows)
 
 
 # ---------------------------------------------------------------------------
@@ -136,23 +90,65 @@ class ChowElement:
 
 
 def lr_multiply(a: ChowElement, b: ChowElement) -> ChowElement:
-    """Product in the Chow ring; box-overflowing partitions vanish."""
+    """Product in the Chow ring; box-overflowing partitions vanish.
+
+    Each Littlewood-Richardson tableau of shape nu/lam and content mu with nu
+    inside the rows x cols box adds c_lam * c_mu to nu.  The mu_i cells
+    labelled i are added to the shape as a horizontal strip: new row k is at
+    most old row k-1 (row 0 at most cols), so rows increase weakly and
+    columns strictly.  The reverse reading word is a lattice word when,
+    through each row k, there are no more i's than (i-1)'s through row k-1;
+    `slack` carries the difference down the rows.  Chaining that condition,
+    label i + d needs mu_(i+d) cells labelled i through row rows-1-d, so each
+    strip keeps at least that many in those rows; without this floor a tall
+    mu explores many fillings that no later label completes.
+    """
     a._check_ring(b)
     r, n = a.r, a.n
-    out: dict[tuple[int, ...], int] = {}
+    rows, cols = r, n - r
+    out: dict[tuple[int, ...], int] = {}  # nu padded to `rows` parts
     budget = MAX_LR_TABLEAUX
-    for (lam, ca), (mu, cb) in iproduct(a.terms.items(), b.terms.items()):
-        for nu in _lr_tableaux(lam, mu, r, n - r):
-            out[nu] = out.get(nu, 0) + ca * cb
-            budget -= 1
-            if budget < 0:
-                raise ValueError(
-                    f"the product needs more than {MAX_LR_TABLEAUX} "
-                    "Littlewood-Richardson tableaux"
-                )
-    # every nu is normalized and inside the box: skip the constructor's checks
+
+    def add(nu):
+        nonlocal budget
+        out[nu] = out.get(nu, 0) + coeff
+        budget -= 1
+        if budget < 0:
+            raise ValueError(
+                f"the product needs more than {MAX_LR_TABLEAUX} "
+                "Littlewood-Richardson tableaux"
+            )
+
+    def strip(i, k, left, slack, old, new, prev):
+        # old: shape before label i; new: its rows 0..k-1 after label i;
+        # prev: the number of (i-1)'s in each row.
+        if left == 0:
+            nu = new + old[k:]
+            if i == last:
+                add(nu)
+            else:
+                strip(i + 1, 0, mu[i + 1], 0, nu, (), tuple(map(sub, nu, old)))
+            return
+        top = old[k - 1] if k else cols
+        if left > top - old[-1]:
+            return  # rows k.. cannot take `left` more cells
+        least = floor[i + rows - 1 - k] - mu[i] + left
+        for a in range(least if least > 0 else 0, min(left, slack, top - old[k]) + 1):
+            strip(i, k + 1, left - a, slack - a + prev[k], old, new + (old[k] + a,), prev)
+
+    zero = (0,) * rows
+    for mu, cb in b.terms.items():
+        floor = mu + (0,) * (2 * rows)  # mu_j, and 0 past the last label
+        last = len(mu) - 1
+        for lam, ca in a.terms.items():
+            coeff = ca * cb
+            if mu:
+                strip(0, 0, mu[0], mu[0], lam + zero[len(lam):], (), zero)
+            else:
+                add(lam + zero[len(lam):])
+    # every nu is inside the box: skip the constructor's checks
     prod = ChowElement(r, n)
-    prod.terms = {nu: c for nu, c in out.items() if c}
+    prod.terms = {nu[: rows - nu.count(0)]: c for nu, c in out.items() if c}
     return prod
 
 

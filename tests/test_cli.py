@@ -657,6 +657,33 @@ class TestReportPlumbing:
         assert (proc.returncode, proc.stderr) == (1, b"")
         assert emitted.exists() == (strata == "existing")
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize(
+        "n, strata",
+        [(n, strata) for strata in (None, "created", "existing") for n in (2, 6)],
+        ids=["2", "6", "2-strata", "6-strata", "2-existing-strata", "6-existing-strata"],
+    )
+    def test_full_stdout_exits_2(self, tmp_path, n, strata):
+        # every write to /dev/full fails with ENOSPC, at the flush for n = 2
+        # and in the write for n = 6: one error line, no traceback, and the
+        # strata file goes again unless it existed
+        emitted = tmp_path / "s.json"
+        if strata == "existing":
+            emitted.write_text("kept\n")
+        emit = ["--emit-strata", "s.json"] if strata else []
+        script = "import sys\nfrom chernmather.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+        env = {**os.environ, "PYTHONPATH": str(Path(chernmather.__file__).parents[1])}
+        env.pop("PYTHONUNBUFFERED", None)
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-c", script, "detvar", "--n", str(n), *emit],
+                cwd=tmp_path, env=env, stdout=full, stderr=subprocess.PIPE, timeout=60,
+            )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(b"error: cannot write the report to stdout: [Errno 28] ")
+        assert proc.stderr.count(b"\n") == 1
+        assert emitted.exists() == (strata == "existing")
+
     def test_missing_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])
