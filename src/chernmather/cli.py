@@ -39,8 +39,8 @@ from .strata import MAX_AMBIENT, EulerTable, StratifiedPair, euler_table
 
 _INT64_MAX = 2**63 - 1
 _c_encode = JSONEncoder().encode
-# Largest n accepted by `detvar` (n = 12, 13 and 14 take about 0.9, 1.5 and
-# 4 to 7 s on a 2-core VM; an even n localizes one more r than the odd n
+# Largest n accepted by `detvar` (n = 12, 13 and 14 take about 0.9, 2.0 and
+# 5.7 to 6.4 s on a 2-core VM; an even n localizes one more r than the odd n
 # below it) and by `chow` (at most C(20, 10) Schubert classes; the work of
 # each product is bounded by grassmann.MAX_LR_TABLEAUX).
 MAX_DETVAR_N = 14

@@ -16,9 +16,10 @@ from operator import sub
 
 # Most LR tableaux one product may generate.  Their number, not the box,
 # sets the cost: on G(10, 20) the staircase products (5,4,3,2,1)^2 and
-# (6,5,4,3,2,1)^2 generate 26,704 and 1,095,308 tableaux, in 0.4 s and 19 s
-# on a 2-core VM.  sigma_1^100 needs at most 28,618 per product, and the
-# slowest accepted input found, (1,1)^40 * 1^20, takes about 16 s.
+# (6,5,4,3,2,1)^2 generate 26,704 and 1,095,308 tableaux, in 0.35 s and 15 s
+# as `chow` processes on a 2-core VM.  sigma_1^100 needs at most 28,618 per
+# product, and the slowest accepted input found, (1,1)^40 * 1^20, takes 7
+# to 8 s.
 MAX_LR_TABLEAUX = 100_000
 
 
@@ -104,8 +105,7 @@ def lr_multiply(a: ChowElement, b: ChowElement) -> ChowElement:
     mu explores many fillings that no later label completes.
     """
     a._check_ring(b)
-    r, n = a.r, a.n
-    rows, cols = r, n - r
+    rows, cols = a.r, a.n - a.r
     out: dict[tuple[int, ...], int] = {}  # nu padded to `rows` parts
     budget = MAX_LR_TABLEAUX
 
@@ -147,7 +147,7 @@ def lr_multiply(a: ChowElement, b: ChowElement) -> ChowElement:
             else:
                 add(lam + zero[len(lam):])
     # every nu is inside the box: skip the constructor's checks
-    prod = ChowElement(r, n)
+    prod = ChowElement(a.r, a.n)
     prod.terms = {nu[: rows - nu.count(0)]: c for nu, c in out.items() if c}
     return prod
 

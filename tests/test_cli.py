@@ -470,7 +470,7 @@ class TestChow:
     DELTA5, DELTA6 = "5,4,3,2,1", "6,5,4,3,2,1"
 
     def test_tableaux_over_limit_rejected(self):
-        # delta_6 * delta_6 generates 1,095,308 tableaux, about 19 s of work
+        # delta_6 * delta_6 generates 1,095,308 tableaux, about 15 s of work
         proc = run_limited("chow", "--r", "10", "--n", "20", "--mult", self.DELTA6, self.DELTA6)
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr == (
@@ -628,16 +628,14 @@ class TestReportPlumbing:
             with pytest.raises(TypeError):
                 _json({"a": value}, "")
 
-    @pytest.mark.parametrize(
-        "n, strata",
-        [(n, strata) for strata in (None, "created", "existing") for n in (2, 6)],
-        ids=["2", "6", "2-strata", "6-strata", "2-existing-strata", "6-existing-strata"],
-    )
-    def test_closed_stdout_exits_1_quietly(self, tmp_path, n, strata):
-        # stdout is a pipe whose reader has already gone.  Buffered, as by
-        # default, the report of n = 2 fits the buffer and fails at its
-        # flush; that of n = 6 does not and fails in the write.  The strata
-        # file, written before the report, goes again unless it existed.
+    @staticmethod
+    def detvar_to(stdout, tmp_path, n, strata):
+        """`detvar --n n` in a child process writing its report to the file
+        descriptor or file `stdout`, buffered as by default: the report of
+        n = 2 fits the buffer and fails at its flush, that of n = 6 fails in
+        the write.  With `strata`, `--emit-strata s.json` in tmp_path, where
+        an "existing" s.json is there before the run.  Returns the process
+        and whether s.json is there after it."""
         emitted = tmp_path / "s.json"
         if strata == "existing":
             emitted.write_text("kept\n")
@@ -645,44 +643,42 @@ class TestReportPlumbing:
         script = "import sys\nfrom chernmather.cli import main\nsys.exit(main(sys.argv[1:]))\n"
         env = {**os.environ, "PYTHONPATH": str(Path(chernmather.__file__).parents[1])}
         env.pop("PYTHONUNBUFFERED", None)
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "detvar", "--n", str(n), *emit],
+            cwd=tmp_path, env=env, stdout=stdout, stderr=subprocess.PIPE, timeout=60,
+        )
+        return proc, emitted.exists()
+
+    STDOUT_CASES = pytest.mark.parametrize(
+        "n, strata",
+        [(n, strata) for strata in (None, "created", "existing") for n in (2, 6)],
+        ids=["2", "6", "2-strata", "6-strata", "2-existing-strata", "6-existing-strata"],
+    )
+
+    @STDOUT_CASES
+    def test_closed_stdout_exits_1_quietly(self, tmp_path, n, strata):
+        # stdout is a pipe whose reader has already gone.  The strata file,
+        # written before the report, goes again unless it existed.
         read, write = os.pipe()
         os.close(read)
         try:
-            proc = subprocess.run(
-                [sys.executable, "-c", script, "detvar", "--n", str(n), *emit],
-                cwd=tmp_path, env=env, stdout=write, stderr=subprocess.PIPE, timeout=60,
-            )
+            proc, emitted = self.detvar_to(write, tmp_path, n, strata)
         finally:
             os.close(write)
         assert (proc.returncode, proc.stderr) == (1, b"")
-        assert emitted.exists() == (strata == "existing")
+        assert emitted == (strata == "existing")
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-    @pytest.mark.parametrize(
-        "n, strata",
-        [(n, strata) for strata in (None, "created", "existing") for n in (2, 6)],
-        ids=["2", "6", "2-strata", "6-strata", "2-existing-strata", "6-existing-strata"],
-    )
+    @STDOUT_CASES
     def test_full_stdout_exits_2(self, tmp_path, n, strata):
-        # every write to /dev/full fails with ENOSPC, at the flush for n = 2
-        # and in the write for n = 6: one error line, no traceback, and the
-        # strata file goes again unless it existed
-        emitted = tmp_path / "s.json"
-        if strata == "existing":
-            emitted.write_text("kept\n")
-        emit = ["--emit-strata", "s.json"] if strata else []
-        script = "import sys\nfrom chernmather.cli import main\nsys.exit(main(sys.argv[1:]))\n"
-        env = {**os.environ, "PYTHONPATH": str(Path(chernmather.__file__).parents[1])}
-        env.pop("PYTHONUNBUFFERED", None)
+        # every write to /dev/full fails with ENOSPC: one error line, no
+        # traceback, and the strata file goes again unless it existed
         with open("/dev/full", "w") as full:
-            proc = subprocess.run(
-                [sys.executable, "-c", script, "detvar", "--n", str(n), *emit],
-                cwd=tmp_path, env=env, stdout=full, stderr=subprocess.PIPE, timeout=60,
-            )
+            proc, emitted = self.detvar_to(full, tmp_path, n, strata)
         assert proc.returncode == 2
         assert proc.stderr.startswith(b"error: cannot write the report to stdout: [Errno 28] ")
         assert proc.stderr.count(b"\n") == 1
-        assert emitted.exists() == (strata == "existing")
+        assert emitted == (strata == "existing")
 
     def test_missing_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -31,6 +31,21 @@ from oracles import chern_numbers_all_points, q_poly_schubert
 SEGRE_3 = ClassPoly([0, 0, 0, 0, 6, 18, 24, 18, 9], 9)
 
 
+def segre_q(n: int) -> ClassPoly:
+    """q_(n,n-1), the class of the smooth Segre P^(n-1) x P^(n-1) in
+    P^(n^2-1), in closed form: the coefficient of H^(n^2-1-j) is the integral
+    of c_(2n-2-j)(T) (h1+h2)^j with c(T) = (1+h1)^n (1+h2)^n, and only
+    h1^(n-1) h2^(n-1) integrates to 1."""
+    coeffs = [0] * (n * n)
+    for j in range(2 * n - 1):
+        # h1^a h2^(2n-2-j-a) from c(T), times h1^(n-1-a) h2^(j-n+1+a)
+        coeffs[n * n - 1 - j] = sum(
+            comb(n, a) * comb(n, 2 * n - 2 - j - a) * comb(j, n - 1 - a)
+            for a in range(min(n - 1, 2 * n - 2 - j) + 1)
+        )
+    return ClassPoly(coeffs, n * n)
+
+
 # The package keeps no caches, so tests that reuse a family build it once here;
 # tests that patch the package call it directly instead.
 @lru_cache(maxsize=None)
@@ -62,7 +77,13 @@ class TestQPoly:
         assert q_poly(3, 3).is_zero()
 
     def test_segre_class(self):
-        assert q_poly(3, 2) == SEGRE_3
+        assert q_poly(3, 2) == SEGRE_3 == segre_q(3)
+
+    @pytest.mark.parametrize("n", range(3, 15))
+    def test_transposed_rank_one_route_matches_segre(self, n):
+        # q_(n,n-1) as eu_table_det derives it, from the Chern numbers of
+        # G(1, n), at sizes the all-points oracle does not reach
+        assert detvar._dual_q(detvar._chern_numbers(n, 1), n, n - 1) == segre_q(n)
 
     def test_determinant_hypersurface_degree(self):
         # codimension r^2, leading coefficient = degree of the locus

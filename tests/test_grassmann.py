@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chernmather import grassmann
 from chernmather.grassmann import ChowElement, integrate, lr_multiply, normalize_partition
 
 from oracles import (
@@ -133,6 +134,85 @@ class TestLROracles:
         for lam in partitions_in_box(r, n - r):
             got = integrate(lr_multiply(sigma(lam, r, n), powers[top - sum(lam)]))
             assert got == box_minus_tableaux(lam, r, n - r), lam
+
+
+def bilinear_oracle(a_terms, b_terms, rows, cols):
+    """The product of two combinations, term by term through the Schur oracle."""
+    want = {}
+    for lam, ca in a_terms.items():
+        for mu, cb in b_terms.items():
+            for nu, c in schur_product_in_box(lam, mu, rows, cols).items():
+                want[nu] = want.get(nu, 0) + ca * cb * c
+    return want
+
+
+class TestMultiTermProducts:
+    @pytest.mark.parametrize(
+        "a_terms, b_terms, rows, cols, cancelled",
+        [
+            # s_1 s_1 - s_2 s_() = s_11: the s_2 terms cancel
+            ({(1,): 1, (2,): -1}, {(1,): 1, (): 1}, 2, 2, {(2,)}),
+            # (2 s_1 - 2 s_2)(s_() + s_1 - 3 s_11) on G(3, 6): 2 s_1 s_1 and
+            # -2 s_2 s_() cancel in s_2
+            ({(1,): 2, (2,): -2}, {(): 1, (1,): 1, (1, 1): -3}, 3, 3, {(2,)}),
+            # (s_2 - s_11)(s_2 + s_11) = s_2^2 - s_11^2 on G(2, 5), and both
+            # squares hold s_22
+            ({(2,): 1, (1, 1): -1}, {(2,): 1, (1, 1): 1}, 2, 3, {(2, 2)}),
+            ({(2, 1): 2, (1,): -5, (): 7}, {(): -4, (2, 2): 3, (1, 1, 1): 6}, 3, 3, set()),
+        ],
+    )
+    def test_matches_bilinear_oracle(self, a_terms, b_terms, rows, cols, cancelled):
+        # several terms on each side, coefficients other than 1, the unit
+        # sigma_() among the factor's terms, and terms that cancel to zero
+        n = rows + cols
+        want = bilinear_oracle(a_terms, b_terms, rows, cols)
+        assert {nu for nu, c in want.items() if c == 0} == cancelled
+        got = lr_multiply(ChowElement(rows, n, a_terms), ChowElement(rows, n, b_terms))
+        assert got.terms == {nu: c for nu, c in want.items() if c}
+
+    def test_random_combinations_match_bilinear_oracle(self):
+        rng = random.Random(21)
+        for rows, cols in [(1, 3), (2, 2), (2, 3), (3, 2), (3, 3)]:
+            n = rows + cols
+            box = list(partitions_in_box(rows, cols))
+            for _ in range(10):
+                terms = [
+                    {rng.choice(box): rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(4)}
+                    for _ in range(2)
+                ]
+                terms[1][()] = rng.choice([-2, 2])
+                want = bilinear_oracle(*terms, rows, cols)
+                got = lr_multiply(*(ChowElement(rows, n, t) for t in terms))
+                assert got.terms == {nu: c for nu, c in want.items() if c}, terms
+
+
+class TestTableauBudget:
+    # A product may generate MAX_LR_TABLEAUX tableaux and no more.  Each pair
+    # of terms, the unit factor included, generates c^nu_(lam,mu) tableaux
+    # for every nu in the box: the coefficients of sigma_lam sigma_mu.
+    @pytest.mark.parametrize(
+        "a_terms, b_terms, rows, cols, count",
+        [
+            ({(1,): 1}, {(1,): 1}, 2, 2, 2),
+            # (2,1)(2,1) = s_33 + 2 s_321 + s_222 in the 3 x 3 box
+            ({(2, 1): 1}, {(2, 1): 1}, 3, 3, 4),
+            ({(2, 1): 1, (1,): 1}, {(1, 1): 1, (): 1}, 3, 3, 7),
+            ({(1,): 1, (): 1}, {(): 1}, 2, 2, 2),
+        ],
+    )
+    def test_limit_counts_every_tableau(self, monkeypatch, a_terms, b_terms, rows, cols, count):
+        n = rows + cols
+        assert sum(bilinear_oracle(a_terms, b_terms, rows, cols).values()) == count
+        a, b = ChowElement(rows, n, a_terms), ChowElement(rows, n, b_terms)
+        want = lr_multiply(a, b)
+        monkeypatch.setattr(grassmann, "MAX_LR_TABLEAUX", count)
+        assert lr_multiply(a, b) == want
+        monkeypatch.setattr(grassmann, "MAX_LR_TABLEAUX", count - 1)
+        with pytest.raises(ValueError) as exc:
+            lr_multiply(a, b)
+        assert str(exc.value) == (
+            f"the product needs more than {count - 1} Littlewood-Richardson tableaux"
+        )
 
 
 def lr_coefficient(lam, mu, nu):
