@@ -19,7 +19,7 @@ options) goes to argparse, which builds the parser of every subcommand, so
 help and messages are argparse's own.
 Exit codes: 0 success, 1 stdout closed before the report was written,
 2 malformed input or a report that cannot be written, 3 mathematical
-inconsistency.
+inconsistency; an error message that stderr cannot take changes neither.
 """
 
 from __future__ import annotations
@@ -441,18 +441,21 @@ def main(argv=None) -> int:
                 raise ValueError(f"cannot write the report to stdout: {exc}") from exc
         return 0
     except BrokenPipeError:
-        code = 1
+        code, error = 1, None
     except (LinearSystemError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        code = 3
+        code, error = 3, exc
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        code = 2
+        code, error = 2, exc
     # a failed run takes back what it wrote, but never a path that existed
     # before it, such as /dev/null
     for path in created:
         if os.path.lexists(path):
             os.remove(path)
+    if error is not None and sys.stderr is not None:  # None: closed at start-up
+        try:
+            print(f"error: {error}", file=sys.stderr)
+        except OSError:
+            sys.stderr = None  # full or closed: the flush at exit skips None
     return code
 
 

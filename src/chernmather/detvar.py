@@ -41,9 +41,10 @@ coefficient n^2 C(n-1, r), and the transform must carry each q_{n,r},
 r <= n/2, to q_{n,n-r}; otherwise ArithmeticError is raised.
 
 Alternating binomial sums of the q polynomials give the class polynomials
-of the open rank strata, and feeding those to the strata solver reproduces
+of the open rank strata.  Fed to the strata solver, those must reproduce
 the binomial table of local Euler obstructions Eu = C(r, k) together with
-the origin column C(n, k).
+the origin column C(n, k); `strata.checked_table` raises ArithmeticError
+otherwise.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from math import comb, factorial, lcm, prod
 from operator import mul
 
 from .classpoly import ClassPoly, involute
-from .strata import EulerTable, StratifiedPair, Stratum, euler_table
+from .strata import EulerTable, StratifiedPair, Stratum, checked_table
 
 
 def stratum_dim(n: int, k: int) -> int:
@@ -201,8 +202,8 @@ def eu_table_det(n: int) -> tuple[list[ClassPoly], StratifiedPair, EulerTable]:
     tau_{n,k} paired to tau_{n,n-k}, so both sides of the pair carry the
     same strata.
     The binomial values are reproduced, not assumed: after solving, the table
-    is checked against Eu = C(r, k), the origin column against C(n, k) and
-    each class against q[k]; both halves of the table must agree.
+    is checked by `strata.checked_table` against its closed forms, Eu = C(r, k)
+    on both halves, the origin column C(n, k) and the classes q on both sides.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -224,23 +225,9 @@ def eu_table_det(n: int) -> tuple[list[ClassPoly], StratifiedPair, EulerTable]:
         [Stratum(f"tau_{n}_{k}_dual", c, stratum_dim(n, k)) for k, c in enumerate(opens)],
         [(k, n - k) for k in range(1, n)],
     )
-    table = euler_table(pair)
-    for k in range(n):
-        for r in range(n):
-            expect = comb(r, k) if r >= k else 0
-            if table.primal[k][r] != expect:
-                raise ArithmeticError(
-                    f"entry ({k},{r}) is {table.primal[k][r]}, expected {expect}"
-                )
-        if table.origin[k] != comb(n, k):
-            raise ArithmeticError(
-                f"origin entry {k} is {table.origin[k]}, expected {comb(n, k)}"
-            )
-        if table.chern_mather_primal[k] != q[k]:
-            raise ArithmeticError(
-                f"solver Chern-Mather class disagrees with q_({n},{k})"
-            )
-    primal = (table.primal, table.chern_mather_primal)
-    if (table.dual, table.chern_mather_dual) != primal:
-        raise ArithmeticError("the dual half of the table differs from the primal half")
+    binomial = [tuple(comb(r, k) for r in range(n)) for k in range(n)]
+    table = checked_table(
+        pair, primal=binomial, dual=binomial, origin=[comb(n, k) for k in range(n)],
+        chern_mather_primal=q, chern_mather_dual=q,
+    )
     return q, pair, table

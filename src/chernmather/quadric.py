@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .classpoly import ClassPoly, csm_linear_space, div_1p2H
-from .strata import EulerTable, StratifiedPair, Stratum, euler_table
+from .strata import EulerTable, StratifiedPair, Stratum, checked_table
 
 
 class QuadricSpec(namedtuple("QuadricSpec", "n r")):
@@ -145,18 +145,13 @@ def build_pair(spec: QuadricSpec) -> StratifiedPair:
 
 
 def cross_validate(spec: QuadricSpec, pair: StratifiedPair) -> EulerTable:
-    """Run the strata solver on `pair`, the quadric pair `build_pair(spec)`,
-    and check that it returns the closed-form obstruction (-1)^r + 1 along
-    the singular locus."""
+    """Solve `pair`, the quadric pair `build_pair(spec)`, by
+    `strata.checked_table` against the closed forms: obstruction
+    e = (-1)^r + 1 along the singular locus, the smooth dual quadric's
+    table (1), and e and 1 at the cone points over X and over its singular
+    locus."""
     if spec.is_smooth:
         raise ValueError("cross-validation needs a singular quadric (r <= n)")
-    table = euler_table(pair)
-    expected = eu_values(spec)[1]
-    solved = table.primal[0][1]
-    if solved != expected:
-        raise ArithmeticError(
-            f"solver returned Eu = {solved}, closed form says {expected} "
-            f"(n={spec.n}, r={spec.r})"
-        )
-    return table
+    e = eu_values(spec)[1]
+    return checked_table(pair, primal=((1, e), (0, 1)), dual=((1,),), origin=(e, 1))
 

@@ -15,13 +15,15 @@ is the family of local Euler obstructions of the closure of stratum r (and,
 through the b's, of its dual).  `euler_table` weights the class polynomials
 by each row for the Chern-Mather class of every stratum closure on both
 sides; a primal class at H = -1 gives the Euler obstruction of its affine
-cone at the origin.
+cone at the origin.  `checked_table` is the one check of a generated family:
+it solves the pair and compares the table with the family's closed forms.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
+from itertools import zip_longest
 from operator import mul
 
 from .classpoly import ClassPoly, chern_B, involute
@@ -379,3 +381,15 @@ def euler_table(pair: StratifiedPair) -> EulerTable:
     for note in pair.dim_notes():
         diags.append({"system": "input", "note": note, "residual": "n/a"})
     return EulerTable(*tables, origin, *classes, tuple(diags))
+
+
+def checked_table(pair: StratifiedPair, **closed_forms) -> EulerTable:
+    """`euler_table(pair)`, checked entry by entry against the closed forms of
+    a generated family, each keyword an `EulerTable` field and its entries;
+    the first entry that differs or that one side lacks raises ArithmeticError."""
+    table = euler_table(pair)
+    for field, expected in closed_forms.items():
+        for i, (got, want) in enumerate(zip_longest(getattr(table, field), expected)):
+            if got != want:
+                raise ArithmeticError(f"solved {field}[{i}] differs from its closed form")
+    return table

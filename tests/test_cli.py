@@ -629,6 +629,21 @@ class TestReportPlumbing:
                 _json({"a": value}, "")
 
     @staticmethod
+    def child(argv, cwd, stdout, stderr):
+        """`main(argv)` in a child process in `cwd` with the given stdout and
+        stderr, buffered as by default; stderr "closed" starts the child with
+        file descriptor 2 closed, so Python sets sys.stderr to None."""
+        script = "import sys\nfrom chernmather.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+        env = {**os.environ, "PYTHONPATH": str(Path(chernmather.__file__).parents[1])}
+        env.pop("PYTHONUNBUFFERED", None)
+        command = [sys.executable, "-c", script, *argv]
+        if stderr == "closed":
+            command, stderr = ["sh", "-c", '"$@" 2>&-', "sh", *command], None
+        return subprocess.run(
+            command, cwd=cwd, env=env, stdout=stdout, stderr=stderr, timeout=60
+        )
+
+    @staticmethod
     def detvar_to(stdout, tmp_path, n, strata):
         """`detvar --n n` in a child process writing its report to the file
         descriptor or file `stdout`, buffered as by default: the report of
@@ -640,12 +655,8 @@ class TestReportPlumbing:
         if strata == "existing":
             emitted.write_text("kept\n")
         emit = ["--emit-strata", "s.json"] if strata else []
-        script = "import sys\nfrom chernmather.cli import main\nsys.exit(main(sys.argv[1:]))\n"
-        env = {**os.environ, "PYTHONPATH": str(Path(chernmather.__file__).parents[1])}
-        env.pop("PYTHONUNBUFFERED", None)
-        proc = subprocess.run(
-            [sys.executable, "-c", script, "detvar", "--n", str(n), *emit],
-            cwd=tmp_path, env=env, stdout=stdout, stderr=subprocess.PIPE, timeout=60,
+        proc = TestReportPlumbing.child(
+            ["detvar", "--n", str(n), *emit], tmp_path, stdout, subprocess.PIPE
         )
         return proc, emitted.exists()
 
@@ -679,6 +690,30 @@ class TestReportPlumbing:
         assert proc.stderr.startswith(b"error: cannot write the report to stdout: [Errno 28] ")
         assert proc.stderr.count(b"\n") == 1
         assert emitted == (strata == "existing")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("stderr", ["full", "closed", "read-only"])
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["detvar", "--n", "2", "--emit-strata", "s.json"], 2),
+            (["solve", "missing.json"], 2),
+            (["solve", "inconsistent.json"], 3),
+        ],
+        ids=["full-stdout", "missing-file", "inconsistent"],
+    )
+    def test_unwritable_stderr_keeps_exit_code(self, tmp_path, argv, code, stderr):
+        # the error line cannot be written either: the exit code stays, and
+        # the strata file written before the report goes again
+        data = json.loads(FIXTURE.read_text())
+        data["primal"][1]["csm"][-1] += 1
+        (tmp_path / "inconsistent.json").write_text(json.dumps(data))
+        # descriptor 2 read-only: the child's writes fail with EBADF
+        with open("/dev/full", "w") as full, open(FIXTURE) as read_only:
+            err = {"full": full, "closed": "closed", "read-only": read_only}[stderr]
+            proc = self.child(argv, tmp_path, full, err)
+        assert proc.returncode == code
+        assert not (tmp_path / "s.json").exists()
 
     def test_missing_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

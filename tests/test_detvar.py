@@ -371,7 +371,8 @@ class TestChernMatherDet:
 
 
 def _corrupt_euler_table(monkeypatch, field, k, change):
-    """Make detvar's solver return a table whose entry k of `field` is changed."""
+    """Make the solver behind `strata.checked_table` return a table whose
+    entry k of `field` is changed."""
 
     def corrupted(pair):
         table = euler_table(pair)
@@ -379,7 +380,7 @@ def _corrupt_euler_table(monkeypatch, field, k, change):
         entries[k] = change(entries[k])
         return table._replace(**{field: tuple(entries)})
 
-    monkeypatch.setattr(detvar, "euler_table", corrupted)
+    monkeypatch.setattr(strata, "euler_table", corrupted)
 
 
 def _bump(row):
@@ -390,17 +391,23 @@ def _bump(row):
 class TestRuntimeChecks:
     """The table and class checks raise ArithmeticError, which python -O keeps."""
 
-    def test_eu_table_det_rejects_wrong_table(self, monkeypatch):
+    def test_eu_table_det_rejects_wrong_table(self, monkeypatch, capsys):
         _corrupt_euler_table(monkeypatch, "primal", 0, _bump)
-        with pytest.raises(ArithmeticError, match="entry"):
+        with pytest.raises(ArithmeticError, match=r"^solved primal\[0\] differs"):
             eu_table_det(3)
+        assert cli_main(["detvar", "--n", "3"]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: solved primal[0] differs from its closed form\n"
 
-    def test_chern_mather_det_rejects_wrong_class(self, monkeypatch):
+    def test_chern_mather_det_rejects_wrong_class(self, monkeypatch, capsys):
         _corrupt_euler_table(
             monkeypatch, "chern_mather_primal", 1, lambda cm: cm + ClassPoly.monomial(8, 9)
         )
-        with pytest.raises(ArithmeticError, match="disagrees with q_\\(3,1\\)"):
+        with pytest.raises(ArithmeticError, match=r"^solved chern_mather_primal\[1\] differs"):
             eu_table_det(3)
+        assert cli_main(["detvar", "--n", "3"]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: solved chern_mather_primal[1] differs from its closed form\n"
 
     @pytest.mark.parametrize(
         "field, change",
@@ -409,11 +416,11 @@ class TestRuntimeChecks:
     )
     def test_corrupted_dual_half_exits_3(self, monkeypatch, capsys, field, change):
         _corrupt_euler_table(monkeypatch, field, 1, change)
-        with pytest.raises(ArithmeticError, match="dual half"):
+        with pytest.raises(ArithmeticError, match=rf"^solved {field}\[1\] differs"):
             eu_table_det(3)
         assert cli_main(["detvar", "--n", "3"]) == 3
         err = capsys.readouterr().err
-        assert err == "error: the dual half of the table differs from the primal half\n"
+        assert err == f"error: solved {field}[1] differs from its closed form\n"
 
     @pytest.mark.parametrize(
         "power, message",
@@ -453,9 +460,9 @@ class TestRuntimeChecks:
         # a corrupted origin column still exits 3 when asserts are stripped
         script = (
             "import sys\n"
-            "from chernmather import cli, detvar\n"
-            "solve = detvar.euler_table\n"
-            "detvar.euler_table = lambda pair: solve(pair)._replace(origin=(0, 3, 3))\n"
+            "from chernmather import cli, strata\n"
+            "solve = strata.euler_table\n"
+            "strata.euler_table = lambda pair: solve(pair)._replace(origin=(0, 3, 3))\n"
             "sys.exit(cli.main(['detvar', '--n', '3']) if sys.flags.optimize else 99)\n"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(detvar.__file__).parents[1])}
@@ -463,4 +470,4 @@ class TestRuntimeChecks:
             [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
         )
         assert proc.returncode == 3, proc.stderr
-        assert "origin entry 0 is 0, expected 1" in proc.stderr
+        assert proc.stderr == "error: solved origin[0] differs from its closed form\n"

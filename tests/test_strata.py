@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from chernmather import detvar, quadric, strata
+from chernmather.cli import main as cli_main
 from chernmather.classpoly import ClassPoly, chern_B, csm_linear_space, involute
 from chernmather.linsolve import (
     InconsistentSystem,
@@ -15,6 +16,7 @@ from chernmather.strata import (
     EulerTable,
     StratifiedPair,
     Stratum,
+    checked_table,
     chern_mather,
     euler_table,
 )
@@ -294,6 +296,67 @@ class TestDualitySymmetry:
         for r, p in pair.pairing:
             cm_p, cm_d = table.chern_mather_primal[r], table.chern_mather_dual[p]
             assert involute(cm_p.signed(), pair.ambient - 1) == cm_d.signed()
+
+
+# The closed forms of the quadric cone pair, every field of its table
+CONE_FORMS = {
+    "primal": ((1, 0), (0, 1)),
+    "dual": ((1,),),
+    "origin": (0, 1),
+    "chern_mather_primal": (ClassPoly([0, 2, 4, 2]), ClassPoly([0, 0, 0, 1])),
+    "chern_mather_dual": (ClassPoly([0, 0, 2, 2]),),
+}
+
+
+def _wrong(entry):
+    """An entry of a table field, changed: a row in its last place, a class
+    in its top coefficient, a number by one."""
+    if isinstance(entry, tuple):
+        return (*entry[:-1], entry[-1] + 1)
+    if isinstance(entry, ClassPoly):
+        return entry + ClassPoly.monomial(entry.modulus - 1, entry.modulus)
+    return entry + 1
+
+
+def _differs(field, i):
+    return rf"^solved {field}\[{i}\] differs from its closed form$"
+
+
+class TestCheckedTable:
+    def test_closed_forms_return_the_solved_table(self):
+        pair = quadric_cone_pair()
+        assert checked_table(pair, **CONE_FORMS) == euler_table(pair)
+        assert checked_table(pair) == euler_table(pair)
+
+    @pytest.mark.parametrize(
+        "field, i", [(f, i) for f, forms in CONE_FORMS.items() for i in range(len(forms))]
+    )
+    def test_wrong_entry_names_field_and_index(self, field, i):
+        forms = list(CONE_FORMS[field])
+        forms[i] = _wrong(forms[i])
+        with pytest.raises(ArithmeticError, match=_differs(field, i)):
+            checked_table(quadric_cone_pair(), **{**CONE_FORMS, field: tuple(forms)})
+
+    @pytest.mark.parametrize("field", CONE_FORMS)
+    def test_closed_form_of_another_length_fails(self, field):
+        forms = CONE_FORMS[field]
+        with pytest.raises(ArithmeticError, match=_differs(field, len(forms) - 1)):
+            checked_table(quadric_cone_pair(), **{field: forms[:-1]})
+        with pytest.raises(ArithmeticError, match=_differs(field, len(forms))):
+            checked_table(quadric_cone_pair(), **{field: forms + forms[-1:]})
+
+    def test_quadric_origin_column_is_checked(self, monkeypatch, capsys):
+        # the cone points of the quadric and of its singular locus: only the
+        # origin column is corrupted, every other field is the solver's
+        spec = quadric.QuadricSpec(4, 3)
+        monkeypatch.setattr(
+            strata, "euler_table", lambda pair: euler_table(pair)._replace(origin=(1, 1))
+        )
+        with pytest.raises(ArithmeticError, match=_differs("origin", 0)):
+            quadric.cross_validate(spec, quadric.build_pair(spec))
+        assert cli_main(["quadric", "--n", "4", "--rank", "3"]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: solved origin[0] differs from its closed form\n"
 
 
 class TestChernMather:
