@@ -14,10 +14,10 @@ from .classpoly import (
     csm_linear_space,
     div_1p2H,
     involute,
+    involute_all,
     one_plus_h_power,
 )
 from .detvar import (
-    duality_check,
     eu_table_det,
     q_poly,
     stratum_dim,

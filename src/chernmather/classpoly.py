@@ -11,14 +11,17 @@ The module also implements the degree-d duality transform
 
 which is an involution on polynomials without constant term and is linear.
 Applied to signed class polynomials (sign (-1)^dim) it interchanges the
-Chern-Mather classes of a projective variety and of its dual variety.  The
-shift f(-1-H) is computed by Horner's rule, one linear factor at a time.
+Chern-Mather classes of a projective variety and of its dual variety.
+`involute_all` transforms a list of classes in one pass of Horner's rule
+for the shift f(-1-H), on integers that hold the classes' coefficients
+side by side; `involute` is the one-class case.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-from operator import index
+from collections.abc import Iterable, Sequence
+from itertools import chain
+from operator import add, index, neg
 
 
 class ClassPoly:
@@ -32,7 +35,7 @@ class ClassPoly:
 
     def __init__(self, coeffs: Iterable[int], modulus: int | None = None):
         # index, not int: a float coefficient raises TypeError, never truncates
-        cs = [index(c) for c in coeffs]
+        cs = list(map(index, coeffs))
         if modulus is not None:
             if modulus < 1:
                 raise ValueError("modulus must be a positive integer")
@@ -224,38 +227,99 @@ def csm_linear_space(k: int, modulus: int) -> ClassPoly:
 
 
 def involute(f: ClassPoly, d: int) -> ClassPoly:
-    """The duality transform f(-1-H) - f(-1) * ((1+H)^(d+1) - H^(d+1)).
+    """The duality transform f(-1-H) - f(-1) * ((1+H)^(d+1) - H^(d+1)) of
+    one class: `involute_all([f], d)[0]`."""
+    return involute_all([f], d)[0]
 
-    Computed exactly on the stored coefficients, the shift f(-1-H) by
-    Horner's rule.  Inputs may have degree up to d+1 (degree exactly d+1 is
-    needed for the sign rule on H*B_d); the exact result must fit the
-    modulus, anything that would truncate is an error.
+
+def involute_all(fs: Sequence[ClassPoly], d: int) -> list[ClassPoly]:
+    """The duality transform of every class in `fs`, in one Horner pass.
+
+    Computed exactly on the stored coefficients.  Inputs may have degree up
+    to d+1 (degree exactly d+1 is needed for the sign rule on H*B_d); each
+    exact result must fit its class's modulus, anything that would truncate
+    is an error.  The classes are checked in order, and so are their
+    results.
+
+    With b_i = (-1)^i a_i, f(-1-H) = sum_i b_i (1+H)^i, so Horner's rule
+    needs one addition per coefficient: out <- out*(1+H) + b_i, top first.
+    Coefficient i of every class is packed into one integer, class c in
+    the signed W-bit digit at bit W*c, and the pass runs on those.  Every
+    step is linear over Z, so packed coefficient k of the result is
+    sum_c g_k(c) 2^(W c), with g(c) the shift of class c, exactly, whatever
+    the digits carry into each other on the way.  Only the final digits
+    must fit: with A the largest |a_i| and D the largest degree,
+
+        |g_k| <= sum_(i>=k) |a_i| C(i, k) <= A C(D+1, k+1) < 2^(bits(A) + D + 1),
+
+    which is at most 2^(W-1) for W = 8 * ceil((bits(A) + D + 2) / 8).  So
+    each digit plus 2^(W-1) lies in [0, 2^W): adding that bias to every
+    digit leaves no borrow between them, and flipping the top bit of each
+    biased field gives the digit's two's complement, read back by
+    `int.from_bytes`.  Packing runs the same way backwards, the |b_i| <= A
+    fitting as well.
     """
     if d < 1:
         raise ValueError("the transform needs d >= 1")
-    if f.modulus < d + 1:
-        raise ValueError(
-            f"modulus {f.modulus} cannot carry a degree-{d} representative"
-        )
-    deg = f.degree
-    if deg > d + 1:
-        raise ValueError(f"degree {deg} exceeds the transform degree {d}")
+    degrees = []
+    for f in fs:
+        if f.modulus < d + 1:
+            raise ValueError(
+                f"modulus {f.modulus} cannot carry a degree-{d} representative"
+            )
+        deg = f.degree
+        if deg > d + 1:
+            raise ValueError(f"degree {deg} exceeds the transform degree {d}")
+        degrees.append(deg)
+    if not fs:
+        return []
 
-    scratch = max(f.modulus, d + 2)
-    # f(-1-H) by Horner's rule, top coefficient first: out <- out*(-1-H) + a;
-    # before step i out has degree below i, so only out[:i+1] changes
-    out = [0] * scratch
-    for i, a in enumerate(reversed(f.coeffs[: deg + 1])):
-        out[: i + 1] = [a - out[0]] + [-x - y for x, y in zip(out[1 : i + 1], out)]
-    # out(0) = f(-1); subtract f(-1) * B_d, whose H^(d+1) terms cancel
-    c = out[0]
-    if c != 0:
-        out = [x - c * b for x, b in zip(out, chern_B(d, scratch).coeffs)]
-    if any(out[k] != 0 for k in range(f.modulus, scratch)):
-        raise ValueError(
-            f"transform result of degree > {f.modulus - 1} does not fit the modulus"
-        )
-    return ClassPoly(out[: f.modulus])
+    m, top = len(fs), max(max(degrees), 0)
+    scratch = max(max(f.modulus for f in fs), d + 2)
+    cols = []
+    for f in fs:
+        col = list(f.coeffs[: top + 1])
+        col[1::2] = map(neg, col[1::2])
+        cols.append(col + [0] * (top + 1 - len(col)))
+    biggest = max(max(map(abs, col)) for col in cols)
+    size = (biggest.bit_length() + top + 2 + 7) // 8  # bytes per digit
+    row = m * size  # bytes per packed coefficient
+    bias = int.from_bytes((bytes(size - 1) + b"\x80") * m, "little")
+    # pack: the two's complement fields of b_i, flipped at the top bit, are
+    # the biased digits of the packed coefficient
+    fields = chain.from_iterable(zip(*cols))  # coefficient 0 of every class first
+    blob = b"".join([b.to_bytes(size, "little", signed=True) for b in fields])
+    packed = [
+        (int.from_bytes(blob[i : i + row], "little") ^ bias) - bias
+        for i in range(0, len(blob), row)
+    ]
+    # before step k out has degree below k, so only out[:k+1] changes; the
+    # slice assignment reads the whole map before it writes
+    out = [0] * (top + 1)
+    for k, b in enumerate(reversed(packed)):
+        out[1 : k + 1] = map(add, out[1 : k + 1], out)
+        out[0] += b
+    blob = b"".join([((p + bias) ^ bias).to_bytes(row, "little") for p in out])
+    digits = [
+        int.from_bytes(blob[i : i + size], "little", signed=True)
+        for i in range(0, len(blob), size)
+    ]
+
+    results, b_d = [], None
+    for c, f in enumerate(fs):
+        g = digits[c::m] + [0] * (scratch - top - 1)
+        # g(0) = f(-1); subtract f(-1) * B_d, whose H^(d+1) terms cancel
+        v = g[0]
+        if v != 0:
+            if b_d is None:
+                b_d = chern_B(d, scratch).coeffs
+            g = [x - v * b for x, b in zip(g, b_d)]
+        if any(g[f.modulus :]):
+            raise ValueError(
+                f"transform result of degree > {f.modulus - 1} does not fit the modulus"
+            )
+        results.append(ClassPoly(g[: f.modulus]))
+    return results
 
 
 def div_1p2H(f: ClassPoly) -> ClassPoly:

@@ -17,9 +17,10 @@ since `solve` reads no strings, and json.dumps writes it.
 abbreviations such as `--fo`, `--n=3`, `--`, negative numbers, repeated
 options) goes to argparse, which builds the parser of every subcommand, so
 help and messages are argparse's own.
-Exit codes: 0 success, 1 stdout closed before the report was written,
-2 malformed input or a report that cannot be written, 3 mathematical
-inconsistency; an error message that stderr cannot take changes neither.
+Exit codes: 0 success, 1 stdout's reader gone before the report was
+written, 2 malformed input or a report that cannot be written (stdout
+closed at start-up among them), 3 mathematical inconsistency; an error
+message that stderr cannot take changes neither.
 """
 
 from __future__ import annotations
@@ -427,6 +428,8 @@ def main(argv=None) -> int:
                 created.append(path)
             _write(path, content)
         if args.out is None:
+            if sys.stdout is None:  # descriptor 1 was closed at start-up
+                raise ValueError("cannot write the report to stdout: it is closed")
             try:
                 sys.stdout.write(text)
                 sys.stdout.flush()

@@ -49,12 +49,11 @@ otherwise.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from itertools import combinations
 from math import comb, factorial, lcm, prod
 from operator import mul
 
-from .classpoly import ClassPoly, involute
+from .classpoly import ClassPoly, involute_all
 from .strata import EulerTable, StratifiedPair, Stratum, checked_table
 
 
@@ -154,15 +153,6 @@ def _expand(num: list[list[int]], n: int, r: int) -> ClassPoly:
     return ClassPoly(coeffs[: n * n], n * n)
 
 
-def duality_check(q: Sequence[ClassPoly], r: int) -> bool:
-    """Whether the duality transform carries the signed q polynomial of
-    tau_{n,r} to the signed one of tau_{n,n-r}, given q = [q_{n,0..n-1}]."""
-    n = len(q)
-    if not 1 <= r <= n - 1:
-        raise ValueError(f"rank parameter {r} out of range for n={n}")
-    return involute(q[r].signed(), n * n - 1) == q[n - r].signed()
-
-
 def _porteous_degree(n: int, r: int) -> int:
     """Degree of tau_{n,r} (Giambelli-Thom-Porteous)."""
     num = prod(factorial(i) * factorial(n + i) for i in range(r))
@@ -211,8 +201,10 @@ def eu_table_det(n: int) -> tuple[list[ClassPoly], StratifiedPair, EulerTable]:
     q = [_expand(num, n, r) for r, num in enumerate(numbers)]
     q += [_dual_q(numbers[n - r], n, r) for r in range(n // 2 + 1, n)]
     # the transform is an involution, so r <= n/2 covers every pair
-    for r in range(1, n // 2 + 1):
-        if not duality_check(q, r):
+    half = range(1, n // 2 + 1)
+    duals = involute_all([q[r].signed() for r in half], n * n - 1)
+    for r, dual in zip(half, duals):
+        if dual != q[n - r].signed():
             raise ArithmeticError(f"q_({n},{r}) and q_({n},{n - r}) are not dual")
     # open strata by binomial inversion: csm_k = sum_(r>=k) (-1)^(r-k) C(r,k) q_r;
     # the sign is taken as (-1)^(r+k), since a negative power of -1 is a float

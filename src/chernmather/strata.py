@@ -26,7 +26,7 @@ from collections.abc import Iterable, Sequence
 from itertools import zip_longest
 from operator import mul
 
-from .classpoly import ClassPoly, chern_B, involute
+from .classpoly import ClassPoly, chern_B, involute_all
 from .linsolve import InconsistentSystem, LinearSystemError, exact_solve
 
 # Largest accepted N: every class is stored densely with N coefficients and
@@ -337,7 +337,7 @@ def euler_table(pair: StratifiedPair) -> EulerTable:
 
     # the transforms of the primal classes serve every paired system; N = 1
     # has no transform (d = 0), and a file without pairs needs none.
-    inv = [involute(s.csm, pair.ambient - 1) for s in pair.primal] if pair.pairing else []
+    inv = involute_all([s.csm for s in pair.primal], pair.ambient - 1) if pair.pairing else []
     for r, p in pair.pairing:
         rows_p[r], rows_d[p] = _solve_paired(pair, inv, r, p)
         diags.append(

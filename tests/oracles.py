@@ -23,6 +23,9 @@ partition helpers of the tests (`partitions_in_box`, `conjugate`,
 localization that `detvar` used before it visited one fixed point of each
 mirror pair, with weights t_k = k at every one of the C(n, r) fixed points.
 
+`involute_binomial` is the duality transform by its binomial definition,
+with no Horner step and no packing: the oracle of `classpoly.involute_all`.
+
 `milnor_class_binomial` is the closed double-binomial form of a quadric's
 Milnor class, an independent route to the division mu * csm(S)/(1+2H) of
 `quadric.milnor_class`; `chern_mather_quadric` is the closed form of a
@@ -223,6 +226,24 @@ def q_poly_schubert(n: int, r: int) -> tuple[list[list[int]], ClassPoly]:
     if q.coeffs[n * n]:
         raise ArithmeticError(f"top-degree terms failed to cancel for q_({n},{r})")
     return numbers, ClassPoly(q.coeffs[: n * n], n * n)
+
+
+def involute_binomial(f: ClassPoly, d: int) -> ClassPoly:
+    """The duality transform of f = sum a_i H^i by its definition,
+
+        out_k = sum_(i>=k) (-1)^i a_i C(i, k) - f(-1) [(1+H)^(d+1) - H^(d+1)]_k,
+
+    one binomial at a time.  Zero coefficients are skipped, so a sparse class
+    is cheap at any size.  A result that does not fit f's modulus raises
+    ValueError, as ClassPoly does."""
+    size = max(f.modulus, d + 2)
+    at_minus_one = sum((-1) ** i * a for i, a in enumerate(f.coeffs))
+    out = [-at_minus_one * (comb(d + 1, k) - (k == d + 1)) for k in range(size)]
+    for i, a in enumerate(f.coeffs):
+        if a:
+            for k in range(i + 1):
+                out[k] += (-1) ** i * a * comb(i, k)
+    return ClassPoly(out, f.modulus)
 
 
 def milnor_class_binomial(n: int, r: int) -> ClassPoly:

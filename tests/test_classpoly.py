@@ -11,8 +11,11 @@ from chernmather.classpoly import (
     csm_linear_space,
     div_1p2H,
     involute,
+    involute_all,
     one_plus_h_power,
 )
+
+from oracles import involute_binomial
 
 
 def H(n, power=1, coeff=1):
@@ -196,6 +199,97 @@ class TestInvoluteLargeDegree:
         for codim in (1, 2, d // 2):
             f = _wide_class(rng, d, d + 1 + extra, codim)
             assert involute(involute(f, d), d) == f
+
+
+def _batch(rng, m, d, modulus, bits, density=1.0):
+    """m random classes mod `modulus` for the degree-d transform: degrees
+    spread over 0..min(d+1, modulus-1), the top one always among them,
+    coefficients of up to `bits` bits with random signs, each nonzero with
+    probability `density`, and the zero class second when m > 1."""
+    top = min(d + 1, modulus - 1)
+    classes = []
+    for c in range(m):
+        deg = top if c == 0 else rng.randint(0, top)
+        cs = [0] * modulus
+        for k in range(deg + 1):
+            if k == deg or rng.random() < density:
+                cs[k] = rng.choice((-1, 1)) * rng.getrandbits(rng.randint(1, bits))
+        cs[deg] = cs[deg] or 1
+        classes.append(ClassPoly(cs))
+    if m > 1:
+        classes[1] = ClassPoly.zero(modulus)
+    return classes
+
+
+def _worst_case(modulus, deg, bits, sign=1):
+    """a_i = sign * A * (-1)^i up to H^deg with A = 2^bits - 1: every term of
+    the shift has one sign, so |f(-1-H)_k| = A C(deg+1, k+1), the bound the
+    packed digits are sized for."""
+    big = sign * (2**bits - 1)
+    return ClassPoly([big * (-1) ** i for i in range(deg + 1)], modulus)
+
+
+class TestInvoluteAllOracle:
+    """`involute_all` against the binomial definition in `oracles`."""
+
+    @pytest.mark.parametrize(
+        "m, d, extra, bits",
+        [(1, 30, 1, 64), (64, 40, 1, 90), (64, 12, 0, 20), (9, 60, 2, 1100), (5, 25, 1, 1500)],
+        ids=["m1", "m64", "m64-mod_d+1", "1100-bit", "1500-bit"],
+    )
+    def test_random_batches(self, m, d, extra, bits):
+        rng = random.Random(f"{m}/{d}/{extra}/{bits}")
+        for _ in range(3):
+            fs = _batch(rng, m, d, d + 1 + extra, bits)
+            got = involute_all(fs, d)
+            assert got == [involute_binomial(f, d) for f in fs]
+            # each class alone packs into narrower digits
+            assert got == [involute_all([f], d)[0] for f in fs]
+
+    @pytest.mark.parametrize("sign", [1, -1], ids=["plus", "minus"])
+    @pytest.mark.parametrize("bits", [1, 7, 8, 1000])
+    def test_worst_case_digits(self, sign, bits):
+        d = 30
+        fs = [_worst_case(d + 2, deg, bits, sign) for deg in (d + 1, d, 3)]
+        fs.append(-fs[0])
+        got = involute_all(fs, d)
+        assert got == [involute_binomial(f, d) for f in fs]
+        # the shift, before the f(-1) B_d correction, reaches the bound
+        b_d = chern_B(d, d + 2).coeffs
+        f = fs[0]
+        shift = [g + f.eval(-1) * b for g, b in zip(got[0].coeffs, b_d)]
+        big = sign * (2**bits - 1)
+        assert shift == [big * math.comb(d + 2, k + 1) for k in range(d + 2)]
+
+    def test_one_batch_at_n_1024(self):
+        # d = 1022 is the largest `involute --d`; sparse classes keep the
+        # oracle cheap, and the dense worst case has its closed form
+        d, modulus = 1022, 1024
+        rng = random.Random(1024)
+        fs = _batch(rng, 5, d, modulus, 1100, density=0.01)
+        worst = _worst_case(modulus, d + 1, 1000, -1)
+        got = involute_all(fs + [worst], d)
+        assert got[:-1] == [involute_binomial(f, d) for f in fs]
+        b_d = chern_B(d, modulus).coeffs
+        at_minus_one = worst.eval(-1)
+        big = -(2**1000 - 1)
+        assert list(got[-1].coeffs) == [
+            big * math.comb(d + 2, k + 1) - at_minus_one * b for k, b in enumerate(b_d)
+        ]
+
+    def test_empty_batch(self):
+        assert involute_all([], 3) == []
+
+    def test_checks_in_order(self):
+        # d first, then modulus and degree class by class, before any work
+        good, low_modulus = ClassPoly([0, 1], 4), ClassPoly([0, 1], 2)
+        high_degree = ClassPoly.monomial(4, 6)
+        with pytest.raises(ValueError, match="d >= 1"):
+            involute_all([low_modulus, high_degree], 0)
+        with pytest.raises(ValueError, match="modulus 2 cannot carry"):
+            involute_all([good, low_modulus, high_degree], 2)
+        with pytest.raises(ValueError, match="degree 4 exceeds"):
+            involute_all([good, high_degree, low_modulus], 2)
 
 
 class TestSigned:

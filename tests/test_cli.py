@@ -631,14 +631,17 @@ class TestReportPlumbing:
     @staticmethod
     def child(argv, cwd, stdout, stderr):
         """`main(argv)` in a child process in `cwd` with the given stdout and
-        stderr, buffered as by default; stderr "closed" starts the child with
-        file descriptor 2 closed, so Python sets sys.stderr to None."""
+        stderr, buffered as by default; stdout or stderr "closed" starts the
+        child with file descriptor 1 or 2 closed, so Python sets sys.stdout
+        or sys.stderr to None."""
         script = "import sys\nfrom chernmather.cli import main\nsys.exit(main(sys.argv[1:]))\n"
         env = {**os.environ, "PYTHONPATH": str(Path(chernmather.__file__).parents[1])}
         env.pop("PYTHONUNBUFFERED", None)
         command = [sys.executable, "-c", script, *argv]
         if stderr == "closed":
             command, stderr = ["sh", "-c", '"$@" 2>&-', "sh", *command], None
+        if stdout == "closed":
+            command, stdout = ["sh", "-c", '"$@" >&-', "sh", *command], None
         return subprocess.run(
             command, cwd=cwd, env=env, stdout=stdout, stderr=stderr, timeout=60
         )
@@ -646,7 +649,7 @@ class TestReportPlumbing:
     @staticmethod
     def detvar_to(stdout, tmp_path, n, strata):
         """`detvar --n n` in a child process writing its report to the file
-        descriptor or file `stdout`, buffered as by default: the report of
+        descriptor or file `stdout`, or with it "closed", buffered as by default: the report of
         n = 2 fits the buffer and fails at its flush, that of n = 6 fails in
         the write.  With `strata`, `--emit-strata s.json` in tmp_path, where
         an "existing" s.json is there before the run.  Returns the process
@@ -677,6 +680,16 @@ class TestReportPlumbing:
         finally:
             os.close(write)
         assert (proc.returncode, proc.stderr) == (1, b"")
+        assert emitted == (strata == "existing")
+
+    @pytest.mark.parametrize("strata", [None, "created", "existing"])
+    def test_stdout_closed_at_start_exits_2(self, tmp_path, strata):
+        # descriptor 1 closed when the run starts, so sys.stdout is None: one
+        # error line, no traceback, and the strata file goes again unless it
+        # existed
+        proc, emitted = self.detvar_to("closed", tmp_path, 2, strata)
+        assert proc.returncode == 2
+        assert proc.stderr == b"error: cannot write the report to stdout: it is closed\n"
         assert emitted == (strata == "existing")
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")

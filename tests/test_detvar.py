@@ -12,10 +12,9 @@ from pathlib import Path
 import pytest
 
 from chernmather import detvar, strata
-from chernmather.classpoly import ClassPoly, chern_B, involute
+from chernmather.classpoly import ClassPoly, chern_B, involute, involute_all
 from chernmather.cli import main as cli_main
 from chernmather.detvar import (
-    duality_check,
     eu_table_det,
     q_poly,
     stratum_dim,
@@ -57,6 +56,13 @@ def family(n: int):
 def q_list(n: int) -> list[ClassPoly]:
     """q_{n,0..n-1}, from the memoized family."""
     return family(n)[0]
+
+
+def is_dual(q: list[ClassPoly], r: int) -> bool:
+    """Whether the transform carries the signed q_{n,r} to the signed
+    q_{n,n-r}, given q = [q_{n,0..n-1}]."""
+    n = len(q)
+    return involute(q[r].signed(), n * n - 1) == q[n - r].signed()
 
 
 def open_class(n: int, k: int) -> ClassPoly:
@@ -173,7 +179,7 @@ class TestLargeN:
     @pytest.mark.parametrize("n", [8, 9])
     def test_duality(self, n):
         for r in range(1, n):
-            assert duality_check(q_list(n), r)
+            assert is_dual(q_list(n), r)
 
     def test_cli_n8_binomial_table(self, capsys):
         assert cli_main(["detvar", "--n", "8"]) == 0
@@ -228,7 +234,7 @@ class TestDuality:
     def test_holds_for_all_small_sizes(self):
         for n in (2, 3, 4):
             for r in range(1, n):
-                assert duality_check(q_list(n), r)
+                assert is_dual(q_list(n), r)
 
     def test_pairs_are_mutual(self):
         lhs = involute(q_poly(3, 1).signed(), 8)
@@ -258,12 +264,7 @@ class TestDuality:
         bad = q + ClassPoly.monomial(5, 9)
         lhs = involute(bad.signed(), 8)
         assert lhs != q_poly(3, 2).signed()
-        assert not duality_check([q_poly(3, 0), bad, q_poly(3, 2)], 1)
-
-    def test_out_of_range(self):
-        for r in (0, 3):
-            with pytest.raises(ValueError, match=f"rank parameter {r} out of range for n=3"):
-                duality_check(q_list(3), r)
+        assert not is_dual([q_poly(3, 0), bad, q_poly(3, 2)], 1)
 
 
 class TestEulerTables:
@@ -303,12 +304,15 @@ class TestEulerTables:
             eu_table_det(1)
 
     def test_involute_once_per_primal_stratum(self, monkeypatch, capsys):
-        # every paired system shares the transforms of the primal classes
+        # every paired system shares the transforms of the primal classes,
+        # made in one batched call per euler_table
         calls = []
-        monkeypatch.setattr(strata, "involute", lambda f, d: calls.append(d) or involute(f, d))
+        monkeypatch.setattr(
+            strata, "involute_all", lambda fs, d: calls.append((len(fs), d)) or involute_all(fs, d)
+        )
         assert cli_main(["detvar", "--n", "5"]) == 0
         capsys.readouterr()
-        assert len(calls) == 5
+        assert calls == [(5, 24)]
 
     def test_one_pair_and_one_integral_per_q(self, monkeypatch, capsys):
         # detvar builds its family once: one stratified pair, and one
@@ -329,23 +333,26 @@ class TestEulerTables:
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_one_duality_transform_per_rank_pair(self, monkeypatch, capsys, n):
-        # the transform only checks q_{n,r} against q_{n,n-r}, once for each r <= n/2
+        # the transform only checks q_{n,r} against q_{n,n-r}, for each r <= n/2
+        # one class of one batched call per eu_table_det
         calls = []
-        monkeypatch.setattr(detvar, "involute", lambda f, d: calls.append(d) or involute(f, d))
+        monkeypatch.setattr(
+            detvar, "involute_all", lambda fs, d: calls.append(fs) or involute_all(fs, d)
+        )
         assert cli_main(["detvar", "--n", str(n)]) == 0
         capsys.readouterr()
-        assert calls == [n * n - 1] * (n // 2)
+        assert calls == [[q.signed() for q in q_list(n)[1 : n // 2 + 1]]]
 
-    def test_involute_only_in_duality_check(self):
+    def test_involute_all_only_in_eu_table_det(self):
         tree = ast.parse(Path(detvar.__file__).read_text(encoding="utf-8"))
         users = {
             fn.name
             for fn in ast.walk(tree)
             if isinstance(fn, ast.FunctionDef)
             for node in ast.walk(fn)
-            if isinstance(node, ast.Name) and node.id == "involute"
+            if isinstance(node, ast.Name) and node.id.startswith("involute")
         }
-        assert users == {"duality_check"}
+        assert users == {"eu_table_det"}
 
 
 class TestChernMatherDet:
@@ -449,7 +456,9 @@ class TestRuntimeChecks:
         # a transform that disagrees with the transposed classes, though every
         # class passes its own checks
         monkeypatch.setattr(
-            detvar, "involute", lambda f, d: involute(f, d) + ClassPoly.monomial(d, d + 1)
+            detvar,
+            "involute_all",
+            lambda fs, d: [g + ClassPoly.monomial(d, d + 1) for g in involute_all(fs, d)],
         )
         with pytest.raises(ArithmeticError, match=r"q_\(5,1\) and q_\(5,4\) are not dual"):
             eu_table_det(5)
