@@ -14,7 +14,6 @@ from .classpoly import (
     csm_linear_space,
     div_1p2H,
     involute,
-    involute_all,
     one_plus_h_power,
 )
 from .detvar import (

@@ -30,16 +30,17 @@ from .classpoly import ClassPoly, chern_B, involute_all
 from .linsolve import InconsistentSystem, LinearSystemError, exact_solve
 
 # Largest accepted N: every class is stored densely with N coefficients and
-# each system has N equations.  At N = 1024, on a 2-core VM, a linear flag of
-# 40 strata solves in about 5 s: 2 s in the 40 transforms and 1 s in the 40
-# systems, whose elimination reads only the first equations of each (the
-# residual check covers the rest).
+# each system has N equations.  At N = 1024, on a 2-core VM, `euler_table` on
+# a linear flag of 40 strata takes 2.5 to 3.2 s: 1.7 to 2 s in the one
+# transform of the 40 primal classes and about 1 s in the 40 systems, whose
+# elimination reads only the first equations of each (the residual check
+# covers the rest).
 MAX_AMBIENT = 1024
 
 # Largest accepted number of strata on either side.  Each side's count
 # bounds both the number of systems and their unknowns, so the solve grows
-# about as its cube: at N = 1024 a linear flag of 64 strata takes about 11 s
-# on the same VM, and one of 80 strata 20 s.
+# faster than linearly: at N = 1024 `euler_table` on a linear flag of 64
+# strata takes about 8 s on the same VM, and on one of 80 strata 12.5 s.
 MAX_STRATA = 64
 
 

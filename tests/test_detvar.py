@@ -337,11 +337,11 @@ class TestEulerTables:
         # one class of one batched call per eu_table_det
         calls = []
         monkeypatch.setattr(
-            detvar, "involute_all", lambda fs, d: calls.append(fs) or involute_all(fs, d)
+            detvar, "involute_all", lambda fs, d: calls.append((fs, d)) or involute_all(fs, d)
         )
         assert cli_main(["detvar", "--n", str(n)]) == 0
         capsys.readouterr()
-        assert calls == [[q.signed() for q in q_list(n)[1 : n // 2 + 1]]]
+        assert calls == [([q.signed() for q in q_list(n)[1 : n // 2 + 1]], n * n - 1)]
 
     def test_involute_all_only_in_eu_table_det(self):
         tree = ast.parse(Path(detvar.__file__).read_text(encoding="utf-8"))
