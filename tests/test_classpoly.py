@@ -234,7 +234,13 @@ class TestInvoluteAllOracle:
 
     @pytest.mark.parametrize(
         "m, d, extra, bits",
-        [(1, 30, 1, 64), (64, 40, 1, 90), (64, 12, 0, 20), (9, 60, 2, 1100), (5, 25, 1, 1500)],
+        [
+            (1, 30, 1, 64),
+            (64, 40, 1, 90),
+            (64, 12, 0, 20),
+            (9, 60, 2, 1100),
+            (5, 25, 1, 1500),
+        ],
         ids=["m1", "m64", "m64-mod_d+1", "1100-bit", "1500-bit"],
     )
     def test_random_batches(self, m, d, extra, bits):

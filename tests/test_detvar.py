@@ -307,9 +307,11 @@ class TestEulerTables:
         # every paired system shares the transforms of the primal classes,
         # made in one batched call per euler_table
         calls = []
-        monkeypatch.setattr(
-            strata, "involute_all", lambda fs, d: calls.append((len(fs), d)) or involute_all(fs, d)
-        )
+        def batched(fs, d):
+            calls.append((len(fs), d))
+            return involute_all(fs, d)
+
+        monkeypatch.setattr(strata, "involute_all", batched)
         assert cli_main(["detvar", "--n", "5"]) == 0
         capsys.readouterr()
         assert calls == [(5, 24)]
@@ -336,9 +338,11 @@ class TestEulerTables:
         # the transform only checks q_{n,r} against q_{n,n-r}, for each r <= n/2
         # one class of one batched call per eu_table_det
         calls = []
-        monkeypatch.setattr(
-            detvar, "involute_all", lambda fs, d: calls.append((fs, d)) or involute_all(fs, d)
-        )
+        def batched(fs, d):
+            calls.append((fs, d))
+            return involute_all(fs, d)
+
+        monkeypatch.setattr(detvar, "involute_all", batched)
         assert cli_main(["detvar", "--n", str(n)]) == 0
         capsys.readouterr()
         assert calls == [([q.signed() for q in q_list(n)[1 : n // 2 + 1]], n * n - 1)]
