@@ -20,16 +20,28 @@ there S has weights t_i (i in I), Q has weights t_j (j not in I), and
                            / prod_{i in I, j not in I} (t_j - t_i).
 
 The mirror I -> {n-1-i : i in I} negates every weight, and each term is
-homogeneous of degree 0 in t, so I and its mirror contribute the same: the
-sum visits one subset of each mirror pair, with weight 2, or 1 for a subset
-that is its own mirror.  It runs over a common denominator in integers; a
-non-integral M or a d^(n^2) term that fails to cancel raises
-ArithmeticError.  Each product prod (1 - u t)^n is the n-th power of a
-polynomial of degree r or n - r, raised by J.C.P. Miller's power
-recurrence.  Littlewood-Richardson products on the Grassmannian stay behind
-the `chow` command and serve the tests as an independent oracle for M and
-q, and the tests keep the localization over all C(n, r) points with
-t_k = k as a second one.
+homogeneous of degree 0 in t, so I and its mirror contribute the same.
+When 2r = n the complement of I in {0..n-1} is a fixed point of G(r, n)
+too, and its term in M[a][b] is (-1)^(a+b) times the term of I in M[b][a]:
+it negates the tangent weights, swaps the weights of S and Q and flips the
+sign of the Euler class of degree D.  So the sum visits one subset I of
+each orbit of the group generated by the mirror and, when 2r = n, the
+complement.  It weights I by |orbit|, or by |orbit|/2 when 2r = n, and
+then folds the accumulated A into M[a][b] = A[a][b] + (-1)^(a+b) A[b][a].
+It runs over a common denominator in integers; a non-integral M or a
+d^(n^2) term that fails to cancel raises ArithmeticError.
+
+The tangent class has D factors 1 + u w with |w| <= 2n - 2, so each of its
+coefficients, and each partial one, is at most (2n-1)^D in absolute value.
+It is built as one integer holding signed digits of
+W = D bits(2n-1) + 2 bits, one step per factor, and unpacked once.  Each
+product prod (1 - u t)^n is the n-th power of a polynomial of degree r or
+n - r, raised by J.C.P. Miller's power recurrence.  q is expanded from M
+by Horner's rule in (1+d): S <- S (1+d) + sum_a M[a][b] d^(nr-a) for
+b = 0..D, then (n-r)^2 more factors (1+d).  Littlewood-Richardson products
+on the Grassmannian stay behind the `chow` command and serve the tests as
+an independent oracle for M and q, and the tests keep the localization
+over all C(n, r) points with t_k = k as a second one.
 
 The family is self-dual: tau_{n,r} and tau_{n,n-r} are projectively dual,
 so the duality transform carries the signed q_{n,r} to the signed
@@ -51,7 +63,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import comb, factorial, lcm, prod
-from operator import mul
+from operator import add, mul
 
 from .classpoly import ClassPoly, involute_all
 from .strata import EulerTable, StratifiedPair, Stratum, checked_table
@@ -85,35 +97,61 @@ def _power(base: list[int], e: int, top: int) -> list[int]:
     return out
 
 
+def _packed_product(roots, bound: int) -> list[int]:
+    """Coefficients of u^0..u^D in prod (1 + u*w) over the D roots w, each
+    |w| <= bound, as one integer with a signed digit of W bits per
+    coefficient: D steps P += (P << W) * w and one unpack.  Every partial
+    coefficient is at most (bound + 1)^D in absolute value, so
+    W = D bits(bound + 1) + 2 leaves room for the sign and the bias."""
+    width = len(roots) * (bound + 1).bit_length() + 2
+    packed = 1
+    for w in roots:
+        packed += (packed << width) * w
+    # a bias of 2^(W-1) in every digit makes each digit nonnegative
+    half = 1 << (width - 1)
+    mask = (1 << width) - 1
+    packed += half * (((1 << (width * (len(roots) + 1))) - 1) // mask)
+    return [((packed >> (width * k)) & mask) - half for k in range(len(roots) + 1)]
+
+
 def _chern_numbers(n: int, r: int) -> list[list[int]]:
     """M[a][b] for a + b <= D, by localization at one fixed point of each
-    mirror pair."""
+    orbit of the mirror, and of the complement when 2r = n."""
     top = r * (n - r)
+    fold = 2 * r == n
     # Under t_k = 2k - (n-1) the mirror k -> n-1-k negates every weight, and
     # each term is homogeneous of degree 0, so a subset and its mirror
-    # contribute alike: visit the lexicographically smaller one, weighted 2.
+    # contribute alike.  When 2r = n the complement's term in M[a][b] is the
+    # subset's term in M[b][a] times (-1)^(a+b): the orbit's sum is |orbit|/2
+    # times its smallest subset's term, folded by that signed transpose.
     t = [2 * k - (n - 1) for k in range(n)]
     points = []
     for sub in combinations(range(n), r):
-        mirror = tuple(n - 1 - i for i in reversed(sub))
-        if mirror < sub:
+        orbit = {sub, tuple(n - 1 - i for i in reversed(sub))}
+        if fold:
+            orbit |= {tuple(j for j in range(n) if j not in o) for o in orbit}
+        if min(orbit) < sub:
             continue
         s_wts = [t[i] for i in sub]
         q_wts = [t[j] for j in range(n) if j not in sub]
         tangent = [tj - ti for ti in s_wts for tj in q_wts]
-        points.append((1 if mirror == sub else 2, s_wts, q_wts, tangent, prod(tangent)))
+        weight = len(orbit) // 2 if fold else len(orbit)
+        points.append((weight, s_wts, q_wts, tangent, prod(tangent)))
     denom = lcm(*(abs(e) for *_, e in points))
     num = [[0] * (top + 1 - a) for a in range(top + 1)]
-    for orbit, s_wts, q_wts, tangent, euler in points:
-        c_tan = _linear_product(tangent, top)
+    for weight, s_wts, q_wts, tangent, euler in points:
+        c_tan = _packed_product(tangent, 2 * n - 2)
         c_quot = _power(_linear_product([-w for w in q_wts], n - r), n, top)
         c_sub = _power(_linear_product([-w for w in s_wts], r), n, top)
-        scale = orbit * denom // euler
+        scale = weight * denom // euler
         for a, row in enumerate(num):
             sa = scale * c_sub[a]
             if sa:
                 for b in range(len(row)):
                     row[b] += sa * c_quot[b] * c_tan[top - a - b]
+    if fold:
+        flipped = _signed_transpose(num)
+        num = [list(map(add, row, flip)) for row, flip in zip(num, flipped)]
     for a, row in enumerate(num):
         for b, v in enumerate(row):
             row[b], rem = divmod(v, denom)
@@ -124,9 +162,18 @@ def _chern_numbers(n: int, r: int) -> list[list[int]]:
     return num
 
 
+def _signed_transpose(num: list[list[int]]) -> list[list[int]]:
+    """(-1)^(a+b) M[b][a] for a + b <= D."""
+    return [
+        [(-1) ** (a + b) * num[b][a] for b in range(len(row))] for a, row in enumerate(num)
+    ]
+
+
 def q_poly(n: int, r: int) -> ClassPoly:
     """The degree-weighted Grassmannian integral for tau_{n,r}, as a class
     polynomial mod H^(n^2)."""
+    if n < 1:
+        raise ValueError(f"need n >= 1 for q_poly, got n={n}")
     if not 0 <= r <= n:
         raise ValueError(f"rank parameter {r} out of range for n={n}")
     return _expand(_chern_numbers(n, r), n, r)
@@ -135,16 +182,15 @@ def q_poly(n: int, r: int) -> ClassPoly:
 def _expand(num: list[list[int]], n: int, r: int) -> ClassPoly:
     """q_{n,r} from the Chern numbers M of G(r, n)."""
     coeffs = [0] * (n * n + 1)
-    # column b of M multiplies (1+d)^e with e = n(n-r) - b: one binomial row
-    # per column serves every row a
+    # Horner's rule in (1+d): S <- S (1+d) + R_b for b = 0..D, with
+    # R_b(d) = sum_a M[a][b] d^(nr-a), leaves sum_b R_b (1+d)^(D-b); the
+    # (n-r)^2 further factors make each exponent n(n-r) - b
     for b in range(len(num)):
-        e = n * (n - r) - b
-        binom = [comb(e, j) for j in range(e + 1)]
-        for a, row in enumerate(num[: len(num) - b]):
-            m = row[b]
-            if m:
-                span = slice(n * r - a, n * r - a + e + 1)
-                coeffs[span] = [x + m * c for x, c in zip(coeffs[span], binom)]
+        coeffs = list(map(add, coeffs, [0] + coeffs[:-1]))
+        for a in range(len(num) - b):
+            coeffs[n * r - a] += num[a][b]
+    for _ in range((n - r) ** 2):
+        coeffs = list(map(add, coeffs, [0] + coeffs[:-1]))
     coeffs[n * n] -= comb(n, r)
     if coeffs[n * n]:
         raise ArithmeticError(
@@ -165,10 +211,7 @@ def _dual_q(num: list[list[int]], n: int, r: int) -> ClassPoly:
     (-1)^(a+b) M[b][a], checked against codimension r^2 with the Porteous
     degree there and top coefficient n^2 C(n-1, r), the Euler obstruction
     summed over the n^2 torus-fixed rank-1 points."""
-    signed = [
-        [(-1) ** (a + b) * num[b][a] for b in range(len(row))] for a, row in enumerate(num)
-    ]
-    q = _expand(signed, n, r)
+    q = _expand(_signed_transpose(num), n, r)
     degree = _porteous_degree(n, r)
     if q.coeffs[: r * r + 1] != (0,) * (r * r) + (degree,):
         raise ArithmeticError(

@@ -21,7 +21,14 @@ partition helpers of the tests (`partitions_in_box`, `conjugate`,
 
 `chern_numbers_all_points` is a second oracle for the same numbers: the
 localization that `detvar` used before it visited one fixed point of each
-mirror pair, with weights t_k = k at every one of the C(n, r) fixed points.
+orbit of the mirror (and of the complement when 2r = n), with weights
+t_k = k at every one of the C(n, r) fixed points.  It builds each tangent
+class by `detvar._linear_product`, one root at a time, where `detvar`
+packs it into one integer.
+
+`expand_binomial` turns Chern numbers M into q_{n,r} one binomial row of
+(1+d)^(n(n-r)-b) per column b, with no Horner step: the oracle of
+`detvar._expand`.
 
 `involute_binomial` is the duality transform by its binomial definition,
 with no Horner step and no packing: the oracle of `classpoly.involute_all`.
@@ -226,6 +233,25 @@ def q_poly_schubert(n: int, r: int) -> tuple[list[list[int]], ClassPoly]:
     if q.coeffs[n * n]:
         raise ArithmeticError(f"top-degree terms failed to cancel for q_({n},{r})")
     return numbers, ClassPoly(q.coeffs[: n * n], n * n)
+
+
+def expand_binomial(num: list[list[int]], n: int, r: int) -> ClassPoly:
+    """q_{n,r} from the Chern numbers M of G(r, n): column b of M multiplies
+    (1+d)^e with e = n(n-r) - b, so one binomial row per column serves every
+    row a.  A d^(n^2) term that does not cancel raises ArithmeticError."""
+    coeffs = [0] * (n * n + 1)
+    for b in range(len(num)):
+        e = n * (n - r) - b
+        binom = [comb(e, j) for j in range(e + 1)]
+        for a, row in enumerate(num[: len(num) - b]):
+            m = row[b]
+            if m:
+                span = slice(n * r - a, n * r - a + e + 1)
+                coeffs[span] = [x + m * c for x, c in zip(coeffs[span], binom)]
+    coeffs[n * n] -= comb(n, r)
+    if coeffs[n * n]:
+        raise ArithmeticError(f"top-degree terms failed to cancel for q_({n},{r})")
+    return ClassPoly(coeffs[: n * n], n * n)
 
 
 def involute_binomial(f: ClassPoly, d: int) -> ClassPoly:

@@ -21,7 +21,7 @@ from chernmather.detvar import (
 )
 from chernmather.strata import StratifiedPair, euler_table
 
-from oracles import chern_numbers_all_points, q_poly_schubert
+from oracles import chern_numbers_all_points, expand_binomial, q_poly_schubert
 
 # Pushforward class of the rank-one locus for n = 3: the Segre embedding of
 # P^2 x P^2 in P^8, computed independently from c(T(P^2 x P^2)) and the
@@ -103,6 +103,8 @@ class TestQPoly:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             q_poly(3, 4)
+        with pytest.raises(ValueError, match="n=0"):
+            q_poly(0, 0)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_matches_schubert_oracle(self, n):
@@ -117,12 +119,48 @@ class TestQPoly:
         for r in range(n + 1):
             assert detvar._chern_numbers(n, r) == chern_numbers_all_points(n, r)
 
-    def test_one_euler_class_per_mirror_pair(self, monkeypatch):
-        # G(2,4): pairs {01,23} and {02,13}, and the self-mirror 03 and 12
+    @pytest.mark.parametrize(
+        "n, r, orbits", [(4, 2, 3), (6, 3, 7), (8, 4, 23), (6, 2, 9)]
+    )
+    def test_one_euler_class_per_orbit(self, monkeypatch, n, r, orbits):
+        # G(2,4): the orbits {01,23}, {02,13} and {03,12} of the mirror and
+        # the complement; G(2,6) has no complement, so 9 mirror orbits of 15
         calls = []
         monkeypatch.setattr(detvar, "prod", lambda xs: calls.append(xs) or prod(xs))
-        detvar._chern_numbers(4, 2)
-        assert len(calls) == 4
+        detvar._chern_numbers(n, r)
+        assert len(calls) == orbits
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_packed_tangent_class_matches_linear_product(self, n):
+        # c(T) = prod (1 + u(t_j - t_i)) at every fixed point of every G(r, n)
+        t = [2 * k - (n - 1) for k in range(n)]
+        for r in range(n + 1):
+            for sub in combinations(range(n), r):
+                tangent = [t[j] - t[i] for i in sub for j in range(n) if j not in sub]
+                expected = detvar._linear_product(tangent, len(tangent))
+                assert detvar._packed_product(tangent, 2 * n - 2) == expected
+
+    def test_packed_tangent_class_at_widest_point(self):
+        # I = {0..6} on G(7, 14): all 49 weights t_j - t_i = 2(j - i) are
+        # positive and their sum is largest, so c(T) has the widest
+        # coefficients, 183 bits against digits of 49 * bits(27) + 2 = 247
+        n = 14
+        tangent = [2 * (j - i) for i in range(7) for j in range(7, n)]
+        packed = detvar._packed_product(tangent, 2 * n - 2)
+        assert packed == detvar._linear_product(tangent, 49)
+        assert max(packed).bit_length() == 183
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_horner_expansion_matches_binomial_rows(self, n):
+        # M and its signed transpose, as eu_table_det expands them
+        for r in range(n + 1):
+            num = detvar._chern_numbers(n, r)
+            assert detvar._expand(num, n, r) == expand_binomial(num, n, r)
+            signed = [
+                [(-1) ** (a + b) * num[b][a] for b in range(len(row))]
+                for a, row in enumerate(num)
+            ]
+            assert detvar._expand(signed, n, n - r) == expand_binomial(signed, n, n - r)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
     def test_power_matches_repeated_product(self, n):
