@@ -6,20 +6,23 @@ command needs: Schubert classes (`ChowElement.sigma`, `ChowElement.one`),
 their product and their integral over G(r, n).  Products use the
 Littlewood-Richardson rule: the LR tableaux of sigma_lambda * sigma_mu are
 generated strip by strip inside the box, so partitions that overflow it
-never appear.
+never appear.  A factor of one row or one column, sigma_(k) or sigma_(1^k),
+takes Pieri's rule: its product adds one horizontal or vertical strip of k
+boxes, built box by box, and each strip is its one LR tableau.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from operator import sub
+from operator import index, sub
 
 # Most LR tableaux one product may generate.  Their number, not the box,
 # sets the cost: on G(10, 20) the staircase products (5,4,3,2,1)^2 and
 # (6,5,4,3,2,1)^2 generate 26,704 and 1,095,308 tableaux, in 0.35 s and 15 s
-# as `chow` processes on a 2-core VM.  sigma_1^100 needs at most 28,618 per
-# product, and the slowest accepted input found, (1,1)^40 * 1^20, takes 7
-# to 8 s.
+# as `chow` processes on a 2-core VM.  A Pieri strip is cheaper: sigma_1^100
+# (at most 28,618 strips a product) takes 0.9 to 1.5 s there and
+# (1,1)^40 * 1^20 1.5 to 2.1 s.  The slowest accepted input found,
+# (2,1)^11 * 1 * (1,1)^33, takes 2.2 to 3.0 s.
 MAX_LR_TABLEAUX = 100_000
 
 
@@ -28,7 +31,8 @@ MAX_LR_TABLEAUX = 100_000
 
 
 def normalize_partition(parts: Iterable[int]) -> tuple[int, ...]:
-    ps = [int(p) for p in parts]
+    # index, not int: a float part raises TypeError, never truncates
+    ps = list(map(index, parts))
     if any(p < 0 for p in ps):
         raise ValueError("partition parts must be nonnegative")
     if any(a < b for a, b in zip(ps, ps[1:])):
@@ -61,7 +65,7 @@ class ChowElement:
             p = normalize_partition(p)
             if not fits_box(p, r, n - r):
                 raise ValueError(f"partition {p} does not fit the {r}x{n - r} box")
-            acc = clean.get(p, 0) + c
+            acc = clean.get(p, 0) + index(c)
             if acc:
                 clean[p] = acc
             else:
@@ -103,6 +107,25 @@ def lr_multiply(a: ChowElement, b: ChowElement) -> ChowElement:
     label i + d needs mu_(i+d) cells labelled i through row rows-1-d, so each
     strip keeps at least that many in those rows; without this floor a tall
     mu explores many fillings that no later label completes.
+
+    A term mu of one row (k) or one column (1^k) takes Pieri's rule instead:
+    sigma_lam * sigma_mu is the sum of sigma_nu over the horizontal (row) or
+    vertical (column) strips nu/lam of k boxes inside the box.  Such a strip
+    has exactly one LR tableau, all 1s in a row or 1..k down a column, so
+    `add` runs once per strip and the budget counts what the LR search
+    counts.  `row` and `column` add one box at a time at an addable corner,
+    nu_j < nu_(j-1) (nu_0 < cols), and each strip arises from exactly one
+    sequence of boxes.  A horizontal strip is built bottom-up, in rows weakly
+    decreasing: row j grows while row j-1 still holds lam_(j-1), which keeps
+    nu_j <= lam_(j-1).  A vertical strip is built top-down, in rows strictly
+    increasing, one box a row.  Cut-offs: rows 0..j, of which only row j has
+    grown, take at most cols - nu_j more boxes of a horizontal strip (the
+    room lam_(i-1) - nu_i of each row telescopes), and rows j.. take at most
+    rows - j boxes of a vertical one.  So every call below the root finishes
+    at least one strip: the horizontal room is exact, and after a box in row
+    j-1, row j is addable and so is each row after it.  A call with d boxes
+    placed is one partial strip, so a product with s strips makes at most
+    k s calls below the roots, and one with none makes only the roots.
     """
     a._check_ring(b)
     rows, cols = a.r, a.n - a.r
@@ -136,16 +159,47 @@ def lr_multiply(a: ChowElement, b: ChowElement) -> ChowElement:
         for a in range(least if least > 0 else 0, min(left, slack, top - old[k]) + 1):
             strip(i, k + 1, left - a, slack - a + prev[k], old, new + (old[k] + a,), prev)
 
+    def row(nu, lowest, left):
+        # Pieri for mu = (k): rows above `lowest` still hold lam, and the
+        # next box goes to row `lowest` or above.
+        if not left:
+            add(tuple(nu))
+            return
+        for k in range(lowest, -1, -1):
+            if left > cols - nu[k]:
+                return  # rows 0..k take at most cols - nu[k] more boxes
+            if nu[k] < (nu[k - 1] if k else cols):
+                nu[k] += 1
+                row(nu, k, left - 1)
+                nu[k] -= 1
+
+    def column(nu, first, left):
+        # Pieri for mu = (1^k): rows first.. still hold lam, and the next
+        # box goes to row `first` or below.
+        if not left:
+            add(tuple(nu))
+            return
+        for k in range(first, rows - left + 1):  # one box a row at most
+            if nu[k] < (nu[k - 1] if k else cols):
+                nu[k] += 1
+                column(nu, k + 1, left - 1)
+                nu[k] -= 1
+
     zero = (0,) * rows
     for mu, cb in b.terms.items():
         floor = mu + (0,) * (2 * rows)  # mu_j, and 0 past the last label
         last = len(mu) - 1
         for lam, ca in a.terms.items():
             coeff = ca * cb
-            if mu:
-                strip(0, 0, mu[0], mu[0], lam + zero[len(lam):], (), zero)
+            nu = lam + zero[len(lam):]
+            if not mu:
+                add(nu)
+            elif len(mu) == 1:
+                row(list(nu), rows - 1, mu[0])
+            elif mu[0] == 1:
+                column(list(nu), 0, len(mu))
             else:
-                add(lam + zero[len(lam):])
+                strip(0, 0, mu[0], mu[0], nu, (), zero)
     # every nu is inside the box: skip the constructor's checks
     prod = ChowElement(a.r, a.n)
     prod.terms = {nu[: rows - nu.count(0)]: c for nu, c in out.items() if c}

@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -54,6 +55,17 @@ class TestPartitions:
         assert box_complement((), 2, 2) == (2, 2)
 
 
+class TestIntegerInput:
+    # a float is never truncated into a part or carried as a coefficient
+    def test_float_part_rejected(self):
+        with pytest.raises(TypeError):
+            ChowElement.sigma((1.9,), 2, 4)
+
+    def test_float_coefficient_rejected(self):
+        with pytest.raises(TypeError):
+            ChowElement(2, 4, {(1,): 0.5})
+
+
 class TestLRMultiply:
     def test_pieri_square(self):
         got = lr_multiply(sigma((1,), 2, 4), sigma((1,), 2, 4))
@@ -98,7 +110,11 @@ def partitions_in(rows, cols):
 
 
 class TestLROracles:
-    @pytest.mark.parametrize("rows, cols", [(r, c) for r in (1, 2, 3) for c in (1, 2, 3)])
+    # the edge boxes 1 x 6 and 6 x 1 hold only rows and only columns, so
+    # every product there takes Pieri's rule
+    @pytest.mark.parametrize(
+        "rows, cols", [(r, c) for r in (1, 2, 3) for c in (1, 2, 3)] + [(1, 6), (6, 1)]
+    )
     @settings(max_examples=15, derandomize=True, database=None, deadline=None)
     @given(data=st.data())
     def test_random_products_match_schur_oracle(self, rows, cols, data):
@@ -115,16 +131,22 @@ class TestLROracles:
             ((2, 1, 1), (3, 3, 2, 2), 4, 5),
             ((2, 2), (1, 1, 1, 1, 1), 5, 4),
             ((3, 2, 1), (2, 2, 1, 1, 1), 5, 4),
+            # one column and one row as tall and as wide as the box: Pieri
+            ((3, 2, 2, 1), (1, 1, 1, 1, 1, 1), 6, 4),
+            ((4, 2, 1), (5,), 3, 6),
+            ((3, 2), (1, 1, 1), 3, 3),
+            ((6, 6, 6), (6,), 3, 6),
         ],
     )
     def test_tall_factor_matches_schur_oracle(self, lam, mu, rows, cols):
         # mu has a part in every row, so each label's strip is held to the
-        # floor that the later labels need
+        # floor that the later labels need; a one-column mu takes Pieri's
+        # rule, as does a one-row mu as wide as the box
         n = rows + cols
         got = lr_multiply(sigma(lam, rows, n), sigma(mu, rows, n)).terms
         assert got == schur_product_in_box(lam, mu, rows, cols)
 
-    @pytest.mark.parametrize("r, n", [(3, 7), (4, 8), (4, 9)])
+    @pytest.mark.parametrize("r, n", [(3, 7), (4, 8), (4, 9), (1, 7), (6, 7)])
     def test_hook_length_integrals(self, r, n):
         # integral of sigma_lam * sigma_1^(D - |lam|), D = dim G(r, n)
         top = r * (n - r)
@@ -159,6 +181,22 @@ class TestMultiTermProducts:
             # squares hold s_22
             ({(2,): 1, (1, 1): -1}, {(2,): 1, (1, 1): 1}, 2, 3, {(2, 2)}),
             ({(2, 1): 2, (1,): -5, (): 7}, {(): -4, (2, 2): 3, (1, 1, 1): 6}, 3, 3, set()),
+            # Pieri factors with coefficients other than 1.  (s_2 - s_11) 3 s_1
+            # on G(2, 5): the two s_21 cancel
+            ({(2,): 1, (1, 1): -1}, {(1,): 3}, 2, 3, {(2, 1)}),
+            # (s_2 - s_11)(-2 s_11) on G(3, 6): the two s_211 cancel
+            ({(2,): 1, (1, 1): -1}, {(1, 1): -2}, 3, 3, {(2, 1, 1)}),
+            # (s_3 - s_21)(2 s_2) on G(3, 6): the two s_32 cancel
+            ({(3,): 1, (2, 1): -1}, {(2,): 2}, 3, 3, {(3, 2)}),
+            # (s_111 - s_21)(-3 s_11) on G(3, 6): the two s_221 cancel
+            ({(1, 1, 1): 1, (2, 1): -1}, {(1, 1): -3}, 3, 3, {(2, 2, 1)}),
+            # the edge boxes: P^4 as G(1, 5), and G(4, 5)
+            ({(1,): 3, (2,): -2, (): 1}, {(2,): -3}, 1, 4, set()),
+            ({(1, 1): 2, (1,): -1, (): 4}, {(1, 1): 5}, 4, 1, set()),
+            # the full box and a class just below it, times a row and a
+            # column: every product leaves the box
+            ({(2, 2): 3, (2, 1): -1}, {(2,): 2}, 2, 2, set()),
+            ({(2, 2): 3, (2, 1): -1}, {(1, 1): -2}, 2, 2, set()),
         ],
     )
     def test_matches_bilinear_oracle(self, a_terms, b_terms, rows, cols, cancelled):
@@ -198,6 +236,10 @@ class TestTableauBudget:
             ({(2, 1): 1}, {(2, 1): 1}, 3, 3, 4),
             ({(2, 1): 1, (1,): 1}, {(1, 1): 1, (): 1}, 3, 3, 7),
             ({(1,): 1, (): 1}, {(): 1}, 2, 2, 2),
+            # Pieri's rule: one tableau per strip, s_21 s_2 = s_32 + s_311 +
+            # s_221 in the 3 x 3 box, and the same for s_21 s_11
+            ({(2, 1): 1, (1,): 1, (): 1}, {(2,): 1}, 3, 3, 6),
+            ({(2, 1): 1, (1,): 1, (): 1}, {(1, 1): 1}, 3, 3, 6),
         ],
     )
     def test_limit_counts_every_tableau(self, monkeypatch, a_terms, b_terms, rows, cols, count):
@@ -213,6 +255,45 @@ class TestTableauBudget:
         assert str(exc.value) == (
             f"the product needs more than {count - 1} Littlewood-Richardson tableaux"
         )
+
+    @pytest.mark.parametrize(
+        "a_terms, mu, rows, cols, strips",
+        [
+            # 35 terms, each with all four rows at 3 or more: a row of 4
+            # fits none
+            ({tuple(x + 3 for x in lam + (0,) * (4 - len(lam))): 1
+              for lam in partitions_in_box(4, 3)}, (4,), 4, 6, 0),
+            # 35 terms, each filling rows 0..2: a column of 4 fits none
+            ({(4, 4, 4) + lam: 1 for lam in partitions_in_box(3, 4)}, (1, 1, 1, 1), 6, 4, 0),
+            # all 20 classes of the 3 x 3 box: strips on some, none on others
+            ({lam: 1 for lam in partitions_in_box(3, 3)}, (2,), 3, 3, 24),
+            ({lam: 1 for lam in partitions_in_box(3, 3)}, (1, 1), 3, 3, 24),
+        ],
+    )
+    def test_strip_search_is_bounded_by_its_strips(self, a_terms, mu, rows, cols, strips):
+        # the cut-offs let a Pieri call go on only where a strip can still
+        # be finished: with no strip to find, only the call per term of a
+        a = ChowElement(rows, rows + cols, a_terms)
+        b = ChowElement.sigma(mu, rows, rows + cols)
+        calls = {"row": 0, "column": 0, "add": 0}
+
+        def profile(frame, event, arg):
+            code = frame.f_code
+            if event == "call" and code.co_filename == grassmann.__file__:
+                if code.co_name in calls:
+                    calls[code.co_name] += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            got = lr_multiply(a, b)
+        finally:
+            sys.setprofile(previous)
+        # every coefficient is 1, so the product's sum counts the strips
+        assert calls["add"] == strips == sum(got.terms.values())
+        assert calls["row"] + calls["column"] <= len(a_terms) + (sum(mu) + 1) * strips
+        # and the count saw the helper: one root call per term of a
+        assert calls["column" if len(mu) > 1 else "row"] >= len(a_terms)
 
 
 def lr_coefficient(lam, mu, nu):
