@@ -143,7 +143,7 @@ class ClassPoly:
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
-    # -- evaluation and duality ----------------------------------------
+    # -- evaluation ----------------------------------------------------
 
     def eval(self, t: int) -> int:
         """Exact evaluation at an integer; the stored coefficients define
@@ -152,12 +152,6 @@ class ClassPoly:
         for c in reversed(self.coeffs):
             acc = acc * t + c
         return acc
-
-    def signed(self) -> "ClassPoly":
-        """(-1)^dim times the class, dimension read off the lowest term."""
-        if self.is_zero():
-            raise ValueError("the zero class has no dimension to sign by")
-        return self if self.dim % 2 == 0 else -self
 
     # -- rendering -----------------------------------------------------
 
@@ -314,11 +308,7 @@ def involute_all(fs: Sequence[ClassPoly], d: int) -> list[ClassPoly]:
             if b_d is None:
                 b_d = chern_B(d, scratch).coeffs
             g = [x - v * b for x, b in zip(g, b_d)]
-        if any(g[f.modulus :]):
-            raise ValueError(
-                f"transform result of degree > {f.modulus - 1} does not fit the modulus"
-            )
-        results.append(ClassPoly(g[: f.modulus]))
+        results.append(ClassPoly(g, f.modulus))
     return results
 
 

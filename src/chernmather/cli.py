@@ -46,11 +46,19 @@ _c_encode = JSONEncoder().encode
 # each product is bounded by grassmann.MAX_LR_TABLEAUX).
 MAX_DETVAR_N = 14
 MAX_CHOW_N = 20
-# Python converts an integer to or from decimal text only up to
-# sys.get_int_max_str_digits() digits, 4300 by default
-_TOO_LONG = (
-    "{} has an integer of more than {} digits, beyond Python's limit for decimal text"
-)
+
+
+class _TooLong(ValueError):
+    """An integer in `where` that Python cannot convert to or from decimal
+    text: one of more than sys.get_int_max_str_digits() digits, 4300 by
+    default."""
+
+    def __init__(self, where):
+        limit = sys.get_int_max_str_digits()
+        super().__init__(
+            f"{where} has an integer of more than {limit} digits, "
+            "beyond Python's limit for decimal text"
+        )
 
 
 def _json(value, indent: str | None = None) -> str:
@@ -76,8 +84,7 @@ def _json(value, indent: str | None = None) -> str:
         try:
             return f'"{value}"'
         except ValueError:
-            limit = sys.get_int_max_str_digits()
-            raise ValueError(_TOO_LONG.format("the report", limit)) from None
+            raise _TooLong("the report") from None
     if isinstance(value, ClassPoly):
         value = value.coeffs
     inner = None if indent is None else indent + "  "
@@ -146,8 +153,7 @@ def _parse_ints(text: str, what: str) -> list[int]:
                 digits = digits[1:]
             if digits.isdecimal():
                 # int() refuses a literal of decimal digits only past the limit
-                limit = sys.get_int_max_str_digits()
-                raise ValueError(_TOO_LONG.format(f"the {what}", limit)) from None
+                raise _TooLong(f"the {what}") from None
             cut = "..." if len(text) > 80 else ""  # echo at most 80 characters
             raise ValueError(f"malformed {what} {text[:80]!r}{cut}") from exc
     return ints
@@ -187,8 +193,7 @@ def _cmd_involute(args):
     try:
         text = result.text()
     except ValueError:
-        limit = sys.get_int_max_str_digits()
-        raise ValueError(_TOO_LONG.format("the report", limit)) from None
+        raise _TooLong("the report") from None
     return {"d": args.d, "poly": coeffs}, {"result": trimmed, "text": text}, {}, None
 
 
@@ -206,8 +211,7 @@ def _cmd_solve(args):
         raise ValueError(f"{args.strata} is not UTF-8 text: {exc}") from exc
     except ValueError:
         # json reads digits with int(), which refuses more than the limit
-        limit = sys.get_int_max_str_digits()
-        raise ValueError(_TOO_LONG.format(args.strata, limit)) from None
+        raise _TooLong(args.strata) from None
     pair = StratifiedPair.from_dict(data)
     table = euler_table(pair)
     outputs = {**_table_payload(table), **_chern_mather_payload(table, pair)}
@@ -226,7 +230,9 @@ def _cmd_detvar(args):
     for k, stratum in enumerate(pair.primal):
         outputs[f"csm_{n}_{k}"] = stratum.csm
     for r in range(1, n):
-        outputs[f"duality_{n}_{r}"] = True  # else eu_table_det raised
+        # the checked solve of the pair (r, n-r) matched the transform of the
+        # signed q_(n,r) with the signed q_(n,n-r); else eu_table_det raised
+        outputs[f"duality_{n}_{r}"] = True
     return {"n": n}, outputs, {"systems": table.diagnostics}, pair
 
 

@@ -88,7 +88,8 @@ class StratifiedPair(namedtuple("StratifiedPair", "ambient primal dual pairing")
     and dual are tuples of strata, re-sorted by declared dimension (open
     stratum first), which is at most N - 1; pairing is a sorted tuple of
     (primal, dual) index pairs and must make the dual dimensions strictly
-    increasing along deeper primal strata.  A namedtuple, as `Stratum`
+    increasing along deeper primal strata; it is empty when N = 1, where
+    there is no duality transform.  A namedtuple, as `Stratum`
     describes: `_make` and `_replace` skip the sorting and checks here.
     """
 
@@ -137,6 +138,11 @@ class StratifiedPair(namedtuple("StratifiedPair", "ambient primal dual pairing")
                 raise ValueError(f"pairing ({r}, {p}) repeats an index")
             seen_r.add(r)
             seen_p.add(p)
+        if pairing and ambient < 2:
+            raise ValueError(
+                f"pairing {[list(p) for p in pairing]} needs N >= 2 for the "
+                f"duality transform, got N = {ambient}"
+            )
         pairing = tuple(sorted((pmap[r], dmap[p]) for r, p in pairing))
 
         # Reflectivity: deeper primal strata must pair with larger duals.
@@ -336,8 +342,8 @@ def euler_table(pair: StratifiedPair) -> EulerTable:
     rows_d: dict[int, tuple[int, ...]] = {}
     diags: list[dict] = []
 
-    # the transforms of the primal classes serve every paired system; N = 1
-    # has no transform (d = 0), and a file without pairs needs none.
+    # the transforms of the primal classes serve every paired system; a pair
+    # without pairs needs none, and only such a pair has N = 1 (d = 0)
     inv = involute_all([s.csm for s in pair.primal], pair.ambient - 1) if pair.pairing else []
     for r, p in pair.pairing:
         rows_p[r], rows_d[p] = _solve_paired(pair, inv, r, p)

@@ -22,9 +22,12 @@ partition helpers of the tests (`partitions_in_box`, `conjugate`,
 `chern_numbers_all_points` is a second oracle for the same numbers: the
 localization that `detvar` used before it visited one fixed point of each
 orbit of the mirror (and of the complement when 2r = n), with weights
-t_k = k at every one of the C(n, r) fixed points.  It builds each tangent
-class by `detvar._linear_product`, one root at a time, where `detvar`
+t_k = k at every one of the C(n, r) fixed points.  It builds each product
+of linear factors by `linear_product`, one root at a time, where `detvar`
 packs it into one integer.
+
+`signed` is the sign rule of the duality transform: (-1)^dim times a class,
+its dimension read off the lowest term.
 
 `expand_binomial` turns Chern numbers M into q_{n,r} one binomial row of
 (1+d)^(n(n-r)-b) per column b, with no Horner step: the oracle of
@@ -59,7 +62,7 @@ from operator import mul
 
 from chernmather import cli
 from chernmather.classpoly import ClassPoly, one_plus_h_power
-from chernmather.detvar import _linear_product, _power
+from chernmather.detvar import _power
 from chernmather.grassmann import (
     ChowElement,
     fits_box,
@@ -293,6 +296,24 @@ def chern_mather_quadric(spec: QuadricSpec) -> ClassPoly:
     return (csm_quadric(spec) - sing) + ((-1) ** spec.r + 1) * sing
 
 
+def signed(f: ClassPoly) -> ClassPoly:
+    """(-1)^dim times the class, dimension read off the lowest term."""
+    if f.is_zero():
+        raise ValueError("the zero class has no dimension to sign by")
+    return f if f.dim % 2 == 0 else -f
+
+
+def linear_product(roots, top: int | None = None) -> list[int]:
+    """Coefficients of u^0..u^top in prod (1 + u*w) over the roots w, one
+    root at a time; top defaults to the number of roots."""
+    top = len(roots) if top is None else top
+    out = [1] + [0] * top
+    for w in roots:
+        for k in range(top, 0, -1):
+            out[k] += w * out[k - 1]
+    return out
+
+
 def chern_numbers_all_points(n: int, r: int) -> list[list[int]]:
     """M[a][b] for a + b <= D, by localization at all C(n, r) fixed points
     with torus weights t_k = k."""
@@ -306,9 +327,9 @@ def chern_numbers_all_points(n: int, r: int) -> list[list[int]]:
     denom = lcm(*(abs(e) for _, _, _, e in points))
     num = [[0] * (top + 1 - a) for a in range(top + 1)]
     for sub, quot, tangent, euler in points:
-        c_tan = _linear_product(tangent, top)
-        c_quot = _power(_linear_product([-j for j in quot], n - r), n, top)
-        c_sub = _power(_linear_product([-i for i in sub], r), n, top)
+        c_tan = linear_product(tangent)
+        c_quot = _power(linear_product([-j for j in quot]), n, top)
+        c_sub = _power(linear_product([-i for i in sub]), n, top)
         scale = denom // euler
         for a, row in enumerate(num):
             sa = scale * c_sub[a]

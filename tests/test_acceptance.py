@@ -39,6 +39,7 @@ from oracles import (
     milnor_class_binomial,
     partitions_in_box,
     schur_product_in_box,
+    signed,
     taut_quot,
     taut_sub_dual,
 )
@@ -116,13 +117,13 @@ def test_criterion_4_quadric_suite():
                 x_dual, s_dual = dual_cm_classes(spec)
                 cm = euler_table(pair).chern_mather_primal[0]
                 assert cm == chern_mather_quadric(spec)
-                assert involute(cm.signed(), n) == x_dual.signed()
+                assert involute(signed(cm), n) == signed(x_dual)
                 if spec.is_smooth:
                     assert mc.is_zero()
                     continue
                 assert mc == milnor_class_binomial(n, r)
                 assert (
-                    involute(csm_singular_locus(spec).signed(), n) == s_dual.signed()
+                    involute(signed(csm_singular_locus(spec)), n) == signed(s_dual)
                 )
                 # (b) solver path reproduces the closed forms
                 table = cross_validate(spec, pair)
@@ -165,7 +166,7 @@ def test_criterion_6_determinantal_suite():
             q, _, table = eu_table_det(n)
             # (b) the duality identity, exactly
             for r in range(1, n):
-                assert involute(q[r].signed(), n * n - 1) == q[n - r].signed()
+                assert involute(signed(q[r]), n * n - 1) == signed(q[n - r])
             # (c) solver-derived table and origin column are binomial
             for k in range(n):
                 for r in range(n):

@@ -15,7 +15,7 @@ from chernmather.classpoly import (
     one_plus_h_power,
 )
 
-from oracles import involute_binomial
+from oracles import involute_binomial, signed
 
 
 def H(n, power=1, coeff=1):
@@ -299,20 +299,22 @@ class TestInvoluteAllOracle:
 
 
 class TestSigned:
+    """The sign rule of the transform, `oracles.signed`, that the tests use."""
+
     def test_point(self):
         f = ClassPoly.monomial(3, 4)
-        assert ClassPoly.signed(f) == f
+        assert signed(f) == f
 
     def test_even_dimension(self):
         f = ClassPoly([0, 2, 4, 4], 4)
-        assert ClassPoly.signed(f) == f
+        assert signed(f) == f
 
     def test_odd_dimension(self):
-        assert ClassPoly.signed(ClassPoly([1, 2], 2)) == ClassPoly([-1, -2])
+        assert signed(ClassPoly([1, 2], 2)) == ClassPoly([-1, -2])
 
     def test_zero_errors(self):
         with pytest.raises(ValueError, match="dimension"):
-            ClassPoly.signed(ClassPoly.zero(3))
+            signed(ClassPoly.zero(3))
 
 
 class TestChernB:

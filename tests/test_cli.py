@@ -248,6 +248,25 @@ class TestSolve:
         assert code == 2
         assert message in err
 
+    @pytest.mark.parametrize("pairing", [[], [[0, 0]]], ids=["unpaired", "paired"])
+    def test_one_point_file(self, capsys, tmp_path, pairing):
+        # N = 1 has no duality transform: the point solves alone, and a
+        # pairing is malformed input that names N, not the transform's d
+        stratum = {"name": "point", "dim": 0, "csm": [1]}
+        data = {"N": 1, "primal": [stratum], "dual": [stratum], "pairing": pairing}
+        path = tmp_path / "point.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "solve", str(path))
+        if pairing:
+            assert code == 2 and out == ""
+            assert err == (
+                "error: pairing [[0, 0]] needs N >= 2 for the duality transform, "
+                "got N = 1\n"
+            )
+        else:
+            assert code == 0, err
+            assert json.loads(out)["outputs"]["euler_table_primal"] == [[1]]
+
     @pytest.mark.parametrize(
         "case, message",
         [("ambient", "N must be at most 1024"), ("names", "name 'same' is repeated")],

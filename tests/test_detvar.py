@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -19,9 +20,16 @@ from chernmather.detvar import (
     q_poly,
     stratum_dim,
 )
+from chernmather.linsolve import LinearSystemError
 from chernmather.strata import StratifiedPair, euler_table
 
-from oracles import chern_numbers_all_points, expand_binomial, q_poly_schubert
+from oracles import (
+    chern_numbers_all_points,
+    expand_binomial,
+    linear_product,
+    q_poly_schubert,
+    signed,
+)
 
 # Pushforward class of the rank-one locus for n = 3: the Segre embedding of
 # P^2 x P^2 in P^8, computed independently from c(T(P^2 x P^2)) and the
@@ -62,7 +70,7 @@ def is_dual(q: list[ClassPoly], r: int) -> bool:
     """Whether the transform carries the signed q_{n,r} to the signed
     q_{n,n-r}, given q = [q_{n,0..n-1}]."""
     n = len(q)
-    return involute(q[r].signed(), n * n - 1) == q[n - r].signed()
+    return involute(signed(q[r]), n * n - 1) == signed(q[n - r])
 
 
 def open_class(n: int, k: int) -> ClassPoly:
@@ -132,22 +140,25 @@ class TestQPoly:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_packed_tangent_class_matches_linear_product(self, n):
-        # c(T) = prod (1 + u(t_j - t_i)) at every fixed point of every G(r, n)
+        # c(T) = prod (1 + u(t_j - t_i)) and the bases prod (1 - u t) of
+        # c(S^v)^n and c(Q^v)^n at every fixed point of every G(r, n)
         t = [2 * k - (n - 1) for k in range(n)]
         for r in range(n + 1):
             for sub in combinations(range(n), r):
-                tangent = [t[j] - t[i] for i in sub for j in range(n) if j not in sub]
-                expected = detvar._linear_product(tangent, len(tangent))
-                assert detvar._packed_product(tangent, 2 * n - 2) == expected
+                quot = [j for j in range(n) if j not in sub]
+                tangent = [t[j] - t[i] for i in sub for j in quot]
+                for roots in (tangent, [-t[i] for i in sub], [-t[j] for j in quot]):
+                    assert detvar._packed_product(roots) == linear_product(roots)
 
     def test_packed_tangent_class_at_widest_point(self):
         # I = {0..6} on G(7, 14): all 49 weights t_j - t_i = 2(j - i) are
         # positive and their sum is largest, so c(T) has the widest
-        # coefficients, 183 bits against digits of 49 * bits(27) + 2 = 247
+        # coefficients, 183 bits, in digits of sum bits(1 + |w|) + 2 = 212
+        # bits; 184 bits are the least a biased digit needs
         n = 14
         tangent = [2 * (j - i) for i in range(7) for j in range(7, n)]
-        packed = detvar._packed_product(tangent, 2 * n - 2)
-        assert packed == detvar._linear_product(tangent, 49)
+        packed = detvar._packed_product(tangent)
+        assert packed == linear_product(tangent)
         assert max(packed).bit_length() == 183
 
     @pytest.mark.parametrize("n", range(1, 11))
@@ -171,8 +182,8 @@ class TestQPoly:
             for sub in combinations(range(n), r):
                 for weights in (sub, [j for j in range(n) if j not in sub]):
                     roots = [-t for t in weights]
-                    base = detvar._linear_product(roots, len(roots))
-                    repeated = detvar._linear_product(roots * n, top)
+                    base = linear_product(roots)
+                    repeated = linear_product(roots * n, top)
                     assert detvar._power(base, n, top) == repeated
 
     @pytest.mark.parametrize(
@@ -275,10 +286,10 @@ class TestDuality:
                 assert is_dual(q_list(n), r)
 
     def test_pairs_are_mutual(self):
-        lhs = involute(q_poly(3, 1).signed(), 8)
-        assert lhs == q_poly(3, 2).signed()
-        back = involute(q_poly(3, 2).signed(), 8)
-        assert back == q_poly(3, 1).signed()
+        lhs = involute(signed(q_poly(3, 1)), 8)
+        assert lhs == signed(q_poly(3, 2))
+        back = involute(signed(q_poly(3, 2)), 8)
+        assert back == signed(q_poly(3, 1))
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_derived_half_matches_localization(self, n):
@@ -300,9 +311,26 @@ class TestDuality:
     def test_corrupted_coefficient_fails(self):
         q = q_poly(3, 1)
         bad = q + ClassPoly.monomial(5, 9)
-        lhs = involute(bad.signed(), 8)
-        assert lhs != q_poly(3, 2).signed()
+        lhs = involute(signed(bad), 8)
+        assert lhs != signed(q_poly(3, 2))
         assert not is_dual([q_poly(3, 0), bad, q_poly(3, 2)], 1)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_transform_of_any_chern_numbers_is_their_transpose(self, n):
+        # a formal identity: for any integers M with M[0][0] = C(n, r), r < n,
+        # the transform carries the signed expansion of M to the signed
+        # expansion of its signed transpose, so comparing q_{n,r} with
+        # q_{n,n-r} by the transform detects no wrong Chern number
+        rng = random.Random(n)
+        for r in range(n):
+            top = r * (n - r)
+            sign, dual_sign = ((-1) ** (stratum_dim(n, k) % 2) for k in (r, n - r))
+            for _ in range(5):
+                m = [[rng.randint(-99, 99) for _ in range(top + 1 - a)] for a in range(top + 1)]
+                m[0][0] = comb(n, r)
+                lhs = involute(sign * detvar._expand(m, n, r), n * n - 1)
+                transposed = detvar._expand(detvar._signed_transpose(m), n, n - r)
+                assert lhs == dual_sign * transposed, (n, r, m)
 
 
 class TestEulerTables:
@@ -371,30 +399,19 @@ class TestEulerTables:
         assert len(pairs) == 1
         assert integrals == [0, 1, 2]
 
-    @pytest.mark.parametrize("n", [4, 5])
-    def test_one_duality_transform_per_rank_pair(self, monkeypatch, capsys, n):
-        # the transform only checks q_{n,r} against q_{n,n-r}, for each r <= n/2
-        # one class of one batched call per eu_table_det
-        calls = []
-        def batched(fs, d):
-            calls.append((fs, d))
-            return involute_all(fs, d)
-
-        monkeypatch.setattr(detvar, "involute_all", batched)
-        assert cli_main(["detvar", "--n", str(n)]) == 0
-        capsys.readouterr()
-        assert calls == [([q.signed() for q in q_list(n)[1 : n // 2 + 1]], n * n - 1)]
-
-    def test_involute_all_only_in_eu_table_det(self):
+    def test_no_transform_in_detvar(self):
+        # the checked solve in strata makes every transform the family needs;
+        # detvar neither imports nor calls one
         tree = ast.parse(Path(detvar.__file__).read_text(encoding="utf-8"))
-        users = {
-            fn.name
-            for fn in ast.walk(tree)
-            if isinstance(fn, ast.FunctionDef)
-            for node in ast.walk(fn)
-            if isinstance(node, ast.Name) and node.id.startswith("involute")
-        }
-        assert users == {"eu_table_det"}
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+        assert not [name for name in names if name.startswith("involute")]
 
 
 class TestChernMatherDet:
@@ -495,17 +512,21 @@ class TestRuntimeChecks:
         assert re.fullmatch(f"error: {message}\n", capsys.readouterr().err)
 
     def test_failed_duality_exits_3(self, monkeypatch, capsys):
-        # a transform that disagrees with the transposed classes, though every
-        # class passes its own checks
+        # a transform that disagrees with the classes, though every class
+        # passes its own checks: the solve of the first pair fails
         monkeypatch.setattr(
-            detvar,
+            strata,
             "involute_all",
             lambda fs, d: [g + ClassPoly.monomial(d, d + 1) for g in involute_all(fs, d)],
         )
-        with pytest.raises(ArithmeticError, match=r"q_\(5,1\) and q_\(5,4\) are not dual"):
+        message = (
+            "equations are mutually inconsistent (residual check failed) "
+            "[primal[1] 'tau_5_1' <-> dual[4] 'tau_5_4_dual']"
+        )
+        with pytest.raises(LinearSystemError, match=re.escape(message)):
             eu_table_det(5)
         assert cli_main(["detvar", "--n", "5"]) == 3
-        assert capsys.readouterr().err == "error: q_(5,1) and q_(5,4) are not dual\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_checks_survive_python_O(self):
         # a corrupted origin column still exits 3 when asserts are stripped

@@ -21,6 +21,8 @@ from chernmather.strata import (
     euler_table,
 )
 
+from oracles import signed
+
 DATA = Path(__file__).parent / "data"
 
 # Class polynomials of the rank strata of symmetric 3x3 matrices (solver
@@ -167,12 +169,12 @@ class TestSolveSystem:
     def test_fault_in_unsigned_retry_propagates(self, monkeypatch):
         # only a solver failure of the unsigned system falls back to the
         # original InconsistentSystem; any other error surfaces as it is
-        signed = strata._signed_system
+        signed_system = strata._signed_system
 
         def unsigned_fails(pair, inv, r, p, signs=True):
             if not signs:
                 raise TypeError("fault in the unsigned system")
-            return signed(pair, inv, r, p)
+            return signed_system(pair, inv, r, p)
 
         monkeypatch.setattr(strata, "_signed_system", unsigned_fails)
         bad = ClassPoly([0, 3, 9, 10, 6, 4], 6)  # corrupted top coefficient
@@ -295,7 +297,7 @@ class TestDualitySymmetry:
         table = euler_table(pair)
         for r, p in pair.pairing:
             cm_p, cm_d = table.chern_mather_primal[r], table.chern_mather_dual[p]
-            assert involute(cm_p.signed(), pair.ambient - 1) == cm_d.signed()
+            assert involute(signed(cm_p), pair.ambient - 1) == signed(cm_d)
 
 
 # The closed forms of the quadric cone pair, every field of its table
