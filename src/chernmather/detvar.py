@@ -46,14 +46,12 @@ over all C(n, r) points with t_k = k as a second one.
 
 The family is self-dual: tau_{n,r} and tau_{n,n-r} are projectively dual,
 so the duality transform carries the signed q_{n,r} to the signed
-q_{n,n-r}.  `eu_table_det` localizes only r <= n/2: V -> V^v maps G(r, n)
-to G(n-r, n) and swaps S with Q^v, so the signed transpose
-(-1)^(a+b) M[b][a] of one localization gives q_{n,n-r} as well.  Each
-class so obtained must have its Giambelli-Thom-Porteous degree and its top
-coefficient n^2 C(n-1, r); otherwise ArithmeticError is raised.  For any
-integers M with M[0][0] = C(n, r), the transform of the signed expansion
-of M is the signed expansion of its signed transpose, so comparing the two
-expansions would detect no wrong Chern number.
+q_{n,n-r}.  Only r <= n/2 is localized: V -> V^v maps G(r, n) to G(n-r, n)
+and swaps S with Q^v, so q_{n,r} is expanded from the Chern numbers M of
+G(min(r, n-r), n), or from their signed transpose (-1)^(a+b) M[b][a] when
+2r > n.  Every q_{n,r} with r < n must have codimension r^2 with its
+Giambelli-Thom-Porteous degree there and top coefficient n^2 C(n-1, r);
+otherwise ArithmeticError is raised.
 
 Alternating binomial sums of the q polynomials give the class polynomials
 of the open rank strata.  Fed to the strata solver, those must reproduce
@@ -63,8 +61,8 @@ raises ArithmeticError otherwise.  Each paired system (k, n-k) is solved
 exactly, so a checked table also certifies that the transform carries the
 signed q_{n,k} to the signed q_{n,n-k}.  The runtime checks do not vouch
 for M itself: a wrong Chern number that keeps M integral, cancels the
-d^(n^2) term and leaves the derived degrees and top coefficients intact
-passes them all.  The tests compare M with two independent oracles.
+d^(n^2) term and leaves every degree and top coefficient intact passes
+them all.  The tests compare M with two independent oracles.
 """
 
 from __future__ import annotations
@@ -170,12 +168,12 @@ def _signed_transpose(num: list[list[int]]) -> list[list[int]]:
 
 def q_poly(n: int, r: int) -> ClassPoly:
     """The degree-weighted Grassmannian integral for tau_{n,r}, as a class
-    polynomial mod H^(n^2)."""
+    polynomial mod H^(n^2), checked like every class of `eu_table_det`."""
     if n < 1:
         raise ValueError(f"need n >= 1 for q_poly, got n={n}")
     if not 0 <= r <= n:
         raise ValueError(f"rank parameter {r} out of range for n={n}")
-    return _expand(_chern_numbers(n, r), n, r)
+    return _checked_q(_chern_numbers(n, min(r, n - r)), n, r)
 
 
 def _expand(num: list[list[int]], n: int, r: int) -> ClassPoly:
@@ -205,21 +203,23 @@ def _porteous_degree(n: int, r: int) -> int:
     return num // den
 
 
-def _dual_q(num: list[list[int]], n: int, r: int) -> ClassPoly:
-    """q_{n,r} from the Chern numbers M of G(n-r, n), by their signed transpose
-    (-1)^(a+b) M[b][a], checked against codimension r^2 with the Porteous
-    degree there and top coefficient n^2 C(n-1, r), the Euler obstruction
-    summed over the n^2 torus-fixed rank-1 points."""
-    q = _expand(_signed_transpose(num), n, r)
+def _checked_q(num: list[list[int]], n: int, r: int) -> ClassPoly:
+    """q_{n,r} from the Chern numbers M of G(min(r, n-r), n), or from their
+    signed transpose when 2r > n.  For r < n it must have codimension r^2
+    with the Porteous degree there and top coefficient n^2 C(n-1, r), the
+    Euler obstruction summed over the n^2 torus-fixed rank-1 points."""
+    q = _expand(num if 2 * r <= n else _signed_transpose(num), n, r)
+    if r == n:
+        return q
     degree = _porteous_degree(n, r)
     if q.coeffs[: r * r + 1] != (0,) * (r * r) + (degree,):
         raise ArithmeticError(
-            f"derived q_({n},{r}) does not have degree {degree} in codimension {r * r}"
+            f"q_({n},{r}) does not have degree {degree} in codimension {r * r}"
         )
     euler = n * n * comb(n - 1, r)
     if q.coeffs[-1] != euler:
         raise ArithmeticError(
-            f"derived q_({n},{r}) has top coefficient {q.coeffs[-1]}, expected {euler}"
+            f"q_({n},{r}) has top coefficient {q.coeffs[-1]}, expected {euler}"
         )
     return q
 
@@ -228,8 +228,8 @@ def eu_table_det(n: int) -> tuple[list[ClassPoly], StratifiedPair, EulerTable]:
     """The rank strata of n x n matrices, solved: (q, pair, table).
 
     q[r] is q_{n,r} for r < n: one localization at each r <= n/2 gives
-    q_{n,r} and, by `_dual_q`, q_{n,n-r}.  The open strata get their
-    classes by one alternating binomial pass over q; the family is
+    q_{n,r} and q_{n,n-r}, each checked by `_checked_q`.  The open strata
+    get their classes by one alternating binomial pass over q; the family is
     self-dual, with tau_{n,k} paired to tau_{n,n-k}, so both sides of the
     pair carry the same strata.  The binomial values are reproduced, not
     assumed: `strata.checked_table` solves the pair and checks the table
@@ -240,8 +240,7 @@ def eu_table_det(n: int) -> tuple[list[ClassPoly], StratifiedPair, EulerTable]:
     if n < 2:
         raise ValueError("need n >= 2")
     numbers = [_chern_numbers(n, r) for r in range(n // 2 + 1)]
-    q = [_expand(num, n, r) for r, num in enumerate(numbers)]
-    q += [_dual_q(numbers[n - r], n, r) for r in range(n // 2 + 1, n)]
+    q = [_checked_q(numbers[min(r, n - r)], n, r) for r in range(n)]
     # open strata by binomial inversion: csm_k = sum_(r>=k) (-1)^(r-k) C(r,k) q_r;
     # the sign is taken as (-1)^(r+k), since a negative power of -1 is a float
     weights = [[(-1) ** (r + k) * comb(r, k) for r in range(n)] for k in range(n)]

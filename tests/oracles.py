@@ -24,7 +24,8 @@ localization that `detvar` used before it visited one fixed point of each
 orbit of the mirror (and of the complement when 2r = n), with weights
 t_k = k at every one of the C(n, r) fixed points.  It builds each product
 of linear factors by `linear_product`, one root at a time, where `detvar`
-packs it into one integer.
+packs it into one integer, and each n-th power as the product of n copies
+of every root, where `detvar` raises it by Miller's recurrence.
 
 `signed` is the sign rule of the duality transform: (-1)^dim times a class,
 its dimension read off the lowest term.
@@ -62,7 +63,6 @@ from operator import mul
 
 from chernmather import cli
 from chernmather.classpoly import ClassPoly, one_plus_h_power
-from chernmather.detvar import _power
 from chernmather.grassmann import (
     ChowElement,
     fits_box,
@@ -328,8 +328,8 @@ def chern_numbers_all_points(n: int, r: int) -> list[list[int]]:
     num = [[0] * (top + 1 - a) for a in range(top + 1)]
     for sub, quot, tangent, euler in points:
         c_tan = linear_product(tangent)
-        c_quot = _power(linear_product([-j for j in quot]), n, top)
-        c_sub = _power(linear_product([-i for i in sub]), n, top)
+        c_quot = linear_product([-j for j in quot] * n, top)
+        c_sub = linear_product([-i for i in sub] * n, top)
         scale = denom // euler
         for a, row in enumerate(num):
             sa = scale * c_sub[a]

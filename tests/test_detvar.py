@@ -7,7 +7,7 @@ import subprocess
 import sys
 from functools import lru_cache
 from itertools import combinations
-from math import comb, factorial, prod
+from math import comb, prod
 from pathlib import Path
 
 import pytest
@@ -95,9 +95,21 @@ class TestQPoly:
 
     @pytest.mark.parametrize("n", range(3, 15))
     def test_transposed_rank_one_route_matches_segre(self, n):
-        # q_(n,n-1) as eu_table_det derives it, from the Chern numbers of
-        # G(1, n), at sizes the all-points oracle does not reach
-        assert detvar._dual_q(detvar._chern_numbers(n, 1), n, n - 1) == segre_q(n)
+        # q_(n,n-1) from the signed transpose of the Chern numbers of G(1, n),
+        # at sizes the all-points oracle does not reach
+        assert q_poly(n, n - 1) == segre_q(n)
+
+    def test_localizes_only_up_to_half(self, monkeypatch):
+        # q_(5,3) comes from the Chern numbers of G(2, 5), and so do
+        # q_(5,2) and q_(5,3) in the family
+        integrals = []
+        chern_numbers = detvar._chern_numbers
+        monkeypatch.setattr(
+            detvar, "_chern_numbers", lambda n, r: integrals.append(r) or chern_numbers(n, r)
+        )
+        q_poly(5, 3)
+        eu_table_det(5)
+        assert integrals == [2, 0, 1, 2]
 
     def test_determinant_hypersurface_degree(self):
         # codimension r^2, leading coefficient = degree of the locus
@@ -198,10 +210,12 @@ class TestQPoly:
 
 
 def porteous_degree(n: int, r: int) -> int:
-    """Degree of the corank-r locus of n x n matrices (Giambelli-Thom-Porteous)."""
-    num = prod(factorial(i) * factorial(n + i) for i in range(r))
-    den = prod(factorial(r + i) * factorial(n - r + i) for i in range(r))
-    return num // den
+    """Degree of the corank-r locus of n x n matrices.  By Giambelli-Thom-
+    Porteous (Fulton, Intersection Theory, Thm 14.4) it is det[h_(r+j-i)] of
+    h = c(O^n - O(-1)^n) = (1-H)^(-n), the Schur polynomial of the r x r
+    square at n ones, which the hook-content formula evaluates."""
+    cells = [(i, j) for i in range(r) for j in range(r)]
+    return prod(n + j - i for i, j in cells) // prod(2 * r - 1 - i - j for i, j in cells)
 
 
 class TestLargeN:
@@ -218,6 +232,12 @@ class TestLargeN:
         assert porteous_degree(3, 1) == 3  # the determinant cubic
         assert porteous_degree(3, 2) == 6  # Segre P^2 x P^2 in P^8
         assert porteous_degree(4, 2) == 20
+
+    def test_porteous_degree_matches_hook_content(self):
+        # the closed product behind every run's check, at every size the CLI takes
+        for n in range(1, 15):
+            for r in range(n):
+                assert detvar._porteous_degree(n, r) == porteous_degree(n, r), (n, r)
 
     @pytest.mark.parametrize("n", [8, 9])
     def test_open_strata_euler_characteristics(self, n):
@@ -293,8 +313,11 @@ class TestDuality:
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_derived_half_matches_localization(self, n):
-        # eu_table_det localizes r <= n/2 and transposes the rest
-        assert q_list(n) == [q_poly(n, r) for r in range(n)]
+        # eu_table_det localizes r <= n/2 and transposes the rest; the oracle
+        # localizes every r at all its fixed points
+        assert q_list(n) == [
+            expand_binomial(chern_numbers_all_points(n, r), n, r) for r in range(n)
+        ]
 
     def test_signed_transpose_on_all_points_oracle(self):
         # V -> V^v maps G(r, n) to G(n-r, n) and swaps S with Q^v, so
@@ -488,28 +511,49 @@ class TestRuntimeChecks:
         err = capsys.readouterr().err
         assert err == f"error: solved {field}[1] differs from its closed form\n"
 
+    @pytest.mark.parametrize("check", ["degree", "euler"])
     @pytest.mark.parametrize(
-        "power, message",
-        [
-            (9, r"derived q_\(5,3\) does not have degree 175 in codimension 9"),
-            (24, r"derived q_\(5,3\) has top coefficient 99, expected 100"),
-        ],
-        ids=["degree", "euler"],
+        "n, r", [(5, 2), (4, 2), (5, 3)], ids=["q_5_2", "q_4_2", "q_5_3"]
     )
-    def test_wrong_derived_class_exits_3(self, monkeypatch, capsys, power, message):
-        # q_{5,3} is the first class eu_table_det expands from transposed
-        # Chern numbers; only that route is corrupted
+    def test_wrong_derived_class_exits_3(self, monkeypatch, capsys, n, r, check):
+        # one class with 2r < n, 2r = n and 2r > n loses one unit in
+        # codimension r^2 or in the top degree; the other classes are intact
+        if check == "degree":
+            power, degree = r * r, porteous_degree(n, r)
+            message = rf"q_\({n},{r}\) does not have degree {degree} in codimension {power}"
+        else:
+            power, euler = n * n - 1, n * n * comb(n - 1, r)
+            message = rf"q_\({n},{r}\) has top coefficient {euler - 1}, expected {euler}"
         expand = detvar._expand
 
-        def corrupted(num, n, r):
-            q = expand(num, n, r)
-            return q - ClassPoly.monomial(power, n * n) if r > n // 2 else q
+        def corrupted(num, n_, r_):
+            q = expand(num, n_, r_)
+            return q - ClassPoly.monomial(power, n * n) if r_ == r else q
 
         monkeypatch.setattr(detvar, "_expand", corrupted)
         with pytest.raises(ArithmeticError, match=message):
-            eu_table_det(5)
-        assert cli_main(["detvar", "--n", "5"]) == 3
+            eu_table_det(n)
+        assert cli_main(["detvar", "--n", str(n)]) == 3
         assert re.fullmatch(f"error: {message}\n", capsys.readouterr().err)
+
+    def test_wrong_chern_number_below_half_exits_3(self, monkeypatch, capsys):
+        # M[2][0] of G(1, 3) one too large adds d (1+d)^6 to q_(3,1): its
+        # degree becomes 4, while the transposed q_(3,2) gains only d^6 + d^7
+        # and passes its own checks and the checked solve
+        chern_numbers = detvar._chern_numbers
+
+        def corrupted(n, r):
+            num = chern_numbers(n, r)
+            if (n, r) == (3, 1):
+                num[2][0] += 1
+            return num
+
+        monkeypatch.setattr(detvar, "_chern_numbers", corrupted)
+        message = "q_(3,1) does not have degree 3 in codimension 1"
+        with pytest.raises(ArithmeticError, match=re.escape(message)):
+            eu_table_det(3)
+        assert cli_main(["detvar", "--n", "3"]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_failed_duality_exits_3(self, monkeypatch, capsys):
         # a transform that disagrees with the classes, though every class
