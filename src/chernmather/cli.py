@@ -284,6 +284,9 @@ def _cmd_chow(args):
     mode = "mult" if args.mult else "integrate"
     parts = [_parse_partition(p) for p in getattr(args, mode)]
     inputs = {"r": r, "n": n, mode: [_join(p) for p in parts]}
+    # one product order per multiset: general factors, then sorted Pieri strips
+    if args.integrate:
+        parts.sort(key=lambda p: (len(p) == 1 or set(p) == {1}, p))
     # sigma of the empty partition is the unit, so it is not multiplied in
     factors = [ChowElement.sigma(p, r, n) for p in parts if p]
     if args.integrate and sum(map(sum, parts)) != r * (n - r):

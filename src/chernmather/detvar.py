@@ -5,9 +5,15 @@ tau_{n,r} of matrices with kernel of dimension at least r has codimension
 r^2.  Its Chern-Mather class polynomial q_{n,r}(H) comes from a weighted
 integral over the Grassmannian G(r, n) of dimension D = r(n-r):
 
-    q_{n,r}(d) = sum_{a+b<=D} M[a][b] (1+d)^(n(n-r)-b) d^(nr-a)  -  C(n,r) d^(n^2),
+    q_{n,r}(d) = sum_{a+b<=D} M[a][b] (1+d)^(n(n-r)-b) d^(nr-a)   mod d^(n^2),
     M[a][b]    = integral over G(r,n) of
                      c_(D-a-b)(S^v tensor Q) c_b((Q^v)^n) c_a((S^v)^n).
+
+By the Whitney sum formula c((S^v)^n) c((Q^v)^n) = c((V^v)^n) = 1, since
+V = C^n is trivial, so the antidiagonal sums of M over a + b = k are
+C(n, r) = integral of c_D(T) at k = 0 and 0 for every k > 0.  The k = 0 sum
+is the d^(n^2) coefficient of the sum above, and with k = 1 the top
+coefficient of q is n(n-r) C(n, r) = n^2 C(n-1, r).
 
 Each Chern number M[a][b] is computed by Atiyah-Bott localization for the
 torus acting on C^n with weights t_k = 2k - (n-1).  The fixed points of
@@ -28,30 +34,27 @@ sign of the Euler class of degree D.  So the sum visits one subset I of
 each orbit of the group generated by the mirror and, when 2r = n, the
 complement.  It weights I by |orbit|, or by |orbit|/2 when 2r = n, and
 then folds the accumulated A into M[a][b] = A[a][b] + (-1)^(a+b) A[b][a].
-It runs over a common denominator in integers; a non-integral M or a
-d^(n^2) term that fails to cancel raises ArithmeticError.
+It runs over a common denominator in integers; a non-integral M raises.
 
 Each of the three products at a fixed point, the tangent class and the
 bases prod (1 - u t) of the two n-th powers, is prod (1 + u w) over its
-roots w, so each of its coefficients, and each partial one, is at most
-prod (1 + |w|) in absolute value.  It is built as one integer holding
-signed digits of W = sum bits(1 + |w|) + 2 bits, one step per root, and
-unpacked once.  The n-th powers, of polynomials of degree r and n - r,
-are raised by J.C.P. Miller's power recurrence.  q is expanded from M
-by Horner's rule in (1+d): S <- S (1+d) + sum_a M[a][b] d^(nr-a) for
-b = 0..D, then (n-r)^2 more factors (1+d).  Littlewood-Richardson products
-on the Grassmannian stay behind the `chow` command and serve the tests as
-an independent oracle for M and q, and the tests keep the localization
-over all C(n, r) points with t_k = k as a second one.
+roots w, built as one integer of packed signed digits (`_packed_product`).
+The n-th powers are raised by J.C.P. Miller's power recurrence, and q is
+expanded from M by Horner's rule in (1+d).  Littlewood-Richardson
+products on the Grassmannian stay behind the `chow` command and serve the
+tests as an independent oracle for M and q, and the tests keep the
+localization over all C(n, r) points with t_k = k as a second one.
 
 The family is self-dual: tau_{n,r} and tau_{n,n-r} are projectively dual,
 so the duality transform carries the signed q_{n,r} to the signed
 q_{n,n-r}.  Only r <= n/2 is localized: V -> V^v maps G(r, n) to G(n-r, n)
 and swaps S with Q^v, so q_{n,r} is expanded from the Chern numbers M of
 G(min(r, n-r), n), or from their signed transpose (-1)^(a+b) M[b][a] when
-2r > n.  Every q_{n,r} with r < n must have codimension r^2 with its
-Giambelli-Thom-Porteous degree there and top coefficient n^2 C(n-1, r);
-otherwise ArithmeticError is raised.
+2r > n, which multiplies the antidiagonal sum at k by (-1)^k.  Before
+expanding, `_checked_q` checks the identity on M, which any one wrong
+Chern number breaks; for r < n q must then have its Giambelli-Thom-Porteous
+degree in codimension r^2, which also catches a wrong bundle or exponent
+that keeps the identity.  Either check raises ArithmeticError.
 
 Alternating binomial sums of the q polynomials give the class polynomials
 of the open rank strata.  Fed to the strata solver, those must reproduce
@@ -59,10 +62,7 @@ the binomial table of local Euler obstructions Eu = C(r, k), the origin
 column C(n, k) and the classes q on both sides; `strata.checked_table`
 raises ArithmeticError otherwise.  Each paired system (k, n-k) is solved
 exactly, so a checked table also certifies that the transform carries the
-signed q_{n,k} to the signed q_{n,n-k}.  The runtime checks do not vouch
-for M itself: a wrong Chern number that keeps M integral, cancels the
-d^(n^2) term and leaves every degree and top coefficient intact passes
-them all.  The tests compare M with two independent oracles.
+signed q_{n,k} to the signed q_{n,n-k}.
 """
 
 from __future__ import annotations
@@ -177,7 +177,7 @@ def q_poly(n: int, r: int) -> ClassPoly:
 
 
 def _expand(num: list[list[int]], n: int, r: int) -> ClassPoly:
-    """q_{n,r} from the Chern numbers M of G(r, n)."""
+    """q_{n,r} from the Chern numbers M of G(r, n), mod d^(n^2)."""
     coeffs = [0] * (n * n + 1)
     # Horner's rule in (1+d): S <- S (1+d) + R_b for b = 0..D, with
     # R_b(d) = sum_a M[a][b] d^(nr-a), leaves sum_b R_b (1+d)^(D-b); the
@@ -188,11 +188,6 @@ def _expand(num: list[list[int]], n: int, r: int) -> ClassPoly:
             coeffs[n * r - a] += num[a][b]
     for _ in range((n - r) ** 2):
         coeffs = list(map(add, coeffs, [0] + coeffs[:-1]))
-    coeffs[n * n] -= comb(n, r)
-    if coeffs[n * n]:
-        raise ArithmeticError(
-            f"top-degree terms failed to cancel for q_({n},{r})"
-        )
     return ClassPoly(coeffs[: n * n], n * n)
 
 
@@ -205,9 +200,17 @@ def _porteous_degree(n: int, r: int) -> int:
 
 def _checked_q(num: list[list[int]], n: int, r: int) -> ClassPoly:
     """q_{n,r} from the Chern numbers M of G(min(r, n-r), n), or from their
-    signed transpose when 2r > n.  For r < n it must have codimension r^2
-    with the Porteous degree there and top coefficient n^2 C(n-1, r), the
-    Euler obstruction summed over the n^2 torus-fixed rank-1 points."""
+    signed transpose when 2r > n.  M must have antidiagonal sums C(n, r), 0,
+    ..., 0, and for r < n q the Porteous degree in codimension r^2."""
+    sums = [0] * len(num)
+    for a, row in enumerate(num):
+        sums[a:] = map(add, sums[a:], row)
+    sums[0] -= comb(n, r)
+    for k, s in enumerate(sums):
+        if s:
+            raise ArithmeticError(
+                f"Chern numbers of q_({n},{r}) fail the Whitney sum identity in degree {k}"
+            )
     q = _expand(num if 2 * r <= n else _signed_transpose(num), n, r)
     if r == n:
         return q
@@ -215,11 +218,6 @@ def _checked_q(num: list[list[int]], n: int, r: int) -> ClassPoly:
     if q.coeffs[: r * r + 1] != (0,) * (r * r) + (degree,):
         raise ArithmeticError(
             f"q_({n},{r}) does not have degree {degree} in codimension {r * r}"
-        )
-    euler = n * n * comb(n - 1, r)
-    if q.coeffs[-1] != euler:
-        raise ArithmeticError(
-            f"q_({n},{r}) has top coefficient {q.coeffs[-1]}, expected {euler}"
         )
     return q
 

@@ -200,9 +200,8 @@ class StratifiedPair(namedtuple("StratifiedPair", "ambient primal dual pairing")
                     raise ValueError("stratum names must be strings")
                 if not _is_int(dim):
                     raise ValueError(f"stratum {name!r}: dim must be an integer")
-                if not isinstance(csm, list) or not all(
-                    _is_int(c) for c in csm
-                ):
+                # type, not isinstance: bool is an int subclass (see _is_int)
+                if not isinstance(csm, list) or not set(map(type, csm)) <= {int}:
                     raise ValueError(
                         f"stratum {name!r}: csm must be a list of integers"
                     )

@@ -1,9 +1,12 @@
 import argparse
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+from contextlib import redirect_stdout
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -441,7 +444,40 @@ class TestQuadric:
         assert calls == {"build_pair": builds, "euler_table": solves}
 
 
+@st.composite
+def top_degree_factors(draw):
+    """G(r, n) with an r x (n-r) box of at most 4 x 4, and one to four
+    partitions that fit it and whose sizes add up to r(n-r)."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    count, left, factors = draw(st.integers(1, 4)), rows * cols, []
+    for i in range(count):
+        size = left if i == count - 1 else draw(st.integers(0, left))
+        left -= size
+        parts = []
+        # each part at least the average the rows left need, so the rest fits
+        while size:
+            low = -(-size // (rows - len(parts)))
+            parts.append(draw(st.integers(low, min(size, parts[-1] if parts else cols))))
+            size -= parts[-1]
+        factors.append(",".join(map(str, parts)))
+    return rows, rows + cols, factors
+
+
 class TestChow:
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(top_degree_factors())
+    def test_integrate_ignores_factor_order(self, case):
+        r, n, factors = case
+        outcomes = set()
+        for order in set(permutations(factors)):
+            out = io.StringIO()
+            with redirect_stdout(out):
+                code = main(["chow", "--r", str(r), "--n", str(n), "--integrate", *order])
+            report = json.loads(out.getvalue())
+            assert report.pop("inputs")["integrate"] == list(order)
+            outcomes.add((code, json.dumps(report)))
+        assert len(outcomes) == 1
+
     def test_mult_render(self, capsys):
         report = run_json(capsys, "chow", "--r", "2", "--n", "4", "--mult", "1", "1")
         assert report["outputs"]["product"] == "sigma_2 + sigma_1_1"

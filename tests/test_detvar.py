@@ -6,7 +6,7 @@ import re
 import subprocess
 import sys
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, prod
 from pathlib import Path
 
@@ -200,10 +200,11 @@ class TestQPoly:
 
     @pytest.mark.parametrize(
         "euler_factor, message",
-        [(2, "is not an integer"), (-1, "failed to cancel")],
+        [(2, "is not an integer"), (-1, "Whitney sum identity in degree 0")],
     )
     def test_wrong_localization_is_caught(self, monkeypatch, euler_factor, message):
-        # a wrong tangent Euler class makes M[0][0] = C(3,1)/2 or -C(3,1)
+        # a wrong tangent Euler class makes M[0][0] = C(3,1)/2 or -C(3,1),
+        # and the antidiagonal sum at 0 must be C(3,1)
         monkeypatch.setattr(detvar, "prod", lambda xs: euler_factor * prod(xs))
         with pytest.raises(ArithmeticError, match=message):
             q_poly(3, 1)
@@ -517,13 +518,20 @@ class TestRuntimeChecks:
     )
     def test_wrong_derived_class_exits_3(self, monkeypatch, capsys, n, r, check):
         # one class with 2r < n, 2r = n and 2r > n loses one unit in
-        # codimension r^2 or in the top degree; the other classes are intact
+        # codimension r^2 or in the top degree; the other classes are intact.
+        # The Porteous check sees the first; the second comes after the
+        # identity on M, and the checked solve of the pair (k, n-k) fails.
         if check == "degree":
             power, degree = r * r, porteous_degree(n, r)
+            error = ArithmeticError
             message = rf"q_\({n},{r}\) does not have degree {degree} in codimension {power}"
         else:
-            power, euler = n * n - 1, n * n * comb(n - 1, r)
-            message = rf"q_\({n},{r}\) has top coefficient {euler - 1}, expected {euler}"
+            power, k = n * n - 1, min(r, n - r)
+            error = LinearSystemError
+            message = re.escape(
+                "equations are mutually inconsistent (residual check failed) "
+                f"[primal[{k}] 'tau_{n}_{k}' <-> dual[{n - k}] 'tau_{n}_{n - k}_dual']"
+            )
         expand = detvar._expand
 
         def corrupted(num, n_, r_):
@@ -531,15 +539,15 @@ class TestRuntimeChecks:
             return q - ClassPoly.monomial(power, n * n) if r_ == r else q
 
         monkeypatch.setattr(detvar, "_expand", corrupted)
-        with pytest.raises(ArithmeticError, match=message):
+        with pytest.raises(error, match=message):
             eu_table_det(n)
         assert cli_main(["detvar", "--n", str(n)]) == 3
         assert re.fullmatch(f"error: {message}\n", capsys.readouterr().err)
 
     def test_wrong_chern_number_below_half_exits_3(self, monkeypatch, capsys):
-        # M[2][0] of G(1, 3) one too large adds d (1+d)^6 to q_(3,1): its
-        # degree becomes 4, while the transposed q_(3,2) gains only d^6 + d^7
-        # and passes its own checks and the checked solve
+        # M[2][0] of G(1, 3) one too large makes the antidiagonal sum at 2
+        # equal 1.  Expanded, it would add d (1+d)^6 to q_(3,1), while the
+        # transposed q_(3,2) would gain only d^6 + d^7 and pass the solve.
         chern_numbers = detvar._chern_numbers
 
         def corrupted(n, r):
@@ -549,11 +557,28 @@ class TestRuntimeChecks:
             return num
 
         monkeypatch.setattr(detvar, "_chern_numbers", corrupted)
-        message = "q_(3,1) does not have degree 3 in codimension 1"
+        message = "Chern numbers of q_(3,1) fail the Whitney sum identity in degree 2"
         with pytest.raises(ArithmeticError, match=re.escape(message)):
             eu_table_det(3)
         assert cli_main(["detvar", "--n", "3"]) == 3
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_every_single_wrong_chern_number_breaks_the_identity(self):
+        # +1 or -2 at any one M[a][b] moves the antidiagonal sum at a + b,
+        # on the direct route (r) and on the transposed one (n - r)
+        for n in range(3, 8):
+            for r in range(n // 2 + 1):
+                num = detvar._chern_numbers(n, r)
+                cells = [(a, b) for a, row in enumerate(num) for b in range(len(row))]
+                for (a, b), delta, rank in product(cells, (1, -2), {r, n - r}):
+                    num[a][b] += delta
+                    message = (
+                        f"Chern numbers of q_({n},{rank}) fail the "
+                        f"Whitney sum identity in degree {a + b}"
+                    )
+                    with pytest.raises(ArithmeticError, match=re.escape(message)):
+                        detvar._checked_q(num, n, rank)
+                    num[a][b] -= delta
 
     def test_failed_duality_exits_3(self, monkeypatch, capsys):
         # a transform that disagrees with the classes, though every class
