@@ -58,18 +58,18 @@ def exact_solve(
     otherwise InconsistentSystem when they admit no solution, and otherwise
     NonIntegerSolution when the unique rational solution is not integral,
     tagging the message with `context` so callers can name the offending
-    subsystem.
+    subsystem.  A malformed system raises ValueError; the one with more
+    unknowns than equations carries the same tag.
     """
     m = len(rows)
     ncols = len(rows[0]) if m else 0
-    if any(len(r) != ncols for r in rows):
+    if len(set(map(len, rows))) > 1:
         raise ValueError("ragged coefficient matrix")
     if len(rhs) != m:
         raise ValueError("right-hand side length does not match row count")
-    if m < ncols:
-        raise ValueError("need at least as many equations as unknowns")
-
     tag = f" [{context}]" if context else ""
+    if m < ncols:
+        raise ValueError(f"need at least as many equations as unknowns{tag}")
 
     # Row reduction one equation at a time.  Each pivot row is zero in the
     # pivot columns found before it, so reducing by the pivots in the order

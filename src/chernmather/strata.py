@@ -23,24 +23,24 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
-from itertools import zip_longest
-from operator import mul
+from itertools import repeat, zip_longest
+from operator import mul, neg, sub
 
 from .classpoly import ClassPoly, chern_B, involute_all
 from .linsolve import InconsistentSystem, LinearSystemError, exact_solve
 
 # Largest accepted N: every class is stored densely with N coefficients and
 # each system has N equations.  At N = 1024, on a 2-core VM, `euler_table` on
-# a linear flag of 40 strata takes 2.5 to 3.2 s: 1.7 to 2 s in the one
-# transform of the 40 primal classes and about 1 s in the 40 systems, whose
-# elimination reads only the first equations of each (the residual check
-# covers the rest).
+# a linear flag of 40 strata takes 2.0 to 2.7 s: 1.6 to 1.9 s in the one
+# transform of the 40 primal classes and 0.6 to 0.8 s in the 40 systems,
+# whose elimination reads only the first equations of each (the residual
+# check covers the rest).
 MAX_AMBIENT = 1024
 
 # Largest accepted number of strata on either side.  Each side's count
 # bounds both the number of systems and their unknowns, so the solve grows
 # faster than linearly: at N = 1024 `euler_table` on a linear flag of 64
-# strata takes about 8 s on the same VM, and on one of 80 strata 12.5 s.
+# strata takes 5.4 to 7.6 s on the same VM, and on one of 80 strata 12 s.
 MAX_STRATA = 64
 
 
@@ -262,6 +262,11 @@ class EulerTable(
     __slots__ = ()
 
 
+def _signed(sign: int, coeffs):
+    """The coefficients times sign = +-1, in one C-level pass."""
+    return coeffs if sign > 0 else list(map(neg, coeffs))
+
+
 def _signed_system(pair: StratifiedPair, inv, r: int, p: int, signs=True):
     """Rows and right-hand sides of the coefficient-matching system for
     paired strata (r, p), given the transforms `inv` of the primal classes;
@@ -269,17 +274,18 @@ def _signed_system(pair: StratifiedPair, inv, r: int, p: int, signs=True):
 
     Equations run from H^(N-1) down to H^0: at high powers every stratum
     has a nonzero coefficient, while at low powers all but the largest
-    strata vanish, so the solver finds its pivots in the first rows."""
+    strata vanish, so the solver finds its pivots in the first rows.  The
+    signed class columns are transposed into rows in one C-level pass; with
+    no unknowns there are still N rows, empty, so the solver's residual
+    check covers every equation."""
     sx = (-1) ** pair.primal[r].dim if signs else 1
     sy = (-1) ** pair.dual[p].dim if signs else 1
-    x, y = inv[r].coeffs, pair.dual[p].csm.coeffs
-    prim = [f.coeffs for f in inv[r + 1 :]]
-    dual = [s.csm.coeffs for s in pair.dual[p + 1 :]]
-    rows, rhs = [], []
-    for k in reversed(range(pair.ambient)):
-        rows.append([sx * c[k] for c in prim] + [-sy * c[k] for c in dual])
-        rhs.append(sy * y[k] - sx * x[k])
-    return rows, rhs
+    cols = [_signed(sx, f.coeffs) for f in inv[r + 1 :]]
+    cols += [_signed(-sy, s.csm.coeffs) for s in pair.dual[p + 1 :]]
+    rows = list(zip(*cols)) if cols else [()] * pair.ambient
+    y, x = _signed(sy, pair.dual[p].csm.coeffs), _signed(sx, inv[r].coeffs)
+    rhs = list(map(sub, y, x))
+    return rows[::-1], rhs[::-1]
 
 
 def _system_name(pair: StratifiedPair, r: int, p: int) -> str:
@@ -309,11 +315,20 @@ def _solve_paired(pair: StratifiedPair, inv, r: int, p: int):
 
 def chern_mather(strata: Sequence[Stratum], alpha: Sequence[int]) -> ClassPoly:
     """Weighted sum of class polynomials: the Chern-Mather class of the closure
-    of strata[0], whose Euler obstruction along strata[i] is alpha[i]."""
+    of strata[0], whose Euler obstruction along strata[i] is alpha[i].
+
+    A class of weight 0 is skipped and one of weight 1 is taken as it is;
+    the others are weighted in one C-level pass each, and the columns are
+    summed coefficient by coefficient in one more."""
     if len(alpha) != len(strata):
         raise ValueError("weight vector does not match the strata")
-    columns = zip(*(s.csm.coeffs for s in strata))
-    return ClassPoly([sum(map(mul, alpha, col)) for col in columns])
+    cols = [
+        s.csm.coeffs if a == 1 else map(mul, repeat(a), s.csm.coeffs)
+        for a, s in zip(alpha, strata)
+        if a
+    ]
+    # the modulus pads the sum of no columns to the zero class
+    return ClassPoly(map(sum, zip(*cols)), strata[0].csm.modulus if strata else None)
 
 
 def _fill_unpaired(ambient: int, strata, r: int, label: str):

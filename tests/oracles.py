@@ -30,6 +30,15 @@ of every root, where `detvar` raises it by Miller's recurrence.
 `signed` is the sign rule of the duality transform: (-1)^dim times a class,
 its dimension read off the lowest term.
 
+`signed_system` builds the coefficient-matching system of a paired stratum
+one equation at a time, and `chern_mather_by_columns` sums every weighted
+class coefficient by coefficient: the oracles of `strata._signed_system` and
+`strata.chern_mather`, which build both in C-level passes.
+
+`cone` joins a solved pair with a vertex space and gives the table of the
+join with no solve: the oracle of `strata.euler_table` at large N with
+classes that are not those of linear spaces.
+
 `expand_binomial` turns Chern numbers M into q_{n,r} one binomial row of
 (1+d)^(n(n-r)-b) per column b, with no Horner step: the oracle of
 `detvar._expand`.
@@ -57,9 +66,9 @@ import argparse
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, repeat
 from math import comb, factorial, lcm, prod
-from operator import mul
+from operator import add, mul
 
 from chernmather import cli
 from chernmather.classpoly import ClassPoly, one_plus_h_power
@@ -71,6 +80,7 @@ from chernmather.grassmann import (
     normalize_partition,
 )
 from chernmather.quadric import QuadricSpec, csm_quadric, csm_singular_locus
+from chernmather.strata import StratifiedPair, Stratum
 
 
 def partitions_in_box(rows: int, cols: int):
@@ -301,6 +311,88 @@ def signed(f: ClassPoly) -> ClassPoly:
     if f.is_zero():
         raise ValueError("the zero class has no dimension to sign by")
     return f if f.dim % 2 == 0 else -f
+
+
+def signed_system(pair: StratifiedPair, inv, r: int, p: int, signs=True):
+    """Rows and right-hand sides of the system of the pair (r, p), given the
+    transforms `inv` of the primal classes: one row per power of H, from
+    H^(N-1) down to H^0, each entry signed on its own."""
+    sx = (-1) ** pair.primal[r].dim if signs else 1
+    sy = (-1) ** pair.dual[p].dim if signs else 1
+    x, y = inv[r].coeffs, pair.dual[p].csm.coeffs
+    prim = [f.coeffs for f in inv[r + 1 :]]
+    dual = [s.csm.coeffs for s in pair.dual[p + 1 :]]
+    rows, rhs = [], []
+    for k in reversed(range(pair.ambient)):
+        rows.append([sx * c[k] for c in prim] + [-sy * c[k] for c in dual])
+        rhs.append(sy * y[k] - sx * x[k])
+    return rows, rhs
+
+
+def chern_mather_by_columns(strata, alpha) -> ClassPoly:
+    """sum_i alpha[i] * csm(strata[i]), one coefficient of H at a time."""
+    if len(alpha) != len(strata):
+        raise ValueError("weight vector does not match the strata")
+    columns = zip(*(s.csm.coeffs for s in strata))
+    return ClassPoly([sum(map(mul, alpha, col)) for col in columns])
+
+
+def cone(pair: StratifiedPair, k: int, expected: dict) -> tuple[StratifiedPair, dict]:
+    """The join of `pair` in P^(N-1) with a vertex space L = P^(k-1), as a
+    pair in P^(N+k-1), and its expected table.
+
+    `expected` holds the lists `euler_table_primal`, `euler_table_dual` and
+    `origin_column` of `pair`, as a report gives them; the result holds the
+    same for the join, so cones compose.  Each primal stratum S becomes its
+    cone minus L, of class (1+H)^k csm(S), and L is a new deepest stratum,
+    of class H^N (1+H)^k.  The dual of the join lies in L^perp = P^(N-1), so
+    each dual class is multiplied by H^k.  L pairs with L^perp: that is the
+    lifted dual[0] when the dual strata fill P^(N-1), and otherwise a new
+    open dual stratum, L^perp minus the dual variety.
+
+    The table of the join needs no solve.  A cone stratum has the old row
+    plus, along L, the obstruction of the affine cone over its closure at the
+    apex, which is the old origin column; L has the row (1), and the affine
+    cone over the join is the old one times C^k, so the origin column gains
+    a 1 for L.  The dual rows stay, and a new L^perp stratum, whose closure
+    is a linear space, has a row of ones.  Every primal stratum of `pair`
+    other than the deepest and a first stratum of closure P^(N-1) must be
+    paired, since the old deepest stratum is not the deepest of the join.
+    """
+    n = pair.ambient
+    m = n + k
+    binom = [comb(k, t) for t in range(m)]  # (1+H)^k mod H^m
+
+    def lifted(coeffs):
+        out = [0] * m
+        for i, c in enumerate(coeffs):
+            if c:
+                out[i:] = map(add, out[i:], map(mul, repeat(c), binom[: m - i]))
+        return ClassPoly(out, m)
+
+    primal = [Stratum(s.name, lifted(s.csm.coeffs), s.dim + k) for s in pair.primal]
+    primal.append(Stratum(f"vertex_in_P{m - 1}", lifted([0] * n + [1]), k - 1))
+    dual = [Stratum(s.name, ClassPoly([0] * k + list(s.csm.coeffs), m), s.dim) for s in pair.dual]
+    # what the dual strata leave of the class of P^(N-1)
+    rest = [comb(n, i) - sum(s.csm.coeffs[i] for s in pair.dual) for i in range(n)]
+    new_dual = any(rest)
+    if new_dual:
+        dual.insert(0, Stratum(f"vertex_perp_in_P{m - 1}", ClassPoly([0] * k + rest, m), n - 1))
+    vertex = (len(pair.primal), 0)
+    pairing = [(r, p + new_dual) for r, p in pair.pairing] + [vertex]
+
+    origin = list(expected["origin_column"])
+    table_p = [list(row) + [o] for row, o in zip(expected["euler_table_primal"], origin)]
+    table_p.append([0] * len(origin) + [1])
+    table_d = [list(row) for row in expected["euler_table_dual"]]
+    if new_dual:
+        table_d = [[1] * (len(table_d) + 1)] + [[0] + row for row in table_d]
+    joined = StratifiedPair(m, primal, dual, pairing)
+    return joined, {
+        "euler_table_primal": table_p,
+        "euler_table_dual": table_d,
+        "origin_column": origin + [1],
+    }
 
 
 def linear_product(roots, top: int | None = None) -> list[int]:

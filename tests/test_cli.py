@@ -331,6 +331,30 @@ class TestSolve:
             "[primal[0] 'open' <-> dual[0] 'rigged']\n"
         )
 
+    def test_more_unknowns_than_equations_names_the_system(self, capsys, tmp_path):
+        # N = 2 gives two equations; the pair (0, 1) has three unknowns
+        wide = tmp_path / "wide.json"
+        wide.write_text(json.dumps({
+            "N": 2,
+            "primal": [
+                {"name": "a", "dim": 1, "csm": [1, 2]},
+                {"name": "b", "dim": 1, "csm": [1, 1]},
+                {"name": "c", "dim": 0, "csm": [0, 1]},
+                {"name": "d", "dim": 0, "csm": [0, 2]},
+            ],
+            "dual": [
+                {"name": "x", "dim": 1, "csm": [1, 2]},
+                {"name": "y", "dim": 0, "csm": [0, 1]},
+            ],
+            "pairing": [[0, 1]],
+        }))
+        code, out, err = run(capsys, "solve", str(wide))
+        assert code == 2 and out == ""
+        assert err == (
+            "error: need at least as many equations as unknowns "
+            "[primal[0] 'a' <-> dual[1] 'y']\n"
+        )
+
     def test_dimension_above_ambient_exits_2(self, capsys, tmp_path):
         # the README's cone pair with the conic declared far beyond P^3
         pair = tmp_path / "cone.json"

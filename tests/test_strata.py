@@ -1,12 +1,20 @@
 import json
+import random
 from functools import partial
+from math import comb
 from pathlib import Path
 
 import pytest
 
 from chernmather import detvar, quadric, strata
 from chernmather.cli import main as cli_main
-from chernmather.classpoly import ClassPoly, chern_B, csm_linear_space, involute
+from chernmather.classpoly import (
+    ClassPoly,
+    chern_B,
+    csm_linear_space,
+    involute,
+    involute_all,
+)
 from chernmather.linsolve import (
     InconsistentSystem,
     NonIntegerSolution,
@@ -21,7 +29,7 @@ from chernmather.strata import (
     euler_table,
 )
 
-from oracles import signed
+from oracles import chern_mather_by_columns, cone, signed, signed_system
 
 DATA = Path(__file__).parent / "data"
 
@@ -373,6 +381,108 @@ class TestChernMather:
     def test_length_guard(self):
         with pytest.raises(ValueError):
             chern_mather(quadric_cone_pair().primal, (1,))
+
+
+def random_side(rng, modulus, prefix):
+    """One to four strata of random nonzero classes and dimensions."""
+    side = []
+    for i in range(rng.randint(1, 4)):
+        coeffs = [rng.choice((0, rng.randint(-40, 40))) for _ in range(modulus)]
+        coeffs[rng.randrange(modulus)] = rng.choice((-1, 1)) * rng.randint(1, 2**70)
+        side.append(Stratum(f"{prefix}{i}", ClassPoly(coeffs, modulus), rng.randrange(modulus)))
+    return side
+
+
+class TestSystemOracle:
+    """`_signed_system` against the row-by-row builder in the oracles."""
+
+    def test_random_small_pairs(self):
+        rng = random.Random(29)
+        for _ in range(60):
+            modulus = rng.randint(2, 9)
+            pair = StratifiedPair(
+                modulus, random_side(rng, modulus, "x"), random_side(rng, modulus, "y"), []
+            )
+            inv = involute_all([s.csm for s in pair.primal], modulus - 1)
+            for r in range(len(pair.primal)):
+                for p in range(len(pair.dual)):
+                    for signs in (True, False):
+                        rows, rhs = strata._signed_system(pair, inv, r, p, signs)
+                        want_rows, want_rhs = signed_system(pair, inv, r, p, signs)
+                        assert list(map(list, rows)) == want_rows
+                        assert list(rhs) == want_rhs
+
+    def test_no_unknowns_keeps_every_equation(self):
+        pair = sym3_pair()
+        inv = involute_all([s.csm for s in pair.primal], 5)
+        rows, rhs = strata._signed_system(pair, inv, 2, 2)
+        assert list(map(list, rows)) == [[]] * 6 == signed_system(pair, inv, 2, 2)[0]
+        assert list(rhs) == signed_system(pair, inv, 2, 2)[1]
+
+
+class TestChernMatherOracle:
+    """`chern_mather` against the column-by-column sum in the oracles."""
+
+    WEIGHTS = (0, 1, -1, 2, -3, 2**64 + 1, -(2**70) - 5)
+
+    def test_random_weights(self):
+        rng = random.Random(29)
+        for _ in range(200):
+            modulus = rng.randint(1, 9)
+            side = random_side(rng, modulus, "s")
+            alpha = [rng.choice(self.WEIGHTS) for _ in side]
+            got = chern_mather(side, alpha)
+            assert got == chern_mather_by_columns(side, alpha)
+            assert got.modulus == modulus
+
+    @pytest.mark.parametrize("weight", WEIGHTS)
+    def test_every_weight_alone(self, weight):
+        side = sym3_pair().primal
+        for alpha in ((weight, 0, 0), (0, weight, weight), (weight,) * 3):
+            assert chern_mather(side, alpha) == chern_mather_by_columns(side, alpha)
+
+    def test_all_weights_zero_give_the_zero_class(self):
+        assert chern_mather(sym3_pair().primal, (0, 0, 0)) == ClassPoly.zero(6)
+
+
+def _detvar_expected(n):
+    binomial = [[comb(j, k) for j in range(n)] for k in range(n)]
+    return {
+        "euler_table_primal": binomial,
+        "euler_table_dual": binomial,
+        "origin_column": [comb(n, k) for k in range(n)],
+    }
+
+
+def _sym3_expected():
+    table = [[1, 1, 1], [0, 1, 0], [0, 0, 1]]
+    return {"euler_table_primal": table, "euler_table_dual": table, "origin_column": [1, 1, 1]}
+
+
+def _flag_expected(m):
+    ones = [[0] * k + [1] * (m - k) for k in range(m)]
+    return {"euler_table_primal": ones, "euler_table_dual": ones, "origin_column": [1] * m}
+
+
+# (base pair, its tables from closed forms, ambient N of the cone)
+CONES = {
+    "detvar_3_to_1024": (partial(detvar_pair, 3), partial(_detvar_expected, 3), 1024),
+    "detvar_5_to_1024": (partial(detvar_pair, 5), partial(_detvar_expected, 5), 1024),
+    "sym3_to_106": (sym3_pair, _sym3_expected, 106),
+    # the duals of a flag do not fill P^(N-1): the cone adds a dual stratum
+    "flag_3_to_64": (partial(linear_flag_pair, 30, [20, 11, 4]), partial(_flag_expected, 3), 64),
+}
+
+
+@pytest.mark.parametrize("base, expected, ambient", CONES.values(), ids=CONES.keys())
+def test_cone_solves_to_its_table(base, expected, ambient, tmp_path, capsys):
+    pair = base()
+    joined, want = cone(pair, ambient - pair.ambient, expected())
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps(joined.to_dict()))
+    assert cli_main(["solve", str(path)]) == 0
+    outputs = json.loads(capsys.readouterr().out)["outputs"]
+    assert {key: outputs[key] for key in want} == want
 
 
 class TestEuAtOrigin:
