@@ -36,14 +36,8 @@ from .linsolve import (
 from .quadric import (
     QuadricSpec,
     build_pair,
-    complex_link_chi,
     cross_validate,
-    csm_quadric,
-    csm_singular_locus,
-    dual_cm_classes,
-    eu_values,
     milnor_class,
-    milnor_number,
 )
 from .strata import (
     EulerTable,

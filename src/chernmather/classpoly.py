@@ -56,16 +56,6 @@ class ClassPoly:
     def zero(cls, modulus: int) -> "ClassPoly":
         return cls([0], modulus)
 
-    @classmethod
-    def monomial(cls, power: int, modulus: int, coeff: int = 1) -> "ClassPoly":
-        """coeff * H^power, truncated (zero if power >= modulus)."""
-        if power < 0:
-            raise ValueError("power must be nonnegative")
-        cs = [0] * modulus
-        if power < modulus:
-            cs[power] = coeff
-        return cls(cs, modulus)
-
     # -- basic queries -------------------------------------------------
 
     @property
@@ -122,17 +112,6 @@ class ClassPoly:
     def __mul__(self, other):
         if isinstance(other, int):
             return ClassPoly([c * other for c in self.coeffs])
-        if isinstance(other, ClassPoly):
-            self._check_modulus(other)
-            n = self.modulus
-            out = [0] * n
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs[: n - i]):
-                    if b:
-                        out[i + j] += a * b
-            return ClassPoly(out)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -203,21 +182,19 @@ def one_plus_h_power(m: int, modulus: int) -> ClassPoly:
 
 
 def chern_B(n: int, modulus: int) -> ClassPoly:
-    """(1+H)^(n+1) - H^(n+1) mod H^modulus: the pushforward class of P^n."""
+    """(1+H)^(n+1) - H^(n+1) mod H^modulus: the pushforward class of P^n,
+    the binomial row C(n+1, 0..n) padded to the modulus."""
     if modulus < n + 1:
         raise ValueError("modulus too small to carry the class of P^n")
-    f = one_plus_h_power(n + 1, modulus)
-    return f - ClassPoly.monomial(n + 1, modulus)
+    return ClassPoly(one_plus_h_power(n + 1, n + 1).coeffs, modulus)
 
 
 def csm_linear_space(k: int, modulus: int) -> ClassPoly:
     """Pushforward class of a linear P^k inside P^(modulus-1):
-    H^(N-1-k) * (1+H)^(k+1)."""
+    H^(N-1-k) * (1+H)^(k+1), the row of P^k starting at H^(N-1-k)."""
     if not 0 <= k <= modulus - 1:
         raise ValueError(f"no P^{k} inside P^{modulus - 1}")
-    return ClassPoly.monomial(modulus - 1 - k, modulus) * one_plus_h_power(
-        k + 1, modulus
-    )
+    return ClassPoly((0,) * (modulus - 1 - k) + chern_B(k, k + 1).coeffs)
 
 
 def involute(f: ClassPoly, d: int) -> ClassPoly:

@@ -33,7 +33,7 @@ from types import SimpleNamespace
 
 from . import detvar as dv
 from . import quadric as qd
-from .classpoly import ClassPoly, involute, render_combination
+from .classpoly import ClassPoly, csm_linear_space, involute, render_combination
 from .grassmann import ChowElement, integrate, lr_multiply, normalize_partition
 from .linsolve import LinearSystemError
 from .strata import MAX_AMBIENT, EulerTable, StratifiedPair, euler_table
@@ -241,25 +241,27 @@ def _cmd_quadric(args):
     spec = qd.QuadricSpec(args.n, args.rank)
     pair = qd.build_pair(spec)
     csm = sum((s.csm for s in pair.primal[1:]), pair.primal[0].csm)
-    eu_generic, eu_singular = qd.eu_values(spec)
     outputs = {
         "csm": csm,
         "milnor_class": qd.milnor_class(spec),
-        "eu_generic": eu_generic,
-        "eu_singular": eu_singular,
-        "complex_link_chi": qd.complex_link_chi(),
+        "eu_generic": 1,
+        "complex_link_chi": -2,  # of the cone at the origin, for every rank >= 3
         "dual_quadric_cm": pair.dual[0].csm,
-        "dual_singular_cm": qd.dual_cm_classes(spec)[1],
     }
     diagnostics: dict = {}
     if spec.is_smooth:
         outputs["chern_mather"] = csm
-        outputs["milnor_number"] = None
+        outputs["eu_singular"] = outputs["milnor_number"] = None
+        outputs["dual_singular_cm"] = None
         diagnostics["milnor_note"] = "smooth quadric: Milnor class is zero"
     else:
         table = qd.cross_validate(spec, pair)
         outputs["chern_mather"] = table.chern_mather_primal[0]
-        outputs["milnor_number"] = qd.milnor_number(spec)
+        # checked against (-1)^r + 1 by cross_validate
+        outputs["eu_singular"] = table.primal[0][1]
+        outputs["milnor_number"] = (-1) ** (args.n + args.rank)
+        # the dual of S = P^(n-r) is a linear P^(r-1)
+        outputs["dual_singular_cm"] = csm_linear_space(args.rank - 1, args.n + 1)
         outputs["cross_validation"] = "ok"
         outputs.update(_table_payload(table))
         diagnostics["systems"] = table.diagnostics

@@ -12,6 +12,11 @@ everything below is an exact polynomial identity mod H^(n+1):
   * local Euler obstruction along S: (-1)^r + 1, Milnor number mu, Euler
     characteristic of the complex link of the cone at the origin: -2.
 
+`build_pair` gives the classes of S, of X minus S and of the dual quadric.
+The `quadric` report reads its Euler tables and origin column, `eu_singular`
+and the Chern-Mather class of X off the table that `cross_validate` solves
+and checks against these closed forms; mu, -2 and Eu = 1 it writes as is.
+
 Ranks 1 and 2 are rejected: a rank-1 quadric is a doubled hyperplane whose
 reduced structure is smooth, a rank-2 quadric is two hyperplanes meeting
 transversely, and the closed forms here presuppose rank >= 3.
@@ -52,94 +57,46 @@ class QuadricSpec(namedtuple("QuadricSpec", "n r")):
         return super().__new__(cls, n, r)
 
     @property
-    def modulus(self) -> int:
-        return self.n + 1
-
-    @property
     def is_smooth(self) -> bool:
         return self.r == self.n + 1
 
 
-def milnor_number(spec: QuadricSpec) -> int:
-    """Milnor number at any point of the singular locus: (-1)^(n+r)."""
-    if spec.is_smooth:
-        raise ValueError("a smooth quadric has no singular points")
-    return (-1) ** (spec.n + spec.r)
-
-
-def complex_link_chi() -> int:
-    """Euler characteristic of the complex link of the affine cone at the
-    origin; constant -2 across the whole rank >= 3 family."""
-    return -2
-
-
-def csm_singular_locus(spec: QuadricSpec) -> ClassPoly:
-    """Pushforward class of the singular locus, a linear P^(n-r) in P^n."""
-    if spec.is_smooth:
-        raise ValueError("a smooth quadric has no singular locus")
-    return csm_linear_space(spec.n - spec.r, spec.modulus)
-
-
 def _smooth_quadric(dim: int, modulus: int) -> ClassPoly:
     """Class of a smooth quadric of dimension `dim`, a hypersurface of a
-    linear P^(dim+1) inside P^(modulus-1): 2H * csm(P^(dim+1)) / (1+2H)."""
-    two_h = ClassPoly.monomial(1, modulus, 2)
-    return div_1p2H(two_h * csm_linear_space(dim + 1, modulus))
+    linear P^(dim+1) inside P^(modulus-1): 2H * csm(P^(dim+1)) / (1+2H), the
+    row of P^(dim+1) moved up one power of H, its top term cut off."""
+    row = csm_linear_space(dim + 1, modulus).coeffs
+    return div_1p2H(2 * ClassPoly((0,) + row[:-1]))
 
 
 def milnor_class(spec: QuadricSpec) -> ClassPoly:
     """Milnor class mu * csm(S)/(1+2H); zero for a smooth quadric."""
+    n, r = spec
     if spec.is_smooth:
-        return ClassPoly.zero(spec.modulus)
-    return milnor_number(spec) * div_1p2H(csm_singular_locus(spec))
-
-
-def csm_quadric(spec: QuadricSpec) -> ClassPoly:
-    """Class polynomial of the rank-r quadric in P^n: the class of the smooth
-    quadric minus (-1)^(n-1) times the Milnor class."""
-    smooth = _smooth_quadric(spec.n - 1, spec.modulus)
-    if spec.is_smooth:
-        return smooth
-    return smooth - (-1) ** (spec.n - 1) * milnor_class(spec)
-
-
-def eu_values(spec: QuadricSpec) -> tuple[int, int | None]:
-    """(obstruction at generic points, obstruction along the singular locus);
-    the second entry is None for a smooth quadric."""
-    if spec.is_smooth:
-        return (1, None)
-    return (1, (-1) ** spec.r + 1)
-
-
-def dual_cm_classes(spec: QuadricSpec) -> tuple[ClassPoly, ClassPoly | None]:
-    """Chern-Mather classes of the dual quadric and of the dual of the
-    singular locus, pushed to the ambient P^n.
-
-    The dual of X is a smooth quadric in a linear P^(r-1), the dual of S is
-    a linear P^(r-1); for a smooth quadric (r = n+1) the second entry is
-    None and the first is the quadric's own class.
-    """
-    x_dual = _smooth_quadric(spec.r - 2, spec.modulus)
-    if spec.is_smooth:
-        return (x_dual, None)
-    return (x_dual, csm_linear_space(spec.r - 1, spec.modulus))
+        return ClassPoly.zero(n + 1)
+    return (-1) ** (n + r) * div_1p2H(csm_linear_space(n - r, n + 1))
 
 
 def build_pair(spec: QuadricSpec) -> StratifiedPair:
     """Solver input: {open part, singular locus} against the dual quadric.
 
-    For a smooth quadric the pair degenerates to one self-paired stratum.
+    Each class is built once: S = P^(n-r), the quadric X (the smooth class
+    minus (-1)^(n-1) times the Milnor class) and the dual quadric.  For a
+    smooth quadric, which is its own dual, the pair degenerates to one
+    self-paired stratum.
     """
-    mod = spec.modulus
-    x_dual, _ = dual_cm_classes(spec)
-    dual = [Stratum("dual_quadric", x_dual, spec.r - 2)]
+    n, r = spec
+    mod = n + 1
+    dual = [Stratum("dual_quadric", _smooth_quadric(r - 2, mod), r - 2)]
     if spec.is_smooth:
-        primal = [Stratum("quadric", csm_quadric(spec), spec.n - 1)]
+        primal = [Stratum("quadric", dual[0].csm, n - 1)]
     else:
-        sing = csm_singular_locus(spec)
+        sing = csm_linear_space(n - r, mod)
+        milnor = (-1) ** (n + r) * div_1p2H(sing)
+        quadric = _smooth_quadric(n - 1, mod) - (-1) ** (n - 1) * milnor
         primal = [
-            Stratum("quadric_open", csm_quadric(spec) - sing, spec.n - 1),
-            Stratum("singular_locus", sing, spec.n - spec.r),
+            Stratum("quadric_open", quadric - sing, n - 1),
+            Stratum("singular_locus", sing, n - r),
         ]
     return StratifiedPair(mod, primal, dual, [(0, 0)])
 
@@ -152,6 +109,5 @@ def cross_validate(spec: QuadricSpec, pair: StratifiedPair) -> EulerTable:
     locus."""
     if spec.is_smooth:
         raise ValueError("cross-validation needs a singular quadric (r <= n)")
-    e = eu_values(spec)[1]
+    e = (-1) ** spec.r + 1
     return checked_table(pair, primal=((1, e), (0, 1)), dual=((1,),), origin=(e, 1))
-

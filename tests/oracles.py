@@ -46,10 +46,14 @@ classes that are not those of linear spaces.
 `involute_binomial` is the duality transform by its binomial definition,
 with no Horner step and no packing: the oracle of `classpoly.involute_all`.
 
-`milnor_class_binomial` is the closed double-binomial form of a quadric's
-Milnor class, an independent route to the division mu * csm(S)/(1+2H) of
-`quadric.milnor_class`; `chern_mather_quadric` is the closed form of a
-quadric's Chern-Mather class that the solved Euler table must reproduce.
+`over_1p2H` gives (1+H)^m/(1+2H) as double-binomial sums, with no
+division step.  From it, `milnor_class_binomial` is a quadric's Milnor
+class, an independent route to the division mu * csm(S)/(1+2H) of
+`quadric.milnor_class`, and `quadric_pair_binomial` is every class of the
+pair `quadric.build_pair` gives: the singular locus, the open part and the
+smooth and dual quadrics.  `chern_mather_quadric` is the closed form of a
+quadric's Chern-Mather class, from those classes, that the solved Euler
+table must reproduce.
 
 `report_json` and `report_line` render a report value with the standard
 library's JSON encoder, after `stringify_big` has turned it into plain JSON
@@ -66,12 +70,12 @@ import argparse
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, repeat
+from itertools import accumulate, combinations, combinations_with_replacement, repeat
 from math import comb, factorial, lcm, prod
 from operator import add, mul
 
 from chernmather import cli
-from chernmather.classpoly import ClassPoly, one_plus_h_power
+from chernmather.classpoly import ClassPoly
 from chernmather.grassmann import (
     ChowElement,
     fits_box,
@@ -79,7 +83,7 @@ from chernmather.grassmann import (
     lr_multiply,
     normalize_partition,
 )
-from chernmather.quadric import QuadricSpec, csm_quadric, csm_singular_locus
+from chernmather.quadric import QuadricSpec
 from chernmather.strata import StratifiedPair, Stratum
 
 
@@ -223,8 +227,9 @@ def q_poly_schubert(n: int, r: int) -> tuple[list[list[int]], ClassPoly]:
     """The Chern numbers M[a][b] of `detvar` on G(r, n), and q_{n,r} from them.
 
     M[a][b] = integral of c_(D-a-b)(S^v tensor Q) c_b((Q^v)^n) c_a((S^v)^n)
-    is integrated by Littlewood-Richardson products.  q is summed modulo
-    H^(n^2+1), so the d^(n^2) term is checked to cancel, not truncated away.
+    is integrated by Littlewood-Richardson products, and q expanded from them
+    by `expand_binomial`, one shifted row of binomials per number, so this
+    route shares no polynomial arithmetic with the package.
     """
     top = r * (n - r)
     tangent = chern_tensor(taut_sub_dual(r, n), taut_quot(r, n)).classes
@@ -237,15 +242,7 @@ def q_poly_schubert(n: int, r: int) -> tuple[list[list[int]], ClassPoly]:
         ]
         for a in range(top + 1)
     ]
-    mod = n * n + 1
-    q = ClassPoly.monomial(n * n, mod, -comb(n, r))
-    for a, row in enumerate(numbers):
-        for b, m in enumerate(row):
-            shift = ClassPoly.monomial(n * r - a, mod, m)
-            q = q + shift * one_plus_h_power(n * (n - r) - b, mod)
-    if q.coeffs[n * n]:
-        raise ArithmeticError(f"top-degree terms failed to cancel for q_({n},{r})")
-    return numbers, ClassPoly(q.coeffs[: n * n], n * n)
+    return numbers, expand_binomial(numbers, n, r)
 
 
 def expand_binomial(num: list[list[int]], n: int, r: int) -> ClassPoly:
@@ -285,25 +282,56 @@ def involute_binomial(f: ClassPoly, d: int) -> ClassPoly:
     return ClassPoly(out, f.modulus)
 
 
+def over_1p2H(m: int, length: int) -> list[int]:
+    """Coefficients of H^0..H^(length-1) in (1+H)^m/(1+2H): coefficient k is
+    the double-binomial sum of C(m, i) * (-2)^(k-i) over i <= k.  Each term
+    is put over 2^(length-1), so one running sum gives every k exactly."""
+    top = length - 1
+    terms = [((-1) ** i * comb(m, i)) << (top - i) for i in range(length)]
+    return [((-1) ** k * s) >> (top - k) for k, s in enumerate(accumulate(terms))]
+
+
 def milnor_class_binomial(n: int, r: int) -> ClassPoly:
     """Milnor class of the rank-r quadric in P^n, 3 <= r <= n: the
     coefficient of H^(k+r) is (-1)^(n+r) * sum_j C(n-r+1, k-j) * (-2)^j."""
     mu = (-1) ** (n + r)
-    row = [comb(n - r + 1, i) for i in range(n - r + 1)]
-    pows = [(-2) ** j for j in range(n - r + 1)]
-    coeffs = [0] * (n + 1)
-    for k in range(n - r + 1):
-        coeffs[k + r] = mu * sum(map(mul, reversed(row[: k + 1]), pows))
-    return ClassPoly(coeffs, n + 1)
+    return ClassPoly([0] * r + [mu * c for c in over_1p2H(n - r + 1, n - r + 1)])
+
+
+def quadric_pair_binomial(n: int, r: int):
+    """(ambient, primal, dual, pairing) of the rank-r quadric pair in P^n, each
+    stratum as (name, coefficient tuple, dim), from binomials alone.
+
+    S = P^(n-r) is the row C(n-r+1, j) from H^r up.  A smooth quadric of
+    dimension d spans a P^(d+1), so its class is 2H^(n-d) (1+H)^(d+2)/(1+2H)
+    mod H^(n+1).  X is the smooth quadric of dimension n-1 minus (-1)^(n-1)
+    times the Milnor class, and its open part is X - S.  The dual quadric has
+    dimension r-2; a smooth quadric (r = n+1) is one stratum, its own dual.
+    """
+
+    def smooth(d):
+        return tuple([0] * (n - d) + [2 * c for c in over_1p2H(d + 2, d + 1)])
+
+    dual = (("dual_quadric", smooth(r - 2), r - 2),)
+    if r == n + 1:
+        return n + 1, (("quadric", smooth(n - 1), n - 1),), dual, ((0, 0),)
+    sing = tuple([0] * r + [comb(n - r + 1, j) for j in range(n - r + 1)])
+    milnor = milnor_class_binomial(n, r).coeffs
+    x = [a - (-1) ** (n - 1) * b for a, b in zip(smooth(n - 1), milnor)]
+    primal = (
+        ("quadric_open", tuple(a - b for a, b in zip(x, sing)), n - 1),
+        ("singular_locus", sing, n - r),
+    )
+    return n + 1, primal, dual, ((0, 0),)
 
 
 def chern_mather_quadric(spec: QuadricSpec) -> ClassPoly:
     """Chern-Mather class of a quadric: the open part weighted 1 and the
-    singular locus weighted by its Euler obstruction (-1)^r + 1."""
-    if spec.is_smooth:
-        return csm_quadric(spec)
-    sing = csm_singular_locus(spec)
-    return (csm_quadric(spec) - sing) + ((-1) ** spec.r + 1) * sing
+    singular locus weighted by its Euler obstruction (-1)^r + 1, summed over
+    the classes of `quadric_pair_binomial`."""
+    primal = quadric_pair_binomial(*spec)[1]
+    weights = (1, (-1) ** spec.r + 1)  # a smooth quadric has one stratum
+    return ClassPoly([sum(map(mul, weights, col)) for col in zip(*(c for _, c, _ in primal))])
 
 
 def signed(f: ClassPoly) -> ClassPoly:

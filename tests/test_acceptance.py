@@ -15,21 +15,11 @@ from pathlib import Path
 
 import pytest
 
-from chernmather.classpoly import ClassPoly, chern_B, involute
+from chernmather.classpoly import ClassPoly, csm_linear_space, involute
 from chernmather.cli import main as cli_main
 from chernmather.detvar import eu_table_det, q_poly
 from chernmather.grassmann import ChowElement, integrate, lr_multiply
-from chernmather.quadric import (
-    QuadricSpec,
-    build_pair,
-    cross_validate,
-    csm_quadric,
-    csm_singular_locus,
-    dual_cm_classes,
-    eu_values,
-    milnor_class,
-    milnor_number,
-)
+from chernmather.quadric import QuadricSpec, build_pair, cross_validate, milnor_class
 from chernmather.strata import StratifiedPair, euler_table
 
 from oracles import (
@@ -38,6 +28,7 @@ from oracles import (
     chern_tensor,
     milnor_class_binomial,
     partitions_in_box,
+    quadric_pair_binomial,
     schur_product_in_box,
     signed,
     taut_quot,
@@ -93,43 +84,50 @@ def test_criterion_2_worked_example(capsys):
 def test_criterion_3_sign_identity():
     with criterion(3, "transform of H*B_n has sign (-1)^(n+1), n = 1..12", 1.0):
         for n in range(1, 13):
-            hb = ClassPoly.monomial(1, n + 2) * chern_B(n, n + 2)
+            # H * B_n = H * ((1+H)^(n+1) - H^(n+1)) mod H^(n+2)
+            hb = ClassPoly([0] + [comb(n + 1, k) for k in range(n + 1)])
             want = hb if (n + 1) % 2 == 0 else -hb
             assert involute(hb, n) == want
 
 
-def test_criterion_4_quadric_suite():
+def test_criterion_4_quadric_suite(capsys):
     with criterion(4, "quadric suite: Milnor routes, solver path, dual exchange", 5.0):
         for n in range(2, 11):
+            # the smooth quadric in P^n from binomials, not from the package
+            smooth = ClassPoly(quadric_pair_binomial(n, n + 1)[1][0][1])
             for r in range(3, n + 2):
                 spec = QuadricSpec(n, r)
                 pair = build_pair(spec)
+                x = sum((s.csm for s in pair.primal[1:]), pair.primal[0].csm)
                 # (a) the division route agrees with the double-binomial
                 # oracle and closes the defining identity
                 mc = milnor_class(spec)
-                smooth = csm_quadric(QuadricSpec(n, n + 1))
-                lhs = smooth - csm_quadric(spec)
+                lhs = smooth - x
                 if (n - 1) % 2 == 1:
                     lhs = -lhs
                 assert lhs == mc
                 # (c) the transform exchanges the signed Chern-Mather classes,
                 # the primal one read off the solved table
-                x_dual, s_dual = dual_cm_classes(spec)
                 cm = euler_table(pair).chern_mather_primal[0]
                 assert cm == chern_mather_quadric(spec)
-                assert involute(signed(cm), n) == signed(x_dual)
+                assert involute(signed(cm), n) == signed(pair.dual[0].csm)
+                # (d) the report gives the classes above and its scalars
+                assert cli_main(["quadric", "--n", str(n), "--rank", str(r)]) == 0
+                outs = json.loads(capsys.readouterr().out)["outputs"]
+                assert outs["chern_mather"] == list(cm.coeffs)
+                assert (outs["eu_generic"], outs["complex_link_chi"]) == (1, -2)
                 if spec.is_smooth:
                     assert mc.is_zero()
+                    assert outs["eu_singular"] is outs["milnor_number"] is None
                     continue
                 assert mc == milnor_class_binomial(n, r)
-                assert (
-                    involute(signed(csm_singular_locus(spec)), n) == signed(s_dual)
-                )
+                s_dual = csm_linear_space(r - 1, n + 1)  # a linear P^(r-1)
+                assert involute(signed(pair.primal[1].csm), n) == signed(s_dual)
+                assert outs["dual_singular_cm"] == list(s_dual.coeffs)
                 # (b) solver path reproduces the closed forms
                 table = cross_validate(spec, pair)
-                assert table.primal[0][1] == (-1) ** r + 1 == eu_values(spec)[1]
-                assert milnor_number(spec) == (-1) ** (n + r)
-                assert mc.coeffs[r] == (-1) ** (n + r)
+                assert table.primal[0][1] == (-1) ** r + 1 == outs["eu_singular"]
+                assert mc.coeffs[r] == (-1) ** (n + r) == outs["milnor_number"]
 
 
 def test_criterion_5_grassmannian_oracle_suite():

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -19,28 +20,28 @@ from oracles import involute_binomial, signed
 
 
 def H(n, power=1, coeff=1):
-    return ClassPoly.monomial(power, n, coeff)
+    """coeff * H^power mod H^n, from its coefficient list."""
+    return ClassPoly([0] * power + [coeff], n)
 
 
 class TestArithmetic:
     def test_add(self):
         assert H(3) + H(3) == ClassPoly([0, 2, 0])
 
-    def test_mul_truncates(self):
-        assert H(4, 2) * H(4, 2) == ClassPoly.zero(4)
-
-    def test_mul(self):
-        f = ClassPoly([1, 1], 3)
-        assert f * f == ClassPoly([1, 2, 1])
-
     def test_scale(self):
         assert 3 * ClassPoly([1, 2], 2) == ClassPoly([3, 6])
+        assert ClassPoly([1, 2], 2) * -2 == ClassPoly([-2, -4])
+
+    def test_no_product_of_classes(self):
+        # classes are only scaled by integers; shifted rows build the rest
+        with pytest.raises(TypeError):
+            ClassPoly([1, 1], 3) * ClassPoly([1, 1], 3)
 
     def test_modulus_mismatch(self):
         with pytest.raises(ValueError, match="modulus"):
             ClassPoly([1], 2) + ClassPoly([1], 3)
         with pytest.raises(ValueError, match="modulus"):
-            ClassPoly([1], 2) * ClassPoly([1], 3)
+            ClassPoly([1], 2) - ClassPoly([1], 3)
 
     def test_constructor_rejects_nonzero_overflow(self):
         assert ClassPoly([1, 0, 0], 2) == ClassPoly([1, 0])
@@ -112,12 +113,12 @@ class TestInvolute:
     def test_sign_rule(self):
         # I_n(H * B_n) = (-1)^(n+1) * H * B_n
         for n in range(1, 13):
-            hb = ClassPoly.monomial(1, n + 2) * chern_B(n, n + 2)
+            hb = ClassPoly([0] + [math.comb(n + 1, k) for k in range(n + 1)])
             want = hb if (n + 1) % 2 == 0 else -hb
             assert involute(hb, n) == want
 
     def test_degree_guard(self):
-        f = ClassPoly.monomial(4, 6)  # degree 4 > d+1 for d = 2
+        f = H(6, 4)  # degree 4 > d+1 for d = 2
         with pytest.raises(ValueError, match="degree"):
             involute(f, 2)
 
@@ -127,7 +128,7 @@ class TestInvolute:
 
     def test_top_degree_monomial(self):
         # I_2(H^2) = (1+H)^2 - B_2 = -H - 2H^2
-        assert involute(ClassPoly.monomial(2, 3), 2) == ClassPoly([0, -1, -2])
+        assert involute(H(3, 2), 2) == ClassPoly([0, -1, -2])
 
 
 # Property tests of the transform on classes of degree at most d+1 inside
@@ -289,7 +290,7 @@ class TestInvoluteAllOracle:
     def test_checks_in_order(self):
         # d first, then modulus and degree class by class, before any work
         good, low_modulus = ClassPoly([0, 1], 4), ClassPoly([0, 1], 2)
-        high_degree = ClassPoly.monomial(4, 6)
+        high_degree = H(6, 4)
         with pytest.raises(ValueError, match="d >= 1"):
             involute_all([low_modulus, high_degree], 0)
         with pytest.raises(ValueError, match="modulus 2 cannot carry"):
@@ -302,7 +303,7 @@ class TestSigned:
     """The sign rule of the transform, `oracles.signed`, that the tests use."""
 
     def test_point(self):
-        f = ClassPoly.monomial(3, 4)
+        f = H(4, 3)
         assert signed(f) == f
 
     def test_even_dimension(self):
@@ -346,16 +347,19 @@ class TestDiv1p2H:
         assert div_1p2H(ClassPoly([1, 2, 0, 0], 4)) == ClassPoly([1, 0, 0, 0])
 
     def test_top_degree_unaffected(self):
-        f = ClassPoly.monomial(5, 6)
+        f = H(6, 5)
         assert div_1p2H(f) == f
 
     def test_roundtrip(self):
         rng = random.Random(5)
-        unit = ClassPoly([1, 2], 7) + ClassPoly.zero(7)
+
+        def times_1p2H(f):  # f + 2H*f, the top term of 2H*f cut off
+            return f + 2 * ClassPoly((0,) + f.coeffs[:-1])
+
         for _ in range(50):
             f = ClassPoly([rng.randint(-30, 30) for _ in range(7)], 7)
-            assert div_1p2H(f * unit) == f
-            assert div_1p2H(f) * unit == f
+            assert div_1p2H(times_1p2H(f)) == f
+            assert times_1p2H(div_1p2H(f)) == f
 
 
 class TestDerivedQuantities:
@@ -367,7 +371,7 @@ class TestDerivedQuantities:
         assert f.coeffs[-1] == 1  # its Euler characteristic
 
     def test_linear_space_class(self):
-        assert csm_linear_space(0, 4) == ClassPoly.monomial(3, 4)
+        assert csm_linear_space(0, 4) == H(4, 3)
         assert csm_linear_space(2, 6) == ClassPoly([0, 0, 0, 1, 3, 3])
         assert csm_linear_space(1, 2) == ClassPoly([1, 2])
         with pytest.raises(ValueError):
@@ -382,6 +386,20 @@ class TestDerivedQuantities:
         for m in {0, 1, modulus // 2, max(modulus - 2, 0), modulus - 1, modulus, 3 * modulus}:
             expected = [math.comb(m, k) for k in range(modulus)]
             assert one_plus_h_power(m, modulus).coeffs == tuple(expected), m
+
+    @pytest.mark.parametrize("modulus", [1, 2, 7, 1024])
+    def test_linear_space_and_chern_B_match_comb(self, modulus):
+        # P^k from k = 0 to k = N-1, the whole space; chern_B at N = n+1 and
+        # with room above; one_plus_h_power has the test above at these N
+        for k in {0, 1, modulus // 2, modulus - 1} - {modulus}:
+            row = [math.comb(k + 1, j) for j in range(k + 1)]
+            assert csm_linear_space(k, modulus).coeffs == (0,) * (modulus - 1 - k) + tuple(row), k
+            assert chern_B(k, modulus).coeffs == tuple(row) + (0,) * (modulus - 1 - k), k
+        with pytest.raises(ValueError, match="modulus too small"):
+            chern_B(modulus, modulus)
+        for k in (-1, modulus):
+            with pytest.raises(ValueError, match=re.escape(f"no P^{k} inside P^{modulus - 1}")):
+                csm_linear_space(k, modulus)
 
 
 class TestRendering:

@@ -334,7 +334,7 @@ class TestDuality:
 
     def test_corrupted_coefficient_fails(self):
         q = q_poly(3, 1)
-        bad = q + ClassPoly.monomial(5, 9)
+        bad = q + ClassPoly([0] * 5 + [1], 9)
         lhs = involute(signed(bad), 8)
         assert lhs != signed(q_poly(3, 2))
         assert not is_dual([q_poly(3, 0), bad, q_poly(3, 2)], 1)
@@ -491,7 +491,7 @@ class TestRuntimeChecks:
 
     def test_chern_mather_det_rejects_wrong_class(self, monkeypatch, capsys):
         _corrupt_euler_table(
-            monkeypatch, "chern_mather_primal", 1, lambda cm: cm + ClassPoly.monomial(8, 9)
+            monkeypatch, "chern_mather_primal", 1, lambda cm: cm + ClassPoly([0] * 8 + [1])
         )
         with pytest.raises(ArithmeticError, match=r"^solved chern_mather_primal\[1\] differs"):
             eu_table_det(3)
@@ -501,7 +501,7 @@ class TestRuntimeChecks:
 
     @pytest.mark.parametrize(
         "field, change",
-        [("dual", _bump), ("chern_mather_dual", lambda cm: cm + ClassPoly.monomial(8, 9))],
+        [("dual", _bump), ("chern_mather_dual", lambda cm: cm + ClassPoly([0] * 8 + [1]))],
         ids=["table", "class"],
     )
     def test_corrupted_dual_half_exits_3(self, monkeypatch, capsys, field, change):
@@ -536,7 +536,7 @@ class TestRuntimeChecks:
 
         def corrupted(num, n_, r_):
             q = expand(num, n_, r_)
-            return q - ClassPoly.monomial(power, n * n) if r_ == r else q
+            return q - ClassPoly([0] * power + [1], n * n) if r_ == r else q
 
         monkeypatch.setattr(detvar, "_expand", corrupted)
         with pytest.raises(error, match=message):
@@ -586,7 +586,7 @@ class TestRuntimeChecks:
         monkeypatch.setattr(
             strata,
             "involute_all",
-            lambda fs, d: [g + ClassPoly.monomial(d, d + 1) for g in involute_all(fs, d)],
+            lambda fs, d: [g + ClassPoly([0] * d + [1]) for g in involute_all(fs, d)],
         )
         message = (
             "equations are mutually inconsistent (residual check failed) "

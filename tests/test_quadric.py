@@ -1,26 +1,39 @@
+import json
+
 import pytest
 
-from chernmather.classpoly import ClassPoly, chern_B, div_1p2H, involute
-from chernmather.quadric import (
-    QuadricSpec,
-    build_pair,
-    complex_link_chi,
-    cross_validate,
-    csm_quadric,
-    csm_singular_locus,
-    dual_cm_classes,
-    eu_values,
-    milnor_class,
-    milnor_number,
-)
+from chernmather.classpoly import ClassPoly, csm_linear_space, involute
+from chernmather.cli import main as cli_main
+from chernmather.quadric import QuadricSpec, build_pair, cross_validate, milnor_class
 from chernmather.strata import euler_table
 
-from oracles import chern_mather_quadric, milnor_class_binomial, signed
+from oracles import (
+    chern_mather_quadric,
+    milnor_class_binomial,
+    quadric_pair_binomial,
+    signed,
+)
 
 
 def smooth_quadric_class(n: int) -> ClassPoly:
-    mod = n + 1
-    return div_1p2H(2 * ClassPoly.monomial(1, mod) * chern_B(n, mod))
+    """The smooth quadric in P^n, from the binomial oracle."""
+    return ClassPoly(quadric_pair_binomial(n, n + 1)[1][0][1])
+
+
+def quadric_class(spec: QuadricSpec) -> ClassPoly:
+    """Class of the whole quadric X: the sum of its strata in `build_pair`."""
+    pair = build_pair(spec)
+    return sum((s.csm for s in pair.primal[1:]), pair.primal[0].csm)
+
+
+def singular_locus(spec: QuadricSpec) -> ClassPoly:
+    return build_pair(spec).primal[1].csm
+
+
+def report(capsys, n: int, r: int) -> dict:
+    """The outputs of the `quadric` report."""
+    assert cli_main(["quadric", "--n", str(n), "--rank", str(r)]) == 0
+    return json.loads(capsys.readouterr().out)["outputs"]
 
 
 def quadric_chi(n: int, r: int) -> int:
@@ -53,58 +66,70 @@ class TestSpecGuards:
         assert not QuadricSpec(3, 3).is_smooth
 
 
+# Every pair of `strata-solve`'s quadric range, 2 <= n <= 60, and three at
+# the largest n, N = 1024, where the classes pass 1,000 bits.
+PAIR_CASES = [(n, range(3, n + 2)) for n in range(2, 61)] + [(1023, (3, 4, 1024))]
+
+
+@pytest.mark.parametrize("n, ranks", PAIR_CASES, ids=[f"n{n}" for n, _ in PAIR_CASES])
+def test_build_pair_matches_binomial_oracle(n, ranks):
+    def side(strata):
+        return tuple((s.name, s.csm.coeffs, s.dim) for s in strata)
+
+    for r in ranks:
+        pair = build_pair(QuadricSpec(n, r))
+        got = (pair.ambient, side(pair.primal), side(pair.dual), pair.pairing)
+        assert got == quadric_pair_binomial(n, r), (n, r)
+
+
 class TestSingularLocus:
     def test_point(self):
-        assert csm_singular_locus(QuadricSpec(3, 3)) == ClassPoly.monomial(3, 4)
+        assert singular_locus(QuadricSpec(3, 3)) == ClassPoly([0, 0, 0, 1])
 
     def test_plane(self):
-        got = csm_singular_locus(QuadricSpec(5, 3))
+        got = singular_locus(QuadricSpec(5, 3))
         assert got == ClassPoly([0, 0, 0, 1, 3, 3], 6)
 
     def test_leading_coefficient_always_one(self):
         for n in range(2, 9):
             for r in range(3, n + 1):
-                f = csm_singular_locus(QuadricSpec(n, r))
+                f = singular_locus(QuadricSpec(n, r))
                 assert f.coeffs[f.codim] == 1
-
-    def test_smooth_errors(self):
-        with pytest.raises(ValueError, match="singular locus"):
-            csm_singular_locus(QuadricSpec(3, 4))
 
 
 class TestCsmQuadric:
     def test_smooth_surface(self):
-        assert csm_quadric(QuadricSpec(3, 4)) == ClassPoly([0, 2, 4, 4], 4)
+        assert quadric_class(QuadricSpec(3, 4)) == ClassPoly([0, 2, 4, 4], 4)
 
     def test_cone_in_p3(self):
-        assert csm_quadric(QuadricSpec(3, 3)) == ClassPoly([0, 2, 4, 3], 4)
+        assert quadric_class(QuadricSpec(3, 3)) == ClassPoly([0, 2, 4, 3], 4)
 
     def test_euler_characteristics(self):
         for n in range(2, 11):
             for r in range(3, n + 2):
-                assert csm_quadric(QuadricSpec(n, r)).coeffs[-1] == quadric_chi(n, r)
+                assert quadric_class(QuadricSpec(n, r)).coeffs[-1] == quadric_chi(n, r)
 
     def test_degree_two(self):
         for n in range(2, 9):
             for r in range(3, n + 2):
-                f = csm_quadric(QuadricSpec(n, r))
+                f = quadric_class(QuadricSpec(n, r))
                 assert f.coeffs[f.codim] == 2
 
     def test_eval_at_minus_one(self):
         # singular quadrics evaluate to (-1)^n; smooth ones to (-1)^n + (-1)
         for n in range(2, 11):
             for r in range(3, n + 1):
-                assert csm_quadric(QuadricSpec(n, r)).eval(-1) == (-1) ** n
-            smooth = csm_quadric(QuadricSpec(n, n + 1)).eval(-1)
+                assert quadric_class(QuadricSpec(n, r)).eval(-1) == (-1) ** n
+            smooth = quadric_class(QuadricSpec(n, n + 1)).eval(-1)
             assert smooth == (-2 if n % 2 else 0)
 
 
 class TestMilnorClass:
     def test_cone_in_p3(self):
-        assert milnor_class(QuadricSpec(3, 3)) == ClassPoly.monomial(3, 4)
+        assert milnor_class(QuadricSpec(3, 3)) == ClassPoly([0, 0, 0, 1])
 
     def test_p4_rank3(self):
-        assert milnor_class(QuadricSpec(4, 3)) == ClassPoly.monomial(3, 5, -1)
+        assert milnor_class(QuadricSpec(4, 3)) == ClassPoly([0, 0, 0, -1, 0])
 
     def test_smooth_is_zero(self):
         assert milnor_class(QuadricSpec(4, 5)).is_zero()
@@ -117,7 +142,7 @@ class TestMilnorClass:
                 spec = QuadricSpec(n, r)
                 mc = milnor_class(spec)
                 assert mc == milnor_class_binomial(n, r), (n, r)
-                lhs = smooth_quadric_class(n) - csm_quadric(spec)
+                lhs = smooth_quadric_class(n) - quadric_class(spec)
                 if (n - 1) % 2 == 1:
                     lhs = -lhs
                 assert lhs == mc
@@ -127,58 +152,58 @@ class TestMilnorClass:
         spec = QuadricSpec(n, r)
         mc = milnor_class(spec)
         assert mc == milnor_class_binomial(n, r)
-        lhs = smooth_quadric_class(n) - csm_quadric(spec)
+        lhs = smooth_quadric_class(n) - quadric_class(spec)
         assert (lhs if n % 2 == 1 else -lhs) == mc
-        assert mc.coeffs[r] == milnor_number(spec)
+        assert mc.coeffs[r] == (-1) ** (n + r)
 
     def test_milnor_number_extraction(self):
         for n in range(2, 11):
             for r in range(3, n + 1):
-                spec = QuadricSpec(n, r)
-                assert milnor_class(spec).coeffs[r] == milnor_number(spec)
+                assert milnor_class(QuadricSpec(n, r)).coeffs[r] == (-1) ** (n + r)
 
 
 class TestScalars:
-    def test_eu_values(self):
-        assert eu_values(QuadricSpec(4, 3)) == (1, 0)
-        assert eu_values(QuadricSpec(4, 4)) == (1, 2)
-        assert eu_values(QuadricSpec(4, 5)) == (1, None)
+    """The scalars of the `quadric` report."""
 
-    def test_milnor_number(self):
-        assert milnor_number(QuadricSpec(3, 3)) == 1
-        assert milnor_number(QuadricSpec(4, 3)) == -1
-        with pytest.raises(ValueError):
-            milnor_number(QuadricSpec(3, 4))
+    def test_eu_values(self, capsys):
+        for r, eu_singular in [(3, 0), (4, 2), (5, None)]:
+            outs = report(capsys, 4, r)
+            assert (outs["eu_generic"], outs["eu_singular"]) == (1, eu_singular), r
 
-    def test_complex_link(self):
-        assert complex_link_chi() == -2
+    def test_milnor_number(self, capsys):
+        assert report(capsys, 3, 3)["milnor_number"] == 1
+        assert report(capsys, 4, 3)["milnor_number"] == -1
+        assert report(capsys, 3, 4)["milnor_number"] is None
+
+    def test_complex_link(self, capsys):
+        for n, r in [(3, 3), (4, 4), (4, 5)]:
+            assert report(capsys, n, r)["complex_link_chi"] == -2
 
 
 class TestDualClasses:
-    def test_cone_in_p3(self):
-        x_dual, s_dual = dual_cm_classes(QuadricSpec(3, 3))
-        assert x_dual == ClassPoly([0, 0, 2, 2], 4)
-        assert s_dual == ClassPoly([0, 1, 3, 3], 4)
+    def test_cone_in_p3(self, capsys):
+        outs = report(capsys, 3, 3)
+        assert outs["dual_quadric_cm"] == [0, 0, 2, 2]
+        assert outs["dual_singular_cm"] == [0, 1, 3, 3]
 
-    def test_smooth_self_dual_class(self):
-        x_dual, s_dual = dual_cm_classes(QuadricSpec(4, 5))
-        assert s_dual is None
-        assert x_dual == smooth_quadric_class(4)
+    def test_smooth_self_dual_class(self, capsys):
+        outs = report(capsys, 4, 5)
+        assert outs["dual_singular_cm"] is None
+        assert outs["dual_quadric_cm"] == list(smooth_quadric_class(4).coeffs)
 
     def test_involution_exchange(self):
         for n in range(2, 11):
             for r in range(3, n + 2):
                 spec = QuadricSpec(n, r)
-                x_dual, s_dual = dual_cm_classes(spec)
+                pair = build_pair(spec)
                 # the Chern-Mather class as reported: read off the solved table
-                cm = euler_table(build_pair(spec)).chern_mather_primal[0]
+                cm = euler_table(pair).chern_mather_primal[0]
                 assert cm == chern_mather_quadric(spec), (n, r)
-                assert involute(signed(cm), n) == signed(x_dual), (n, r)
-                if s_dual is not None:
-                    assert (
-                        involute(signed(csm_singular_locus(spec)), n)
-                        == signed(s_dual)
-                    ), (n, r)
+                assert involute(signed(cm), n) == signed(pair.dual[0].csm), (n, r)
+                if not spec.is_smooth:
+                    # S = P^(n-r) and its dual, a linear P^(r-1)
+                    s_dual = csm_linear_space(r - 1, n + 1)
+                    assert involute(signed(pair.primal[1].csm), n) == signed(s_dual), (n, r)
 
 
 def solved(spec: QuadricSpec):
@@ -199,9 +224,9 @@ class TestCrossValidate:
             for r in range(3, n + 1):
                 spec = QuadricSpec(n, r)
                 table = solved(spec)
-                assert table.primal[0][1] == eu_values(spec)[1]
+                assert table.primal[0][1] == (-1) ** r + 1
                 # cone-point value agrees with the value along the vertex locus
-                assert table.origin[0] == eu_values(spec)[1]
+                assert table.origin[0] == (-1) ** r + 1
 
     def test_smooth_rejected(self):
         with pytest.raises(ValueError, match="singular"):

@@ -58,7 +58,7 @@ def quadric_cone_pair():
     # rank-3 quadric cone in P^3: open part, vertex; dual is a smooth conic
     primal = [
         Stratum("cone_open", ClassPoly([0, 2, 4, 2], 4), 2),
-        Stratum("vertex", ClassPoly.monomial(3, 4), 0),
+        Stratum("vertex", ClassPoly([0, 0, 0, 1]), 0),
     ]
     dual = [Stratum("dual_conic", ClassPoly([0, 0, 2, 2], 4), 1)]
     return StratifiedPair(4, primal, dual, [(0, 0)])
@@ -136,7 +136,7 @@ class TestSolveSystem:
             euler_table(pair)
 
     def test_duplicate_classes_are_rank_deficient(self):
-        dup = ClassPoly.monomial(3, 4)
+        dup = ClassPoly([0, 0, 0, 1])
         primal = [
             Stratum("open", ClassPoly([0, 2, 4, 2], 4), 2),
             Stratum("pt_a", dup, 0),
@@ -324,7 +324,7 @@ def _wrong(entry):
     if isinstance(entry, tuple):
         return (*entry[:-1], entry[-1] + 1)
     if isinstance(entry, ClassPoly):
-        return entry + ClassPoly.monomial(entry.modulus - 1, entry.modulus)
+        return entry + ClassPoly([0] * (entry.modulus - 1) + [1])
     return entry + 1
 
 
@@ -376,7 +376,7 @@ class TestChernMather:
 
     def test_single_stratum_is_its_own_class(self):
         table = euler_table(quadric_cone_pair())
-        assert table.chern_mather_primal[1] == ClassPoly.monomial(3, 4)
+        assert table.chern_mather_primal[1] == ClassPoly([0, 0, 0, 1])
 
     def test_length_guard(self):
         with pytest.raises(ValueError):
