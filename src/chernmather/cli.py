@@ -10,9 +10,9 @@ deterministic (JSON by default, sorted keys, no timestamps); integers
 beyond 64 bits are serialized as decimal strings.  `_json` renders a report
 in one walk, byte for byte what json.dumps(..., sort_keys=True, indent=2)
 writes once those integers are strings; a list whose integers all fit in
-64 bits, such as most class polynomials, goes whole to the C encoder of the
-json module.  The `--emit-strata` file keeps every integer a JSON number,
-since `solve` reads no strings, and json.dumps writes it.
+64 bits, such as most class polynomials, is written in one C-level pass of
+int.__repr__ over its items.  The `--emit-strata` file keeps every integer
+a JSON number, since `solve` reads no strings, and json.dumps writes it.
 `_plain_args` reads a well-formed command line.  Any other (help, errors,
 abbreviations such as `--fo`, `--n=3`, `--`, negative numbers, repeated
 options) goes to argparse, which builds the parser of every subcommand, so
@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import os
 import sys
-from json.encoder import JSONEncoder, encode_basestring_ascii
+from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
 from . import detvar as dv
@@ -39,7 +39,6 @@ from .linsolve import LinearSystemError
 from .strata import MAX_AMBIENT, EulerTable, StratifiedPair, euler_table
 
 _INT64_MAX = 2**63 - 1
-_c_encode = JSONEncoder().encode
 # Largest n accepted by `detvar` (n = 12, 13 and 14 take about 0.4, 0.9 to 1.4
 # and 2.2 to 2.5 s on a 2-core VM; an even n localizes one more r than the odd
 # n below it) and by `chow` (at most C(20, 10) Schubert classes; the work of
@@ -100,11 +99,7 @@ def _json(value, indent: str | None = None) -> str:
             and -_INT64_MAX <= min(value)
             and max(value) <= _INT64_MAX
         ):
-            # the C encoder writes the items, ", " between them
-            text = _c_encode(value)
-            if indent is None:
-                return text
-            items = text[1:-1].split(", ")
+            items = list(map(int.__repr__, value))
         else:
             items = [_json(v, inner) for v in value]
         opening, closing = "[", "]"

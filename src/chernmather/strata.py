@@ -12,11 +12,23 @@ For each paired stratum r the duality transform yields one linear system:
 with dX, dY the dimensions of the two designated strata.  Matching the
 coefficients of H^0..H^(N-1) gives N equations; the unique integer solution
 is the family of local Euler obstructions of the closure of stratum r (and,
-through the b's, of its dual).  `euler_table` weights the class polynomials
-by each row for the Chern-Mather class of every stratum closure on both
-sides; a primal class at H = -1 gives the Euler obstruction of its affine
-cone at the origin.  `checked_table` is the one check of a generated family:
-it solves the pair and compares the table with the family's closed forms.
+through the b's, of its dual).
+
+When the pairing is a chain, the T deepest strata of each side paired in
+reverse order, as in every linear flag and rank-strata pair, `_chain_rows`
+solves all T systems at once: it writes each transformed class over the
+paired dual classes (checked on all N coefficients) and factors that T x T
+matrix into the two unit-triangular tables and the parity signs (Aluffi,
+Projective duality and a Chern-Mather involution).  A failed check there
+sends the pair, unchanged, through one exact solve per system, which also
+takes every other pairing, such as a singular quadric's; that route names
+the failing system and diagnoses wrong parities.
+
+`euler_table` weights the class polynomials by each row for the
+Chern-Mather class of every stratum closure on both sides; a primal class
+at H = -1 gives the Euler obstruction of its affine cone at the origin.
+`checked_table` is the one check of a generated family: it solves the pair
+and compares the table with the family's closed forms.
 """
 
 from __future__ import annotations
@@ -30,17 +42,19 @@ from .classpoly import ClassPoly, chern_B, involute_all
 from .linsolve import InconsistentSystem, LinearSystemError, exact_solve
 
 # Largest accepted N: every class is stored densely with N coefficients and
-# each system has N equations.  At N = 1024, on a 2-core VM, `euler_table` on
-# a linear flag of 40 strata takes 2.0 to 2.7 s: 1.6 to 1.9 s in the one
-# transform of the 40 primal classes and 0.6 to 0.8 s in the 40 systems,
-# whose elimination reads only the first equations of each (the residual
-# check covers the rest).
+# each system has N equations.  At N = 1024, on a 2-core VM, `chernmather
+# solve` on a linear flag of 40 strata takes 1.9 to 2.7 s as a process and
+# `euler_table` 1.3 to 2.3 s of it, nearly all in the one transform of the
+# 40 primal classes: the chain factorization solves the 40 systems, checks
+# included, in under 0.1 s.
 MAX_AMBIENT = 1024
 
 # Largest accepted number of strata on either side.  Each side's count
-# bounds both the number of systems and their unknowns, so the solve grows
-# faster than linearly: at N = 1024 `euler_table` on a linear flag of 64
-# strata takes 5.4 to 7.6 s on the same VM, and on one of 80 strata 12 s.
+# bounds both the number of systems and their unknowns: at N = 1024
+# `chernmather solve` on a linear flag of 64 strata takes 3.0 to 4.1 s as a
+# process on the same VM, and `euler_table` on one of 80 strata 2.8 to 3.0 s.
+# A pairing that is not a chain takes one exact solve per system, whose
+# cost grows faster than linearly in the count.
 MAX_STRATA = 64
 
 
@@ -292,6 +306,65 @@ def _system_name(pair: StratifiedPair, r: int, p: int) -> str:
     return f"primal[{r}] {pair.primal[r].name!r} <-> dual[{p}] {pair.dual[p].name!r}"
 
 
+def _chain_rows(pair: StratifiedPair, inv):
+    """The rows of every paired system at once, when the pairing is a chain,
+    or None.
+
+    A chain pairs the T deepest strata of both sides, r_t = a-T+t with
+    p_t = b-1-t for t < T (a and b strata a side), so the unknowns of each
+    system are the other paired strata.  Write each transformed class
+    inv[r_t] as sum_k tau_tk Y_k over the paired dual classes Y_k of p_k.
+    The systems then read A.tau = S.B, with A unit upper triangular (the
+    primal rows), B unit lower triangular (the dual rows, read backwards)
+    and S the parity signs s_t = (-1)^(dim r_t + dim p_t).  Reducing tau
+    from its last row up with the pivots s_t finds A and B.
+
+    tau comes by forward substitution on the coefficient of each Y_k at its
+    codimension and is checked on all N coefficients, so an inexact quotient
+    shows as a residual.  An exact tau over classes of distinct codimension
+    and pivots s_t prove each system consistent with linearly independent
+    unknown columns, so the rows are the unique solutions `_solve_paired`
+    returns.  Any other pairing, paired dual classes not of strictly
+    increasing codimension along the dual strata, a residual or a pivot
+    other than s_t gives None."""
+    n_p, n_d, T = len(pair.primal), len(pair.dual), len(pair.pairing)
+    if pair.pairing != tuple((n_p - T + t, n_d - 1 - t) for t in range(T)):
+        return None
+    primal, dual = pair.primal[n_p - T :], pair.dual[n_d - T :][::-1]
+    ys = [s.csm.coeffs for s in dual]
+    codims = [s.csm.codim for s in dual]
+    if any(c <= d for c, d in zip(codims, codims[1:])):
+        return None
+    # Y_k vanishes below codims[k], which falls with k: solve from k = T-1 down
+    tau = []
+    for f in inv[n_p - T :]:
+        row = [0] * T
+        for k in reversed(range(T)):
+            c = codims[k]
+            known = sum(row[j] * ys[j][c] for j in range(k + 1, T))
+            row[k] = (f.coeffs[c] - known) // ys[k][c]
+        if _combination(ys, row) != f.coeffs:
+            return None
+        tau.append(row)
+    signs = [(-1) ** (x.dim + y.dim) for x, y in zip(primal, dual)]
+    # reduced[t] = sum_i A[t][i] tau[i] vanishes beyond column t, where it is s_t
+    reduced, mults = [None] * T, [None] * T
+    for t in reversed(range(T)):
+        row, mult = tau[t], [0] * t + [1] + [0] * (T - 1 - t)
+        for i in range(T - 1, t, -1):
+            m = row[i] * signs[i]
+            if m:
+                row = list(map(sub, row, map(mul, repeat(m), reduced[i])))
+                mult = list(map(sub, mult, map(mul, repeat(m), mults[i])))
+        if row[t] != signs[t]:
+            return None
+        reduced[t], mults[t] = row, mult
+    return [
+        (tuple(mults[t][t:]), tuple(signs[t] * x for x in reduced[t][t::-1]))
+        for t in range(T)
+    ]
+
+
 def _solve_paired(pair: StratifiedPair, inv, r: int, p: int):
     """Solve the system of the pair (r, p), given the transforms `inv`: the
     primal row from stratum r on and the dual row from p on, each led by 1."""
@@ -315,20 +388,27 @@ def _solve_paired(pair: StratifiedPair, inv, r: int, p: int):
 
 def chern_mather(strata: Sequence[Stratum], alpha: Sequence[int]) -> ClassPoly:
     """Weighted sum of class polynomials: the Chern-Mather class of the closure
-    of strata[0], whose Euler obstruction along strata[i] is alpha[i].
-
-    A class of weight 0 is skipped and one of weight 1 is taken as it is;
-    the others are weighted in one C-level pass each, and the columns are
-    summed coefficient by coefficient in one more."""
+    of strata[0], whose Euler obstruction along strata[i] is alpha[i]."""
     if len(alpha) != len(strata):
         raise ValueError("weight vector does not match the strata")
-    cols = [
-        s.csm.coeffs if a == 1 else map(mul, repeat(a), s.csm.coeffs)
-        for a, s in zip(alpha, strata)
-        if a
-    ]
     # the modulus pads the sum of no columns to the zero class
-    return ClassPoly(map(sum, zip(*cols)), strata[0].csm.modulus if strata else None)
+    return ClassPoly(
+        _combination([s.csm.coeffs for s in strata], alpha),
+        strata[0].csm.modulus if strata else None,
+    )
+
+
+def _combination(columns, weights) -> tuple[int, ...]:
+    """sum_i weights[i] * columns[i], coefficient by coefficient: a column
+    of weight 0 is skipped and one of weight 1 taken as it is; the others
+    are weighted in one C-level pass each, and summed in one more.  With
+    every weight 0 the sum is ()."""
+    cols = [
+        col if w == 1 else map(mul, repeat(w), col)
+        for w, col in zip(weights, columns)
+        if w
+    ]
+    return tuple(map(sum, zip(*cols)))
 
 
 def _fill_unpaired(ambient: int, strata, r: int, label: str):
@@ -359,8 +439,10 @@ def euler_table(pair: StratifiedPair) -> EulerTable:
     # the transforms of the primal classes serve every paired system; a pair
     # without pairs needs none, and only such a pair has N = 1 (d = 0)
     inv = involute_all([s.csm for s in pair.primal], pair.ambient - 1) if pair.pairing else []
-    for r, p in pair.pairing:
-        rows_p[r], rows_d[p] = _solve_paired(pair, inv, r, p)
+    solved = _chain_rows(pair, inv)
+    if solved is None:
+        solved = [_solve_paired(pair, inv, r, p) for r, p in pair.pairing]
+    for (r, p), (rows_p[r], rows_d[p]) in zip(pair.pairing, solved):
         diags.append(
             {
                 "system": _system_name(pair, r, p),

@@ -485,6 +485,99 @@ def test_cone_solves_to_its_table(base, expected, ambient, tmp_path, capsys):
     assert {key: outputs[key] for key in want} == want
 
 
+def _chain_matches_per_system(pair):
+    inv = involute_all([s.csm for s in pair.primal], pair.ambient - 1)
+    rows = strata._chain_rows(pair, inv)
+    assert rows is not None
+    assert rows == [strata._solve_paired(pair, inv, r, p) for r, p in pair.pairing]
+
+
+class TestChainRows:
+    """`_chain_rows` against one `_solve_paired` per system."""
+
+    def test_random_linear_flags(self):
+        rng = random.Random(31)
+        for _ in range(150):
+            modulus = rng.randint(3, 80)
+            m = rng.randint(1, min(16, modulus - 1))
+            dims = rng.sample(range(modulus - 1), m)
+            _chain_matches_per_system(linear_flag_pair(modulus, dims))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_rank_strata(self, n):
+        _chain_matches_per_system(detvar_pair(n))
+
+    @pytest.mark.parametrize("base, expected, ambient", CONES.values(), ids=CONES.keys())
+    def test_cones(self, base, expected, ambient):
+        pair = base()
+        _chain_matches_per_system(cone(pair, ambient - pair.ambient, expected())[0])
+
+    def test_symmetric_fixture(self):
+        _chain_matches_per_system(sym3_pair())
+
+    def test_route(self, monkeypatch):
+        def no_solve(pair, inv, r, p):
+            raise RuntimeError("per-system solve")
+
+        monkeypatch.setattr(strata, "_solve_paired", no_solve)
+        table = euler_table(linear_flag_pair(40, [30, 17, 9, 2]))
+        assert table.primal == tuple((0,) * k + (1,) * (4 - k) for k in range(4))
+        # a singular quadric pairs its open stratum, not its deepest one
+        with pytest.raises(RuntimeError, match="per-system solve"):
+            euler_table(quadric.build_pair(quadric.QuadricSpec(6, 4)))
+
+    def test_other_pairing_declines(self):
+        # the two deepest strata of each side solve as the chain (1, 2),
+        # (2, 1), but here primal stratum 2 is paired with dual stratum 0
+        pair = sym3_pair()
+        inv = involute_all([s.csm for s in pair.primal], 5)
+        assert strata._chain_rows(pair._replace(pairing=((1, 2), (2, 0))), inv) is None
+
+    def test_codim_collision_declines(self):
+        # both paired dual classes start at H^1.  The primal classes are
+        # the transforms of tau = A^-1 S B, with rows A = ((1, 2), (0, 1)),
+        # B = ((1, 0), (3, 1)) and both signs -1 (dims 2 + 1 and 1 + 2)
+        y0, y1 = [0, 1, 1, 1, 1], [0, 1, 2, 3, 4]
+        tau = ((5, 2), (-3, -1))
+        inv = [ClassPoly([a * u + b * v for u, v in zip(y0, y1)], 5) for a, b in tau]
+        pair = StratifiedPair(
+            5,
+            [Stratum("x0", involute(inv[0], 4), 2), Stratum("x1", involute(inv[1], 4), 1)],
+            [Stratum("y1", ClassPoly(y1, 5), 2), Stratum("y0", ClassPoly(y0, 5), 1)],
+            [(0, 1), (1, 0)],
+        )
+        assert strata._chain_rows(pair, inv) is None
+        table = euler_table(pair)
+        assert [table.primal, table.dual] == [((1, 2), (0, 1)), ((1, 3), (0, 1))]
+
+    def test_residual_declines(self):
+        # one transform gains H^39, a power at no dual codimension: the
+        # forward substitution never reads it, the residual check does
+        pair = linear_flag_pair(40, [30, 17, 9, 2])
+        inv = involute_all([s.csm for s in pair.primal], 39)
+        inv[1] = inv[1] + ClassPoly([0] * 39 + [1], 40)
+        assert strata._chain_rows(pair, inv) is None
+        primal = list(pair.primal)
+        primal[1] = Stratum("bad", involute(inv[1], 39), primal[1].dim)
+        # stratum 1 is an unknown of the system of stratum 0, solved first
+        with pytest.raises(InconsistentSystem, match="primal\\[0\\] 'flag0'"):
+            euler_table(pair._replace(primal=tuple(primal)))
+
+    def test_inexact_division_declines(self):
+        # the transform is half the dual class, so the one system has no
+        # integer solution and the per-system solve says so
+        half = ClassPoly([0, 0, 1, 1], 4)
+        pair = StratifiedPair(
+            4,
+            [Stratum("x", involute(half, 3), 2)],
+            [Stratum("y", ClassPoly([0, 0, 2, 2], 4), 1)],
+            [(0, 0)],
+        )
+        assert strata._chain_rows(pair, [half]) is None
+        with pytest.raises(InconsistentSystem, match="primal\\[0\\] 'x'"):
+            euler_table(pair)
+
+
 class TestEuAtOrigin:
     def test_symmetric_fixture(self):
         assert euler_table(sym3_pair()).origin[1] == 1
