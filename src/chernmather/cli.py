@@ -288,9 +288,7 @@ def _cmd_chow(args):
     factors = [ChowElement.sigma(p, r, n) for p in parts if p]
     if args.integrate and sum(map(sum, parts)) != r * (n - r):
         return inputs, {"integral": 0}, {}, None  # 0 by degree
-    elem = ChowElement.one(r, n)
-    for f in factors:
-        elem = lr_multiply(elem, f)
+    elem = lr_multiply(ChowElement.one(r, n), *factors)
     if args.mult:
         outputs = {
             "product": _render_chow(elem),

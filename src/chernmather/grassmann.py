@@ -8,7 +8,10 @@ Littlewood-Richardson rule: the LR tableaux of sigma_lambda * sigma_mu are
 generated strip by strip inside the box, so partitions that overflow it
 never appear.  A factor of one row or one column, sigma_(k) or sigma_(1^k),
 takes Pieri's rule: its product adds one horizontal or vertical strip of k
-boxes, built box by box, and each strip is its one LR tableau.
+boxes, built box by box (a row strip from the first empty row up), with
+the last box added where it is found, and each strip is its one LR
+tableau.  One `lr_multiply` call multiplies a whole chain of factors, and
+its terms stay padded to r parts from the first product to the last.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ from operator import index, sub
 # sets the cost: on G(10, 20) the staircase products (5,4,3,2,1)^2 and
 # (6,5,4,3,2,1)^2 generate 26,704 and 1,095,308 tableaux, in 0.35 s and 15 s
 # as `chow` processes on a 2-core VM.  A Pieri strip is cheaper: sigma_1^100
-# (at most 28,618 strips a product) takes 0.9 to 1.5 s there and
-# (1,1)^40 * 1^20 1.5 to 2.1 s.  The slowest accepted input found,
-# (2,1)^11 * 1 * (1,1)^33, takes 2.2 to 3.0 s.
+# (at most 28,618 strips a product) takes 0.7 to 1.1 s there and
+# (1,1)^40 * 1^20 0.8 to 1.5 s.  The slowest accepted input found,
+# (2,1)^11 * 1 * (1,1)^33, takes 1.3 to 2.0 s.
 MAX_LR_TABLEAUX = 100_000
 
 
@@ -94,8 +97,17 @@ class ChowElement:
         )
 
 
-def lr_multiply(a: ChowElement, b: ChowElement) -> ChowElement:
-    """Product in the Chow ring; box-overflowing partitions vanish.
+def lr_multiply(a: ChowElement, *factors: ChowElement) -> ChowElement:
+    """Product a * f_1 * ... * f_m in the Chow ring, multiplied in that order;
+    box-overflowing partitions vanish.
+
+    Every factor's ring is checked before the first product, so a mismatch
+    anywhere in the chain raises before any work; with no factors the
+    result is a copy of a.  The terms are carried padded to `rows` parts
+    from the first product to the last, the helpers below are built once
+    per call, zero coefficients are dropped after each product, and
+    trailing zeros are trimmed once at the end.  Each product has its own
+    budget of MAX_LR_TABLEAUX tableaux.
 
     Each Littlewood-Richardson tableau of shape nu/lam and content mu with nu
     inside the rows x cols box adds c_lam * c_mu to nu.  The mu_i cells
@@ -117,20 +129,25 @@ def lr_multiply(a: ChowElement, b: ChowElement) -> ChowElement:
     nu_j < nu_(j-1) (nu_0 < cols), and each strip arises from exactly one
     sequence of boxes.  A horizontal strip is built bottom-up, in rows weakly
     decreasing: row j grows while row j-1 still holds lam_(j-1), which keeps
-    nu_j <= lam_(j-1).  A vertical strip is built top-down, in rows strictly
-    increasing, one box a row.  Cut-offs: rows 0..j, of which only row j has
-    grown, take at most cols - nu_j more boxes of a horizontal strip (the
-    room lam_(i-1) - nu_i of each row telescopes), and rows j.. take at most
-    rows - j boxes of a vertical one.  So every call below the root finishes
-    at least one strip: the horizontal room is exact, and after a box in row
-    j-1, row j is addable and so is each row after it.  A call with d boxes
-    placed is one partial strip, so a product with s strips makes at most
-    k s calls below the roots, and one with none makes only the roots.
+    nu_j <= lam_(j-1).  Its root call starts at the first empty row of lam
+    (the last row of a full-height lam): no row below it is addable, and
+    the cut-off there reads as it does in that row.  A vertical strip is
+    built top-down, in rows strictly increasing, one box a row.  Cut-offs:
+    rows 0..j, of which only row j has grown, take at most cols - nu_j more
+    boxes of a horizontal strip (the room lam_(i-1) - nu_i of each row
+    telescopes), and rows j.. take at most rows - j boxes of a vertical
+    one.  So every call below the root finishes at least one strip: the
+    horizontal room is exact, and after a box in row j-1, row j is addable
+    and so is each row after it.  The loop that places a strip's last box
+    calls `add` in place, so a call has 0..k-1 boxes placed and is one
+    partial strip: a product with s strips makes at most (k-1) s calls below
+    the roots, and one with none makes only the roots.
     """
-    a._check_ring(b)
+    for b in factors:
+        a._check_ring(b)
     rows, cols = a.r, a.n - a.r
-    out: dict[tuple[int, ...], int] = {}  # nu padded to `rows` parts
-    budget = MAX_LR_TABLEAUX
+    zero = (0,) * rows
+    terms = {lam + zero[len(lam):]: c for lam, c in a.terms.items()}  # padded
 
     def add(nu):
         nonlocal budget
@@ -161,48 +178,50 @@ def lr_multiply(a: ChowElement, b: ChowElement) -> ChowElement:
 
     def row(nu, lowest, left):
         # Pieri for mu = (k): rows above `lowest` still hold lam, and the
-        # next box goes to row `lowest` or above.
-        if not left:
-            add(tuple(nu))
-            return
+        # next of the `left` boxes goes to row `lowest` or above.
         for k in range(lowest, -1, -1):
             if left > cols - nu[k]:
                 return  # rows 0..k take at most cols - nu[k] more boxes
             if nu[k] < (nu[k - 1] if k else cols):
                 nu[k] += 1
-                row(nu, k, left - 1)
+                if left > 1:
+                    row(nu, k, left - 1)
+                else:
+                    add(tuple(nu))
                 nu[k] -= 1
 
     def column(nu, first, left):
         # Pieri for mu = (1^k): rows first.. still hold lam, and the next
-        # box goes to row `first` or below.
-        if not left:
-            add(tuple(nu))
-            return
+        # of the `left` boxes goes to row `first` or below.
         for k in range(first, rows - left + 1):  # one box a row at most
             if nu[k] < (nu[k - 1] if k else cols):
                 nu[k] += 1
-                column(nu, k + 1, left - 1)
+                if left > 1:
+                    column(nu, k + 1, left - 1)
+                else:
+                    add(tuple(nu))
                 nu[k] -= 1
 
-    zero = (0,) * rows
-    for mu, cb in b.terms.items():
-        floor = mu + (0,) * (2 * rows)  # mu_j, and 0 past the last label
-        last = len(mu) - 1
-        for lam, ca in a.terms.items():
-            coeff = ca * cb
-            nu = lam + zero[len(lam):]
-            if not mu:
-                add(nu)
-            elif len(mu) == 1:
-                row(list(nu), rows - 1, mu[0])
-            elif mu[0] == 1:
-                column(list(nu), 0, len(mu))
-            else:
-                strip(0, 0, mu[0], mu[0], nu, (), zero)
+    for b in factors:
+        out: dict[tuple[int, ...], int] = {}  # nu padded to `rows` parts
+        budget = MAX_LR_TABLEAUX
+        for mu, cb in b.terms.items():
+            floor = mu + (0,) * (2 * rows)  # mu_j, and 0 past the last label
+            last = len(mu) - 1
+            for nu, ca in terms.items():
+                coeff = ca * cb
+                if not mu:
+                    add(nu)
+                elif len(mu) == 1:
+                    row(list(nu), min(rows - nu.count(0), rows - 1), mu[0])
+                elif mu[0] == 1:
+                    column(list(nu), 0, len(mu))
+                else:
+                    strip(0, 0, mu[0], mu[0], nu, (), zero)
+        terms = {nu: c for nu, c in out.items() if c}
     # every nu is inside the box: skip the constructor's checks
     prod = ChowElement(a.r, a.n)
-    prod.terms = {nu[: rows - nu.count(0)]: c for nu, c in out.items() if c}
+    prod.terms = {nu[: rows - nu.count(0)]: c for nu, c in terms.items()}
     return prod
 
 

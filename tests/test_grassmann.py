@@ -1,5 +1,6 @@
 import random
 import sys
+from functools import reduce
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -30,6 +31,25 @@ from oracles import (
 
 def sigma(parts, r, n):
     return ChowElement.sigma(parts, r, n)
+
+
+def grassmann_calls(fn, *names):
+    """fn()'s result and how often it entered each named function of
+    grassmann, the helpers nested in lr_multiply included."""
+    calls = dict.fromkeys(names, 0)
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename == grassmann.__file__:
+            if code.co_name in calls:
+                calls[code.co_name] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        return fn(), calls
+    finally:
+        sys.setprofile(previous)
 
 
 class TestPartitions:
@@ -82,6 +102,21 @@ class TestLRMultiply:
     def test_box_mismatch(self):
         with pytest.raises(ValueError, match="box"):
             lr_multiply(sigma((1,), 2, 4), sigma((1,), 1, 3))
+
+    def test_box_mismatch_in_last_factor_raises_before_any_product(self):
+        s1 = sigma((1,), 2, 4)
+
+        def chain():
+            with pytest.raises(ValueError) as exc:
+                lr_multiply(s1, s1, s1, sigma((1,), 1, 3))
+            return str(exc.value)
+
+        assert grassmann_calls(chain, "add") == ("box mismatch: G(2,4) vs G(1,3)", {"add": 0})
+
+    def test_no_factors_gives_a_copy(self):
+        a = ChowElement(2, 4, {(2, 1): 3, (1,): -2, (): 1})
+        got = lr_multiply(a)
+        assert got == a and got is not a and got.terms is not a.terms
 
     def test_against_schur_oracle_small_boxes(self):
         for rows, cols in [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)]:
@@ -256,6 +291,29 @@ class TestTableauBudget:
             f"the product needs more than {count - 1} Littlewood-Richardson tableaux"
         )
 
+    def test_limit_holds_per_product_of_a_chain(self, monkeypatch):
+        # sigma_1 * sigma_1 * sigma_21 * sigma_1 * sigma_11 * sigma_1 on
+        # G(3, 6): its products generate 2, 6, 5, 2 and 1 tableaux, so a
+        # limit of 6 passes the chain though the products need 16 in all,
+        # and a limit of 5 stops the second product
+        rows, cols, n = 3, 3, 6
+        a = sigma((1,), rows, n)
+        fs = [sigma(mu, rows, n) for mu in [(1,), (2, 1), (1,), (1, 1), (1,)]]
+        counts, x = [], a
+        for f in fs:
+            counts.append(sum(
+                sum(schur_product_in_box(lam, mu, rows, cols).values())
+                for lam in x.terms for mu in f.terms
+            ))
+            x = lr_multiply(x, f)
+        assert counts == [2, 6, 5, 2, 1] and x.terms == {(3, 3, 3): 8}
+        monkeypatch.setattr(grassmann, "MAX_LR_TABLEAUX", 6)
+        assert lr_multiply(a, *fs) == x
+        monkeypatch.setattr(grassmann, "MAX_LR_TABLEAUX", 5)
+        with pytest.raises(ValueError) as exc:
+            lr_multiply(a, *fs)
+        assert str(exc.value) == "the product needs more than 5 Littlewood-Richardson tableaux"
+
     @pytest.mark.parametrize(
         "a_terms, mu, rows, cols, strips",
         [
@@ -268,32 +326,83 @@ class TestTableauBudget:
             # all 20 classes of the 3 x 3 box: strips on some, none on others
             ({lam: 1 for lam in partitions_in_box(3, 3)}, (2,), 3, 3, 24),
             ({lam: 1 for lam in partitions_in_box(3, 3)}, (1, 1), 3, 3, 24),
+            # sigma_1: the last box is the only one, so every strip is added
+            # by a root call and the bound below makes the row calls exactly
+            # one per term of a
+            ({lam: 1 for lam in partitions_in_box(3, 3)}, (1,), 3, 3, 30),
         ],
     )
     def test_strip_search_is_bounded_by_its_strips(self, a_terms, mu, rows, cols, strips):
         # the cut-offs let a Pieri call go on only where a strip can still
-        # be finished: with no strip to find, only the call per term of a
+        # be finished: with no strip to find, only the call per term of a.
+        # A strip's last box is added in place, so each strip of k boxes
+        # takes at most k - 1 calls below the root.
         a = ChowElement(rows, rows + cols, a_terms)
         b = ChowElement.sigma(mu, rows, rows + cols)
-        calls = {"row": 0, "column": 0, "add": 0}
-
-        def profile(frame, event, arg):
-            code = frame.f_code
-            if event == "call" and code.co_filename == grassmann.__file__:
-                if code.co_name in calls:
-                    calls[code.co_name] += 1
-
-        previous = sys.getprofile()
-        sys.setprofile(profile)
-        try:
-            got = lr_multiply(a, b)
-        finally:
-            sys.setprofile(previous)
+        got, calls = grassmann_calls(lambda: lr_multiply(a, b), "row", "column", "add")
         # every coefficient is 1, so the product's sum counts the strips
         assert calls["add"] == strips == sum(got.terms.values())
-        assert calls["row"] + calls["column"] <= len(a_terms) + (sum(mu) + 1) * strips
+        assert calls["row"] + calls["column"] <= len(a_terms) + (sum(mu) - 1) * strips
         # and the count saw the helper: one root call per term of a
         assert calls["column" if len(mu) > 1 else "row"] >= len(a_terms)
+
+
+class TestChains:
+    def test_random_chains_match_fold_and_oracle(self):
+        # lr_multiply(a, *fs) against the pairwise fold in every box up to
+        # 5 x 5, and against the bilinear oracle folded over the factors in
+        # the boxes of at most 3 rows, where the Schur oracle is quick.  a
+        # holds two classes of one size with opposite coefficients, whose
+        # products share terms that then cancel.
+        rng = random.Random(32)
+        coeffs = [-3, -2, -1, 1, 2, 3]
+        checked = cancelled = nonzero = 0
+        for rows in range(1, 6):
+            for cols in range(1, 6):
+                n = rows + cols
+                box = list(partitions_in_box(rows, cols))
+                small = [p for p in box if 0 < sum(p) <= 3]
+                pools = [
+                    pool
+                    for pool in (
+                        [p for p in small if len(p) == 1],  # rows
+                        [p for p in small if len(p) > 1 and p[0] == 1],  # columns
+                        [p for p in small if len(p) > 1 and p[0] > 1],  # general
+                    )
+                    if pool
+                ]
+                sizes = {}
+                for p in box:
+                    sizes.setdefault(sum(p), []).append(p)
+                twins = [ps for ps in sizes.values() if len(ps) > 1]
+                for _ in range(10):
+                    a_terms = {rng.choice(box): rng.choice(coeffs) for _ in range(2)}
+                    if twins:
+                        lam, mu = rng.sample(rng.choice(twins), 2)
+                        c = rng.choice(coeffs)
+                        a_terms[lam], a_terms[mu] = c, -c
+                    fs = []
+                    for _ in range(rng.randrange(7)):
+                        f_terms = {rng.choice(rng.choice(pools)): 1}
+                        if rng.random() < 0.25:  # a combination as a factor
+                            f_terms[rng.choice(box)] = rng.choice(coeffs)
+                        fs.append(ChowElement(rows, n, f_terms))
+                    a = ChowElement(rows, n, a_terms)
+                    got = lr_multiply(a, *fs)
+                    assert got == reduce(lr_multiply, fs, a), (a_terms, fs)
+                    nonzero += bool(got.terms)
+                    if rows > 3:
+                        continue
+                    want = a.terms
+                    for f in fs:
+                        want = bilinear_oracle(want, f.terms, rows, cols)
+                        cancelled += 0 in want.values()
+                        want = {nu: c for nu, c in want.items() if c}
+                    assert got.terms == want, (a_terms, [f.terms for f in fs])
+                    checked += 1
+        # the oracle saw 150 chains, whose products cancelled a term 33
+        # times, and 129 of the 250 chains end in a nonzero class
+        assert checked == 150 and cancelled >= 20 and nonzero >= 100
 
 
 def lr_coefficient(lam, mu, nu):
