@@ -39,8 +39,8 @@ from .linsolve import LinearSystemError
 from .strata import MAX_AMBIENT, EulerTable, StratifiedPair, euler_table
 
 _INT64_MAX = 2**63 - 1
-# Largest n accepted by `detvar` (n = 12, 13 and 14 take about 0.4, 0.9 to 1.4
-# and 2.2 to 2.5 s on a 2-core VM; an even n localizes one more r than the odd
+# Largest n accepted by `detvar` (n = 12, 13 and 14 take about 0.3, 0.6 to 0.7
+# and 1.6 to 1.8 s on a 2-core VM; an even n localizes one more r than the odd
 # n below it) and by `chow` (at most C(20, 10) Schubert classes; the work of
 # each product is bounded by grassmann.MAX_LR_TABLEAUX).
 MAX_DETVAR_N = 14

@@ -38,12 +38,16 @@ It runs over a common denominator in integers; a non-integral M raises.
 
 Each of the three products at a fixed point, the tangent class and the
 bases prod (1 - u t) of the two n-th powers, is prod (1 + u w) over its
-roots w, built as one integer of packed signed digits (`_packed_product`).
-The n-th powers are raised by J.C.P. Miller's power recurrence, and q is
-expanded from M by Horner's rule in (1+d).  Littlewood-Richardson
-products on the Grassmannian stay behind the `chow` command and serve the
-tests as an independent oracle for M and q, and the tests keep the
-localization over all C(n, r) points with t_k = k as a second one.
+roots w, built as one integer of signed digits.  One digit width serves
+all of G(r, n), since no root exceeds 2(n-1) in absolute value.  Each
+coefficient is then a column over the points, which are the inner
+dimension: Miller's power recurrence raises the bases one column pass at a
+time, and each M[a][b] is one sum over the points.  q is expanded from M
+by Horner's rule in (1+d) on one integer of packed digits, one shift and
+add per factor.  Littlewood-Richardson products on the Grassmannian stay
+behind the `chow` command and serve the tests as an independent oracle for
+M and q, and the tests keep the localization over all C(n, r) points with
+t_k = k as a second one.
 
 The family is self-dual: tau_{n,r} and tau_{n,n-r} are projectively dual,
 so the duality transform carries the signed q_{n,r} to the signed
@@ -67,9 +71,9 @@ signed q_{n,k} to the signed q_{n,n-k}.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, repeat
 from math import comb, factorial, lcm, prod
-from operator import add, mul
+from operator import add, floordiv, mul
 
 from .classpoly import ClassPoly
 from .strata import EulerTable, StratifiedPair, Stratum, checked_table
@@ -80,35 +84,45 @@ def stratum_dim(n: int, k: int) -> int:
     return n * n - k * k - 1
 
 
-def _power(base: list[int], e: int, top: int) -> list[int]:
-    """Coefficients of u^0..u^top in base(u)^e, where base[0] == 1, by
-    J.C.P. Miller's recurrence k q_k = sum_j ((e+1) j - k) base_j q_(k-j);
-    the division by k is exact because every q_k is an integer."""
-    out = [1] + [0] * top
-    deg = len(base) - 1
+def _unpack(packed: list[int], size: int, span: int) -> list[int]:
+    """Each integer of `packed` as `span` signed digits of `size` bytes, each
+    below 2^(W-1) in absolute value for W = 8 size: read through a bias and
+    a flipped top bit per digit, as in `classpoly.involute_all`."""
+    bias = int.from_bytes((bytes(size - 1) + b"\x80") * span, "little")
+    blob = b"".join([((p + bias) ^ bias).to_bytes(span * size, "little") for p in packed])
+    fields = range(0, len(blob), size)
+    return [int.from_bytes(blob[i : i + size], "little", signed=True) for i in fields]
+
+
+def _product_columns(rows, n: int, top: int) -> list[list[int]]:
+    """Columns of the coefficients of u^0, u^1, ... in prod (1 + u w) over
+    the roots w of each row, for the fixed points of G(r, n) with D = top.
+    Each product is one integer of signed W-bit digits, built by
+    P += (P << W) * w.  Every step is exact, so only the final digits must
+    fit: a root is t_j - t_i or -t_k, at most 2(n-1) in absolute value, and
+    a row has at most max(D, n) roots, so every coefficient is at most
+    (2n-1)^max(D, n) < 2^(W-1), one width W for all of (n, r)."""
+    size = ((2 * n - 1) ** max(top, n)).bit_length() // 8 + 1  # bytes per digit
+    width, span, packed = 8 * size, len(rows[0]) + 1, []
+    for roots in rows:
+        p = 1
+        for w in roots:
+            p += (p << width) * w
+        packed.append(p)
+    digits = _unpack(packed, size, span)
+    return [digits[k::span] for k in range(span)]
+
+
+def _power_columns(base: list[list[int]], e: int, top: int) -> list[list[int]]:
+    """Columns of u^0..u^top in base(u)^e, base[0] all ones, by J.C.P. Miller's
+    recurrence k q_k = sum_j ((e+1) j - k) base_j q_(k-j), one pass over the
+    points a term; the division by k is exact, since every q_k is an integer."""
+    out = [base[0]]
     for k in range(1, top + 1):
-        acc = sum(
-            ((e + 1) * j - k) * base[j] * out[k - j] for j in range(1, min(k, deg) + 1)
-        )
-        out[k] = acc // k
+        js = range(1, min(k, len(base) - 1) + 1)
+        terms = [map(mul, repeat((e + 1) * j - k), map(mul, base[j], out[k - j])) for j in js]
+        out.append(list(map(floordiv, map(sum, zip(*terms)), repeat(k))))
     return out
-
-
-def _packed_product(roots) -> list[int]:
-    """Coefficients of u^0..u^D in prod (1 + u*w) over the D roots w, as one
-    integer with a signed digit of W bits per coefficient: D steps
-    P += (P << W) * w and one unpack.  Every partial coefficient is at most
-    prod (1 + |w|) < 2^(sum bits(1 + |w|)) in absolute value, so
-    W = sum bits(1 + |w|) + 2 leaves room for the sign and the bias."""
-    width = sum((1 + abs(w)).bit_length() for w in roots) + 2
-    packed = 1
-    for w in roots:
-        packed += (packed << width) * w
-    # a bias of 2^(W-1) in every digit makes each digit nonnegative
-    half = 1 << (width - 1)
-    mask = (1 << width) - 1
-    packed += half * (((1 << (width * (len(roots) + 1))) - 1) // mask)
-    return [((packed >> (width * k)) & mask) - half for k in range(len(roots) + 1)]
 
 
 def _chern_numbers(n: int, r: int) -> list[list[int]]:
@@ -129,23 +143,22 @@ def _chern_numbers(n: int, r: int) -> list[list[int]]:
             orbit |= {tuple(j for j in range(n) if j not in o) for o in orbit}
         if min(orbit) < sub:
             continue
-        s_wts = [t[i] for i in sub]
-        q_wts = [t[j] for j in range(n) if j not in sub]
-        tangent = [tj - ti for ti in s_wts for tj in q_wts]
+        quot = [t[j] for j in range(n) if j not in sub]
+        tangent = [tj - t[i] for i in sub for tj in quot]
         weight = len(orbit) // 2 if fold else len(orbit)
-        points.append((weight, s_wts, q_wts, tangent, prod(tangent)))
-    denom = lcm(*(abs(e) for *_, e in points))
-    num = [[0] * (top + 1 - a) for a in range(top + 1)]
-    for weight, s_wts, q_wts, tangent, euler in points:
-        c_tan = _packed_product(tangent)
-        c_quot = _power(_packed_product([-w for w in q_wts]), n, top)
-        c_sub = _power(_packed_product([-w for w in s_wts]), n, top)
-        scale = weight * denom // euler
-        for a, row in enumerate(num):
-            sa = scale * c_sub[a]
-            if sa:
-                for b in range(len(row)):
-                    row[b] += sa * c_quot[b] * c_tan[top - a - b]
+        points.append((weight, prod(tangent), tangent, [-t[i] for i in sub], [-w for w in quot]))
+    weights, eulers, tangents, subs, quots = zip(*points)
+    denom = lcm(*map(abs, eulers))
+    # the orbit weight and denom / euler ride on the columns of c((S^v)^n)
+    scale = [w * (denom // e) for w, e in zip(weights, eulers)]
+    c_sub = _power_columns(_product_columns(subs, n, top), n, top)
+    c_sub = [list(map(mul, scale, col)) for col in c_sub]
+    c_quot = _power_columns(_product_columns(quots, n, top), n, top)
+    c_tan = _product_columns(tangents, n, top)
+    num = [
+        [sum(map(mul, sa, map(mul, c_quot[b], c_tan[top - a - b]))) for b in range(top + 1 - a)]
+        for a, sa in enumerate(c_sub)
+    ]
     if fold:
         flipped = _signed_transpose(num)
         num = [list(map(add, row, flip)) for row, flip in zip(num, flipped)]
@@ -177,18 +190,26 @@ def q_poly(n: int, r: int) -> ClassPoly:
 
 
 def _expand(num: list[list[int]], n: int, r: int) -> ClassPoly:
-    """q_{n,r} from the Chern numbers M of G(r, n), mod d^(n^2)."""
-    coeffs = [0] * (n * n + 1)
-    # Horner's rule in (1+d): S <- S (1+d) + R_b for b = 0..D, with
-    # R_b(d) = sum_a M[a][b] d^(nr-a), leaves sum_b R_b (1+d)^(D-b); the
-    # (n-r)^2 further factors make each exponent n(n-r) - b
+    """q_{n,r} from the Chern numbers M of G(r, n), mod d^(n^2).
+
+    Horner's rule in (1+d): S <- S (1+d) + R_b for b = 0..D, with
+    R_b(d) = sum_a M[a][b] d^(nr-a), leaves sum_b R_b (1+d)^(D-b); the
+    (n-r)^2 further factors make each exponent n(n-r) - b.  S is one integer
+    of signed W-bit digits, the coefficients of d^0..d^(n^2), so a factor
+    (1+d) is S += S << W.  Every step is exact, so only the final digits
+    must fit: each is a sum of M[a][b] C(n(n-r)-b, j), at most
+    sum |M| 2^(n(n-r)) < 2^(W-1) for W = bits(sum |M|) + n(n-r) + 2."""
+    bits = sum(sum(map(abs, row)) for row in num).bit_length() + n * (n - r) + 2
+    size = (bits + 7) // 8  # bytes per digit
+    width, packed = 8 * size, 0
     for b in range(len(num)):
-        coeffs = list(map(add, coeffs, [0] + coeffs[:-1]))
-        for a in range(len(num) - b):
-            coeffs[n * r - a] += num[a][b]
+        rb = 0  # R_b / d^(nr-D+b), from its top coefficient down
+        for row in num[: len(num) - b]:
+            rb = (rb << width) + row[b]
+        packed += (packed << width) + (rb << (width * (n * r - len(num) + 1 + b)))
     for _ in range((n - r) ** 2):
-        coeffs = list(map(add, coeffs, [0] + coeffs[:-1]))
-    return ClassPoly(coeffs[: n * n], n * n)
+        packed += packed << width
+    return ClassPoly(_unpack([packed], size, n * n + 1)[: n * n], n * n)
 
 
 def _porteous_degree(n: int, r: int) -> int:

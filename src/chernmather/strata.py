@@ -421,8 +421,8 @@ def _fill_unpaired(ambient: int, strata, r: int, label: str):
     if r == len(strata) - 1:
         return (1,), "deepest stratum"
     if r == 0:
-        total = sum((s.csm for s in strata), ClassPoly.zero(ambient))
-        if total == chern_B(ambient - 1, ambient):
+        total = _combination([s.csm.coeffs for s in strata], (1,) * len(strata))
+        if total == chern_B(ambient - 1, ambient).coeffs:
             return (1,) * len(strata), "smooth closure"
     raise ValueError(
         f"{label} stratum {strata[r].name!r} has no paired dual stratum and "

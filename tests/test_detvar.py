@@ -153,23 +153,29 @@ class TestQPoly:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_packed_tangent_class_matches_linear_product(self, n):
         # c(T) = prod (1 + u(t_j - t_i)) and the bases prod (1 - u t) of
-        # c(S^v)^n and c(Q^v)^n at every fixed point of every G(r, n)
+        # c(S^v)^n and c(Q^v)^n at every fixed point of every G(r, n), each
+        # product of all the points in one call at the common width of (n, r)
         t = [2 * k - (n - 1) for k in range(n)]
         for r in range(n + 1):
-            for sub in combinations(range(n), r):
-                quot = [j for j in range(n) if j not in sub]
-                tangent = [t[j] - t[i] for i in sub for j in quot]
-                for roots in (tangent, [-t[i] for i in sub], [-t[j] for j in quot]):
-                    assert detvar._packed_product(roots) == linear_product(roots)
+            subs = list(combinations(range(n), r))
+            quots = [[j for j in range(n) if j not in sub] for sub in subs]
+            products = (
+                [[t[j] - t[i] for i in sub for j in quot] for sub, quot in zip(subs, quots)],
+                [[-t[i] for i in sub] for sub in subs],
+                [[-t[j] for j in quot] for quot in quots],
+            )
+            for rows in products:
+                columns = detvar._product_columns(rows, n, r * (n - r))
+                assert [list(point) for point in zip(*columns)] == list(map(linear_product, rows))
 
     def test_packed_tangent_class_at_widest_point(self):
         # I = {0..6} on G(7, 14): all 49 weights t_j - t_i = 2(j - i) are
         # positive and their sum is largest, so c(T) has the widest
-        # coefficients, 183 bits, in digits of sum bits(1 + |w|) + 2 = 212
-        # bits; 184 bits are the least a biased digit needs
+        # coefficients, 183 bits, here in the common digits of G(7, 14):
+        # bits(27^49) + 1 = 234 bits, rounded up to 240
         n = 14
         tangent = [2 * (j - i) for i in range(7) for j in range(7, n)]
-        packed = detvar._packed_product(tangent)
+        packed = [column[0] for column in detvar._product_columns([tangent], n, 49)]
         assert packed == linear_product(tangent)
         assert max(packed).bit_length() == 183
 
@@ -188,15 +194,44 @@ class TestQPoly:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
     def test_power_matches_repeated_product(self, n):
         # prod (1 - u t)^n at every fixed point, as the product of n copies
-        # of each linear factor
+        # of each linear factor; the points of each base in one call
         for r in range(n + 1):
             top = r * (n - r)
-            for sub in combinations(range(n), r):
-                for weights in (sub, [j for j in range(n) if j not in sub]):
-                    roots = [-t for t in weights]
-                    base = linear_product(roots)
-                    repeated = linear_product(roots * n, top)
-                    assert detvar._power(base, n, top) == repeated
+            subs = list(combinations(range(n), r))
+            quots = [[j for j in range(n) if j not in sub] for sub in subs]
+            for weights in (subs, quots):
+                roots = [[-t for t in point] for point in weights]
+                base = [list(column) for column in zip(*map(linear_product, roots))]
+                power = detvar._power_columns(base, n, top)
+                repeated = [linear_product(point * n, top) for point in roots]
+                assert [list(point) for point in zip(*power)] == repeated
+
+    @pytest.mark.parametrize("n, r", [(14, 0), (14, 7)])
+    def test_packed_expansion_of_wide_numbers(self, n, r):
+        # M with entries of about 4,000 bits and both signs, and its signed
+        # transpose: the digits of the packed Horner pass must hold them
+        # times the binomials of (1+d)^(n(n-r))
+        rng = random.Random(r)
+        top = r * (n - r)
+        num = [
+            [rng.choice((-1, 1)) * rng.getrandbits(4000) for _ in range(top + 1 - a)]
+            for a in range(top + 1)
+        ]
+        if r == 0:
+            # M is one entry, and _expand is linear in it; at rank n its
+            # signed transpose expands to d^(n^2), which is 0
+            [[x]] = num
+            assert x.bit_length() > 3990
+            assert detvar._expand(num, n, 0) == x * expand_binomial([[1]], n, 0)
+            assert detvar._expand(num, n, n).is_zero()
+            return
+        # the oracle checks M[0][0] = C(n, r), the d^(n^2) coefficient
+        num[0][0] = comb(n, r)
+        assert sum(m.bit_length() > 3990 for row in num for m in row) > 1000
+        assert {m > 0 for row in num for m in row} == {True, False}
+        signed = detvar._signed_transpose(num)
+        assert detvar._expand(num, n, r) == expand_binomial(num, n, r)
+        assert detvar._expand(signed, n, n - r) == expand_binomial(signed, n, n - r)
 
     @pytest.mark.parametrize(
         "euler_factor, message",
