@@ -14,7 +14,8 @@ Applied to signed class polynomials (sign (-1)^dim) it interchanges the
 Chern-Mather classes of a projective variety and of its dual variety.
 `involute_all` transforms a list of classes in one pass of Horner's rule
 for the shift f(-1-H), on integers that hold the classes' coefficients
-side by side; `involute` is the one-class case.
+side by side; `involute` is the one-class case.  `_unpack` reads such an
+integer of signed digits back, here and in the localization of `detvar`.
 """
 
 from __future__ import annotations
@@ -223,12 +224,9 @@ def involute_all(fs: Sequence[ClassPoly], d: int) -> list[ClassPoly]:
 
         |g_k| <= sum_(i>=k) |a_i| C(i, k) <= A C(D+1, k+1) < 2^(bits(A) + D + 1),
 
-    which is at most 2^(W-1) for W = 8 * ceil((bits(A) + D + 2) / 8).  So
-    each digit plus 2^(W-1) lies in [0, 2^W): adding that bias to every
-    digit leaves no borrow between them, and flipping the top bit of each
-    biased field gives the digit's two's complement, read back by
-    `int.from_bytes`.  Packing runs the same way backwards, the |b_i| <= A
-    fitting as well.
+    which is at most 2^(W-1) for W = 8 * ceil((bits(A) + D + 2) / 8), so
+    `_unpack` reads the digits back.  Packing runs its steps backwards, the
+    |b_i| <= A fitting as well.
     """
     if d < 1:
         raise ValueError("the transform needs d >= 1")
@@ -256,8 +254,8 @@ def involute_all(fs: Sequence[ClassPoly], d: int) -> list[ClassPoly]:
     size = (biggest.bit_length() + top + 2 + 7) // 8  # bytes per digit
     row = m * size  # bytes per packed coefficient
     bias = int.from_bytes((bytes(size - 1) + b"\x80") * m, "little")
-    # pack: the two's complement fields of b_i, flipped at the top bit, are
-    # the biased digits of the packed coefficient
+    # pack, `_unpack` backwards: the two's complement fields of b_i, flipped
+    # at the top bit, are the biased digits of the packed coefficient
     fields = chain.from_iterable(zip(*cols))  # coefficient 0 of every class first
     blob = b"".join([b.to_bytes(size, "little", signed=True) for b in fields])
     packed = [
@@ -270,11 +268,7 @@ def involute_all(fs: Sequence[ClassPoly], d: int) -> list[ClassPoly]:
     for k, b in enumerate(reversed(packed)):
         out[1 : k + 1] = map(add, out[1 : k + 1], out)
         out[0] += b
-    blob = b"".join([((p + bias) ^ bias).to_bytes(row, "little") for p in out])
-    digits = [
-        int.from_bytes(blob[i : i + size], "little", signed=True)
-        for i in range(0, len(blob), size)
-    ]
+    digits = _unpack(out, size, m)
 
     results, b_d = [], None
     for c, f in enumerate(fs):
@@ -287,6 +281,19 @@ def involute_all(fs: Sequence[ClassPoly], d: int) -> list[ClassPoly]:
             g = [x - v * b for x, b in zip(g, b_d)]
         results.append(ClassPoly(g, f.modulus))
     return results
+
+
+def _unpack(packed: list[int], size: int, span: int) -> list[int]:
+    """The digits d_0, ..., d_(span-1) of each p = sum_j d_j 2^(W j) in
+    `packed`, lowest first, for W = 8 size and -2^(W-1) <= d_j < 2^(W-1).
+    Each d_j + 2^(W-1) lies in [0, 2^W), so adding that bias to every digit
+    leaves no carry or borrow between them, whatever the d_j carried into
+    each other in p: the W-bit fields of p + bias are the biased digits, and
+    flipping the top bit of each gives the two's complement of its digit."""
+    bias = int.from_bytes((bytes(size - 1) + b"\x80") * span, "little")
+    blob = b"".join([((p + bias) ^ bias).to_bytes(span * size, "little") for p in packed])
+    fields = range(0, len(blob), size)
+    return [int.from_bytes(blob[i : i + size], "little", signed=True) for i in fields]
 
 
 def div_1p2H(f: ClassPoly) -> ClassPoly:

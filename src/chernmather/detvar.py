@@ -38,16 +38,17 @@ It runs over a common denominator in integers; a non-integral M raises.
 
 Each of the three products at a fixed point, the tangent class and the
 bases prod (1 - u t) of the two n-th powers, is prod (1 + u w) over its
-roots w, built as one integer of signed digits.  One digit width serves
-all of G(r, n), since no root exceeds 2(n-1) in absolute value.  Each
-coefficient is then a column over the points, which are the inner
-dimension: Miller's power recurrence raises the bases one column pass at a
-time, and each M[a][b] is one sum over the points.  q is expanded from M
-by Horner's rule in (1+d) on one integer of packed digits, one shift and
-add per factor.  Littlewood-Richardson products on the Grassmannian stay
-behind the `chow` command and serve the tests as an independent oracle for
-M and q, and the tests keep the localization over all C(n, r) points with
-t_k = k as a second one.
+roots w, built as one integer of signed digits and read back by
+`classpoly._unpack`.  One digit width serves all of G(r, n), since no root
+exceeds 2(n-1) in absolute value.  Each coefficient is then a column over
+the points, which are the inner dimension: Miller's power recurrence
+raises the bases one column pass at a time, and each M[a][b] is one sum
+over the points.  q is expanded from M by Horner's rule in (1+d) on one
+integer of packed digits, one shift and add per factor.
+Littlewood-Richardson products on the Grassmannian stay behind the `chow`
+command and serve the tests as an independent oracle for M and q, and the
+tests keep the localization over all C(n, r) points with t_k = k as a
+second one.
 
 The family is self-dual: tau_{n,r} and tau_{n,n-r} are projectively dual,
 so the duality transform carries the signed q_{n,r} to the signed
@@ -75,23 +76,13 @@ from itertools import combinations, repeat
 from math import comb, factorial, lcm, prod
 from operator import add, floordiv, mul
 
-from .classpoly import ClassPoly
-from .strata import EulerTable, StratifiedPair, Stratum, checked_table
+from .classpoly import ClassPoly, _unpack
+from .strata import EulerTable, StratifiedPair, Stratum, _combination, checked_table
 
 
 def stratum_dim(n: int, k: int) -> int:
     """Projective dimension of tau_{n,k}: n^2 - k^2 - 1."""
     return n * n - k * k - 1
-
-
-def _unpack(packed: list[int], size: int, span: int) -> list[int]:
-    """Each integer of `packed` as `span` signed digits of `size` bytes, each
-    below 2^(W-1) in absolute value for W = 8 size: read through a bias and
-    a flipped top bit per digit, as in `classpoly.involute_all`."""
-    bias = int.from_bytes((bytes(size - 1) + b"\x80") * span, "little")
-    blob = b"".join([((p + bias) ^ bias).to_bytes(span * size, "little") for p in packed])
-    fields = range(0, len(blob), size)
-    return [int.from_bytes(blob[i : i + size], "little", signed=True) for i in fields]
 
 
 def _product_columns(rows, n: int, top: int) -> list[list[int]]:
@@ -148,13 +139,15 @@ def _chern_numbers(n: int, r: int) -> list[list[int]]:
         weight = len(orbit) // 2 if fold else len(orbit)
         points.append((weight, prod(tangent), tangent, [-t[i] for i in sub], [-w for w in quot]))
     weights, eulers, tangents, subs, quots = zip(*points)
+    # the widest products first, while little else is held
+    c_tan = _product_columns(tangents, n, top)
+    del points, tangents
     denom = lcm(*map(abs, eulers))
     # the orbit weight and denom / euler ride on the columns of c((S^v)^n)
     scale = [w * (denom // e) for w, e in zip(weights, eulers)]
     c_sub = _power_columns(_product_columns(subs, n, top), n, top)
     c_sub = [list(map(mul, scale, col)) for col in c_sub]
     c_quot = _power_columns(_product_columns(quots, n, top), n, top)
-    c_tan = _product_columns(tangents, n, top)
     num = [
         [sum(map(mul, sa, map(mul, c_quot[b], c_tan[top - a - b]))) for b in range(top + 1 - a)]
         for a, sa in enumerate(c_sub)
@@ -263,8 +256,7 @@ def eu_table_det(n: int) -> tuple[list[ClassPoly], StratifiedPair, EulerTable]:
     # open strata by binomial inversion: csm_k = sum_(r>=k) (-1)^(r-k) C(r,k) q_r;
     # the sign is taken as (-1)^(r+k), since a negative power of -1 is a float
     weights = [[(-1) ** (r + k) * comb(r, k) for r in range(n)] for k in range(n)]
-    columns = list(zip(*(c.coeffs for c in q)))
-    opens = [ClassPoly([sum(map(mul, w, col)) for col in columns]) for w in weights]
+    opens = [ClassPoly(_combination([c.coeffs for c in q], w)) for w in weights]
     pair = StratifiedPair(
         n * n,
         [Stratum(f"tau_{n}_{k}", c, stratum_dim(n, k)) for k, c in enumerate(opens)],

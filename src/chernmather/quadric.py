@@ -80,10 +80,10 @@ def milnor_class(spec: QuadricSpec) -> ClassPoly:
 def build_pair(spec: QuadricSpec) -> StratifiedPair:
     """Solver input: {open part, singular locus} against the dual quadric.
 
-    Each class is built once: S = P^(n-r), the quadric X (the smooth class
-    minus (-1)^(n-1) times the Milnor class) and the dual quadric.  For a
-    smooth quadric, which is its own dual, the pair degenerates to one
-    self-paired stratum.
+    The classes are S = P^(n-r), the quadric X (the smooth class minus
+    (-1)^(n-1) times `milnor_class`, so the class the report prints is the
+    one solved) and the dual quadric.  For a smooth quadric, which is its
+    own dual, the pair degenerates to one self-paired stratum.
     """
     n, r = spec
     mod = n + 1
@@ -92,8 +92,7 @@ def build_pair(spec: QuadricSpec) -> StratifiedPair:
         primal = [Stratum("quadric", dual[0].csm, n - 1)]
     else:
         sing = csm_linear_space(n - r, mod)
-        milnor = (-1) ** (n + r) * div_1p2H(sing)
-        quadric = _smooth_quadric(n - 1, mod) - (-1) ** (n - 1) * milnor
+        quadric = _smooth_quadric(n - 1, mod) - (-1) ** (n - 1) * milnor_class(spec)
         primal = [
             Stratum("quadric_open", quadric - sing, n - 1),
             Stratum("singular_locus", sing, n - r),

@@ -14,6 +14,7 @@ from chernmather.classpoly import (
     involute,
     involute_all,
     one_plus_h_power,
+    _unpack,
 )
 
 from oracles import involute_binomial, signed
@@ -297,6 +298,26 @@ class TestInvoluteAllOracle:
             involute_all([good, low_modulus, high_degree], 2)
         with pytest.raises(ValueError, match="degree 4 exceeds"):
             involute_all([good, high_degree, low_modulus], 2)
+
+
+class TestUnpack:
+    """`_unpack`, the reader of packed signed digits that `involute_all` and
+    the localization in `detvar` share, on integers built by plain
+    arithmetic, p = sum_j d_j 2^(W j), so that the digits carry into each
+    other."""
+
+    @pytest.mark.parametrize("span", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    def test_digits_come_back(self, size, span):
+        width = 8 * size
+        half = 2 ** (width - 1)
+        edges = [-half, half - 1, 0, 1, -1]
+        rng = random.Random(f"{size}/{span}")
+        rows = [[d] * span for d in edges]
+        rows += [[rng.choice(edges) for _ in range(span)] for _ in range(40)]
+        rows += [[rng.randrange(-half, half) for _ in range(span)] for _ in range(40)]
+        packed = [sum(d * 2 ** (width * j) for j, d in enumerate(row)) for row in rows]
+        assert _unpack(packed, size, span) == [d for row in rows for d in row]
 
 
 class TestSigned:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from chernmather import quadric
 from chernmather.classpoly import ClassPoly, csm_linear_space, involute
 from chernmather.cli import main as cli_main
 from chernmather.quadric import QuadricSpec, build_pair, cross_validate, milnor_class
@@ -160,6 +161,17 @@ class TestMilnorClass:
         for n in range(2, 11):
             for r in range(3, n + 1):
                 assert milnor_class(QuadricSpec(n, r)).coeffs[r] == (-1) ** (n + r)
+
+    def test_reported_class_is_the_solved_class(self, monkeypatch, capsys):
+        # the pair is built from `milnor_class` itself, so a wrong Milnor
+        # class reaches the solve and fails its check instead of being
+        # printed; a smooth quadric's class is zero and nothing is solved
+        monkeypatch.setattr(quadric, "milnor_class", lambda spec: -milnor_class(spec))
+        assert cli_main(["quadric", "--n", "5", "--rank", "4"]) == 3
+        err = capsys.readouterr().err
+        assert "equations are mutually inconsistent" in err
+        assert "[primal[0] 'quadric_open' <-> dual[0] 'dual_quadric']" in err
+        assert report(capsys, 5, 6)["milnor_class"] == [0] * 6
 
 
 class TestScalars:
