@@ -12,20 +12,28 @@ boxes, built box by box (a row strip from the first empty row up), with
 the last box added where it is found, and each strip is its one LR
 tableau.  One `lr_multiply` call multiplies a whole chain of factors, and
 its terms stay padded to r parts from the first product to the last.
+`integrate(x, ones)` is the integral of x * sigma_1^ones; it needs no
+product, since the integral of sigma_lambda * sigma_1^ones counts the
+standard tableaux of the skew shape box/lambda, which Frobenius' formula
+gives in closed form.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from itertools import combinations
+from math import factorial, prod
 from operator import index, sub
 
 # Most LR tableaux one product may generate.  Their number, not the box,
 # sets the cost: on G(10, 20) the staircase products (5,4,3,2,1)^2 and
 # (6,5,4,3,2,1)^2 generate 26,704 and 1,095,308 tableaux, in 0.35 s and 15 s
-# as `chow` processes on a 2-core VM.  A Pieri strip is cheaper: sigma_1^100
-# (at most 28,618 strips a product) takes 0.7 to 1.1 s there and
-# (1,1)^40 * 1^20 0.8 to 1.5 s.  The slowest accepted input found,
-# (2,1)^11 * 1 * (1,1)^33, takes 1.3 to 2.0 s.
+# as `chow` processes on a 2-core VM.  A Pieri strip is cheaper:
+# (1,1)^40 * 1^20 takes 0.8 to 1.5 s there.  A sigma_1 product never reaches
+# the limit (see `cli._cmd_chow`), and `chow --integrate` integrates a
+# trailing run of sigma_1 factors in closed form: sigma_1^100 takes under
+# 0.2 s, where its 100 products took 0.7 to 1.1 s.  The slowest accepted
+# input found, (2,1)^11 * 1 * (1,1)^33, takes 1.3 to 2.0 s.
 MAX_LR_TABLEAUX = 100_000
 
 
@@ -225,7 +233,38 @@ def lr_multiply(a: ChowElement, *factors: ChowElement) -> ChowElement:
     return prod
 
 
-def integrate(x: ChowElement) -> int:
-    """Coefficient of the full-box class; all other classes integrate to 0."""
-    full = tuple([x.n - x.r] * x.r) if x.r and x.n - x.r else ()
-    return x.terms.get(normalize_partition(full), 0)
+def integrate(x: ChowElement, ones: int = 0) -> int:
+    """Integral of x * sigma_1^ones over G(r, n): the sum of c_lam * f(lam)
+    over the terms c_lam sigma_lam of x with |lam| = dim - ones, where f(lam)
+    counts the standard tableaux of the skew shape box/lam.  Other terms
+    integrate to 0 by degree.
+
+    Turned by 180 degrees, box/lam is the straight shape with parts
+    cols - lam_j, read from the last of the r parts of lam (zero parts
+    included) to the first.  Frobenius' formula counts its tableaux: with
+    l_j = cols + j - lam_j for j = 0..r-1, strictly increasing,
+        f(lam) = ones! * prod_(i<j) (l_j - l_i) / prod_j l_j!.
+    The quotient is checked to be exact.  With ones = 0 only the full box
+    has the right degree, and f of it is 1: the integral is the coefficient
+    of the full-box class.
+    """
+    ones = index(ones)
+    if ones < 0:
+        raise ValueError(f"sigma_1 cannot be raised to the power {ones}")
+    rows, cols = x.r, x.n - x.r
+    total = 0
+    for lam, c in x.terms.items():
+        if sum(lam) + ones != rows * cols:
+            continue
+        ls = [cols + j - p for j, p in enumerate(lam + (0,) * (rows - len(lam)))]
+        count, rest = divmod(
+            factorial(ones) * prod(b - a for a, b in combinations(ls, 2)),
+            prod(map(factorial, ls)),
+        )
+        if rest:
+            raise ArithmeticError(
+                f"the tableaux of the {rows}x{cols} box minus {lam} "
+                "are not a whole number"
+            )
+        total += c * count
+    return total

@@ -538,6 +538,15 @@ class TestChow:
         code, _, _ = run(capsys, "chow", "--r", "5", "--n", "4", "--integrate", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("r, n", [(2, 2), (0, 3)])
+    def test_sigma1_factors_not_multiplied_keep_their_box_check(self, capsys, r, n):
+        # sigma_1 on G(2, 2) or G(0, 3), whose boxes hold no box: the
+        # integral of a trailing sigma_1 run needs no product, but each
+        # factor is still built and checked
+        code, out, err = run(capsys, "chow", "--r", str(r), "--n", str(n), "--integrate", "1")
+        assert code == 2 and out == ""
+        assert err == f"error: partition (1,) does not fit the {r}x{n - r} box\n"
+
     def test_box_over_limit_rejected(self):
         # G(20, 40) has C(40, 20), about 1.4e11, Schubert classes
         proc = run_limited("chow", "--r", "20", "--n", "40", "--integrate", "1")

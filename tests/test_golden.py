@@ -44,6 +44,8 @@ CASES = {
     "chow_integrate_g24": (["chow", "--r", "2", "--n", "4", "--integrate", "2", "2"], None),
     "chow_integrate_g36": (["chow", "--r", "3", "--n", "6", "--integrate"] + ["1"] * 9, None),
     "chow_integrate_g48_zero": (["chow", "--r", "4", "--n", "8", "--integrate", "2,1"], None),
+    # a general factor, then a trailing run of sigma_1 factors
+    "chow_integrate_g37_tail": (["chow", "--r", "3", "--n", "7", "--integrate", "2,1"] + ["1"] * 9, None),
     "chow_mult_g49": (["chow", "--r", "4", "--n", "9", "--mult", "3,2,1", "2,2,1"], None),
     "chow_mult_g510": (["chow", "--r", "5", "--n", "10", "--mult", "3,2,1", "3,2,1"], None),
     "chow_integrate_g49": (

@@ -1,15 +1,22 @@
 import random
 import sys
 from functools import reduce
-from itertools import combinations_with_replacement
-from math import comb
+from itertools import combinations_with_replacement, zip_longest
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chernmather import grassmann
-from chernmather.grassmann import ChowElement, integrate, lr_multiply, normalize_partition
+from chernmather.cli import MAX_CHOW_N
+from chernmather.grassmann import (
+    MAX_LR_TABLEAUX,
+    ChowElement,
+    integrate,
+    lr_multiply,
+    normalize_partition,
+)
 
 from oracles import (
     BundleChern,
@@ -346,6 +353,47 @@ class TestTableauBudget:
         # and the count saw the helper: one root call per term of a
         assert calls["column" if len(mu) > 1 else "row"] >= len(a_terms)
 
+    def test_sigma1_product_is_under_the_limit(self):
+        # `chow --integrate` does not multiply its trailing sigma_1 factors,
+        # and so drops no product that could exceed the limit: the terms of
+        # a chain's product have one degree, and a sigma_1 product makes at
+        # most `rows` strips from each.  by_size[i][j][d] counts the
+        # partitions of d in the i x j box, the coefficients of the Gaussian
+        # binomial: a partition has fewer than i parts, or i parts, each one
+        # more than those of a partition in the i x (j-1) box.
+        worst = {}
+        for n in range(MAX_CHOW_N + 1):
+            by_size = [[[1]] * (n + 1)]
+            for i in range(1, n + 1):
+                by_size.append([[1]])
+                for j in range(1, n - i + 1):
+                    fewer, full = by_size[i - 1][j], [0] * i + by_size[i][j - 1]
+                    by_size[i].append([x + y for x, y in zip_longest(fewer, full, fillvalue=0)])
+            for rows in range(n + 1):
+                sizes = by_size[rows][n - rows]
+                assert sum(sizes) == comb(n, rows)
+                if n <= 8:
+                    assert sizes == [
+                        sum(1 for p in partitions_in_box(rows, n - rows) if sum(p) == d)
+                        for d in range(len(sizes))
+                    ]
+                worst[rows, n] = max(sizes) * rows
+                assert worst[rows, n] < MAX_LR_TABLEAUX, (rows, n)
+        assert worst[10, 20] == 5_448 * 10
+        assert max(worst.values()) == worst[11, 20] == 4_968 * 11
+
+    def test_sigma1_product_makes_at_most_rows_strips_a_term(self):
+        for rows in range(1, 6):
+            for cols in range(1, 6):
+                n = rows + cols
+                s1 = sigma((1,), rows, n)
+                for d in range(rows * cols):
+                    x = ChowElement(rows, n, {
+                        p: 1 for p in partitions_in_box(rows, cols) if sum(p) == d
+                    })
+                    _, calls = grassmann_calls(lambda: lr_multiply(x, s1), "add")
+                    assert calls["add"] <= rows * len(x.terms)
+
 
 class TestChains:
     def test_random_chains_match_fold_and_oracle(self):
@@ -456,6 +504,75 @@ class TestIntegrate:
         assert integrate(one) == 1
         assert integrate(ChowElement.one(3, 3)) == 1
         assert list(partitions_in_box(0, 3)) == [()]
+
+    def test_closed_form_matches_sigma1_chain(self):
+        # integrate(x, m) against the integral of x * sigma_1^m multiplied
+        # out, in every box up to 5 x 5 and for every m from 0 to dim.  x is
+        # a * f_1 * ... * f_k, with general factors f_i and a holding classes
+        # of one degree with coefficients of both signs, and sometimes a
+        # class of another degree, which integrates to 0 either way.
+        rng = random.Random(35)
+        coeffs = [-3, -2, -1, 1, 2, 3]
+        checked = nonzero = 0
+        for rows in range(1, 6):
+            for cols in range(1, 6):
+                n, top = rows + cols, rows * cols
+                s1 = sigma((1,), rows, n)
+                sizes = {}
+                for p in partitions_in_box(rows, cols):
+                    sizes.setdefault(sum(p), []).append(p)
+                general = [p for p in sizes.get(3, []) + sizes.get(4, []) if p[0] > 1 and len(p) > 1]
+                for m in range(top + 1):
+                    fs, left = [], top - m
+                    for _ in range(rng.randrange(3)):
+                        mu = rng.choice(general) if general else None
+                        if mu and sum(mu) <= left:
+                            fs.append(sigma(mu, rows, n))
+                            left -= sum(mu)
+                    same = sizes[left]
+                    a_terms = {lam: rng.choice(coeffs) for lam in rng.sample(same, min(3, len(same)))}
+                    if len(same) > 1:
+                        lam, mu = rng.sample(same, 2)
+                        a_terms[lam], a_terms[mu] = 2, -1
+                    if rng.random() < 0.3:
+                        a_terms[rng.choice(sizes[rng.choice(list(sizes))])] = 5
+                    a = ChowElement(rows, n, a_terms)
+                    want = integrate(lr_multiply(a, *fs, *[s1] * m))
+                    assert integrate(lr_multiply(a, *fs), m) == want, (a_terms, fs, m)
+                    checked += 1
+                    nonzero += want != 0
+        assert checked == sum(r * c + 1 for r in range(1, 6) for c in range(1, 6))
+        assert nonzero >= checked * 3 // 4
+
+    def test_unit_class_matches_hook_length_oracle(self):
+        # the integral of sigma_lam * sigma_1^(dim - |lam|), the standard
+        # tableaux of box/lam, for every lam in every box up to 6 x 6
+        for rows in range(7):
+            for cols in range(7):
+                n = rows + cols
+                for lam in partitions_in_box(rows, cols):
+                    got = integrate(sigma(lam, rows, n), rows * cols - sum(lam))
+                    assert got == box_minus_tableaux(lam, rows, cols), (rows, cols, lam)
+
+    def test_off_degree_terms_integrate_to_zero(self):
+        x = ChowElement(3, 6, {(2, 1): 4, (3, 3, 1): 7})
+        assert integrate(x, 6) == 4 * box_minus_tableaux((2, 1), 3, 3) != 0
+        assert integrate(x, 2) == 7 * box_minus_tableaux((3, 3, 1), 3, 3) != 0
+        assert integrate(x, 3) == integrate(x, 10) == integrate(x) == 0
+
+    def test_inexact_quotient_raises(self, monkeypatch):
+        # on G(2, 4), the integral of sigma_1^4 is 4! * 1 / (2! 3!) = 2; with
+        # 4! taken as 25 the quotient leaves a remainder
+        one = ChowElement.one(2, 4)
+        assert integrate(one, 4) == 2
+        monkeypatch.setattr(grassmann, "factorial", lambda k: factorial(k) + (k == 4))
+        with pytest.raises(ArithmeticError) as exc:
+            integrate(one, 4)
+        assert str(exc.value) == "the tableaux of the 2x2 box minus () are not a whole number"
+
+    def test_negative_power_rejected(self):
+        with pytest.raises(ValueError):
+            integrate(ChowElement.one(2, 4), -1)
 
 
 class TestTautologicalBundles:

@@ -91,6 +91,7 @@ def test_library_block_runs_as_written():
         "cross_validate(spec, build_pair(spec)).primal": ((1, 2), (0, 1)),
         "integrate(lr_multiply(lr_multiply(s1, s1), lr_multiply(s1, s1)))": 2,
         "integrate(lr_multiply(s1, s1, s1, s1))": 2,
+        "integrate(s1, 3)": 2,
     }
     assert namespace["q"] == ClassPoly([0, 2, 4, 4])
     q3, pair, table = namespace["q3"], namespace["pair"], namespace["table"]
