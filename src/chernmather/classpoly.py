@@ -14,8 +14,9 @@ Applied to signed class polynomials (sign (-1)^dim) it interchanges the
 Chern-Mather classes of a projective variety and of its dual variety.
 `involute_all` transforms a list of classes in one pass of Horner's rule
 for the shift f(-1-H), on integers that hold the classes' coefficients
-side by side; `involute` is the one-class case.  `_unpack` reads such an
-integer of signed digits back, here and in the localization of `detvar`.
+side by side; `involute` is the one-class case, checked pointwise.
+`_unpack` reads such an integer of signed digits back, here and in the
+localization of `detvar`.
 """
 
 from __future__ import annotations
@@ -200,8 +201,19 @@ def csm_linear_space(k: int, modulus: int) -> ClassPoly:
 
 def involute(f: ClassPoly, d: int) -> ClassPoly:
     """The duality transform f(-1-H) - f(-1) * ((1+H)^(d+1) - H^(d+1)) of
-    one class: `involute_all([f], d)[0]`."""
-    return involute_all([f], d)[0]
+    one class: `involute_all([f], d)[0]`, checked against that formula at
+    H = 1, 2, -2 and -3.  Both sides are exact polynomials of degree at most
+    d + 1, so a wrong coefficient shows unless the error vanishes at all
+    four points; a mismatch raises ArithmeticError."""
+    result = involute_all([f], d)[0]
+    v = f.eval(-1)
+    for t in (1, 2, -2, -3):
+        if result.eval(t) != f.eval(-1 - t) - v * ((1 + t) ** (d + 1) - t ** (d + 1)):
+            raise ArithmeticError(
+                f"the duality transform of degree {d} disagrees with its "
+                f"defining formula at H = {t}"
+            )
+    return result
 
 
 def involute_all(fs: Sequence[ClassPoly], d: int) -> list[ClassPoly]:

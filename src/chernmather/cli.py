@@ -279,13 +279,22 @@ def _cmd_chow(args):
         raise ValueError(f"G({r},{n}) is not a Grassmannian")
     _at_most("--n", n, MAX_CHOW_N)
     mode = "mult" if args.mult else "integrate"
-    parts = [_parse_partition(p) for p in getattr(args, mode)]
-    inputs = {"r": r, "n": n, mode: [_join(p) for p in parts]}
+    # A chain is a multiset: each distinct token is parsed once, in command
+    # line order, and each distinct partition echoed once and built once, in
+    # product order, so errors keep the precedence of one pass per factor.
+    # The repeats share one ChowElement, which lr_multiply only reads.
+    tokens = getattr(args, mode)
+    partition = {t: _parse_partition(t) for t in dict.fromkeys(tokens)}
+    parts = [partition[t] for t in tokens]
+    echo = {p: _join(p) for p in partition.values()}
+    inputs = {"r": r, "n": n, mode: [echo[p] for p in parts]}
     # one product order per multiset: general factors, then sorted Pieri strips
     if args.integrate:
-        parts.sort(key=lambda p: (len(p) == 1 or set(p) == {1}, p))
+        rank = {p: (len(p) == 1 or set(p) == {1}, p) for p in echo}
+        parts.sort(key=rank.__getitem__)
     # sigma of the empty partition is the unit, so it is not multiplied in
-    factors = [ChowElement.sigma(p, r, n) for p in parts if p]
+    sigma = {p: ChowElement.sigma(p, r, n) for p in dict.fromkeys(parts) if p}
+    factors = [sigma[p] for p in parts if p]
     if args.integrate and sum(map(sum, parts)) != r * (n - r):
         return inputs, {"integral": 0}, {}, None  # 0 by degree
     if args.mult:

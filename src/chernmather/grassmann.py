@@ -33,7 +33,9 @@ from operator import index, sub
 # the limit (see `cli._cmd_chow`), and `chow --integrate` integrates a
 # trailing run of sigma_1 factors in closed form: sigma_1^100 takes under
 # 0.2 s, where its 100 products took 0.7 to 1.1 s.  The slowest accepted
-# input found, (2,1)^11 * 1 * (1,1)^33, takes 1.3 to 2.0 s.
+# inputs found, (2,1)^11 * 1 * (1,1)^33, (3,2,1)^4 * (1,1)^38 and
+# (3,1)^7 * (1,1)^36, take 1.1 to 1.6 s each as processes (up to 3 s on a
+# busier host).
 MAX_LR_TABLEAUX = 100_000
 
 

@@ -14,7 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chernmather
-from chernmather.classpoly import ClassPoly
+from chernmather import classpoly
+from chernmather.classpoly import ClassPoly, involute_all
 from chernmather.cli import (
     MAX_CHOW_N,
     MAX_DETVAR_N,
@@ -23,7 +24,7 @@ from chernmather.cli import (
     _plain_args,
     main,
 )
-from chernmather.grassmann import MAX_LR_TABLEAUX
+from chernmather.grassmann import MAX_LR_TABLEAUX, ChowElement
 from chernmather.quadric import QuadricSpec, build_pair
 from chernmather.strata import MAX_AMBIENT, MAX_STRATA, euler_table
 
@@ -146,6 +147,21 @@ class TestInvolute:
         code, out, err = run(capsys, "involute", "--d", "1022", "--poly", poly)
         assert code == 2 and out == ""
         assert err == too_long("the report")
+
+    def test_wrong_transform_exits_3(self, capsys, monkeypatch):
+        # one coefficient off in the packed transform: the pointwise check
+        # of the defining formula catches it
+        def off_by_one(fs, d):
+            (g,) = involute_all(fs, d)
+            return [ClassPoly([g.coeffs[0], g.coeffs[1] + 1, *g.coeffs[2:]])]
+
+        monkeypatch.setattr(classpoly, "involute_all", off_by_one)
+        code, out, err = run(capsys, "involute", "--d", "5", "--poly", "0,3,9,10,6,3")
+        assert code == 3 and out == ""
+        assert err == (
+            "error: the duality transform of degree 5 disagrees with its "
+            "defining formula at H = 1\n"
+        )
 
 
 class TestSolve:
@@ -546,6 +562,51 @@ class TestChow:
         code, out, err = run(capsys, "chow", "--r", str(r), "--n", str(n), "--integrate", "1")
         assert code == 2 and out == ""
         assert err == f"error: partition (1,) does not fit the {r}x{n - r} box\n"
+
+    @pytest.fixture
+    def sigma_calls(self, monkeypatch):
+        """The partitions ChowElement.sigma is called with, in call order."""
+        calls, sigma = [], ChowElement.sigma
+        monkeypatch.setattr(
+            ChowElement, "sigma", staticmethod(lambda p, r, n: calls.append(p) or sigma(p, r, n))
+        )
+        return calls
+
+    def test_repeated_factor_built_once(self, capsys, sigma_calls):
+        report = run_json(capsys, "chow", "--r", "3", "--n", "6", "--integrate", *["1"] * 9)
+        assert report["outputs"]["integral"] == 42
+        assert sigma_calls == [(1,)]
+
+    def test_one_sigma_per_distinct_factor(self, capsys, sigma_calls):
+        # built in product order: the general factor first, then the strip
+        argv = ["--integrate", "1", "2,1", "1", "2,1", "1", "2,1"]
+        run_json(capsys, "chow", "--r", "3", "--n", "7", *argv)
+        assert sigma_calls == [(2, 1), (1,)]
+
+    def test_spellings_of_one_partition_give_one_report(self, capsys):
+        chow = ["chow", "--r", "3", "--n", "6", "--integrate"]
+        _, same, _ = run(capsys, *chow, "2,1", "2,1", "2,1")
+        _, spelled, _ = run(capsys, *chow, "2,1", "2,1,0", "02,1")
+        assert spelled == same
+        assert json.loads(same)["inputs"]["integrate"] == ["2,1"] * 3
+
+    def test_first_malformed_token_named_after_repeats(self, capsys):
+        argv = ["--integrate", "1", "1", "3", "1", "2,x", "1", "4,y", "2,x"]
+        code, out, err = run(capsys, "chow", "--r", "2", "--n", "4", *argv)
+        assert code == 2 and out == ""
+        assert err == "error: malformed partition '2,x'\n"
+
+    def test_first_misfit_in_product_order_named(self, capsys):
+        # no factor fits sigma_1 on G(2, 2); on G(2, 4) the strips sort as
+        # 1 < 1,1,1 < 3, so the column is the first misfit of the product
+        argv = ["--integrate", "1", "1", "1"]
+        code, out, err = run(capsys, "chow", "--r", "2", "--n", "2", *argv)
+        assert code == 2 and out == ""
+        assert err == "error: partition (1,) does not fit the 2x0 box\n"
+        argv = ["--integrate", "3", "1", "1,1,1", "1", "3"]
+        code, out, err = run(capsys, "chow", "--r", "2", "--n", "4", *argv)
+        assert code == 2 and out == ""
+        assert err == "error: partition (1, 1, 1) does not fit the 2x2 box\n"
 
     def test_box_over_limit_rejected(self):
         # G(20, 40) has C(40, 20), about 1.4e11, Schubert classes

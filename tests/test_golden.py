@@ -52,6 +52,11 @@ CASES = {
         ["chow", "--r", "4", "--n", "9", "--integrate", "2,1", "2,1", "3,1", "2,2", "1,1", "3", "1"],
         None,
     ),
+    # a tall box, repeated factors and two spellings of one partition
+    "chow_integrate_g47_repeats": (
+        ["chow", "--r", "4", "--n", "7", "--integrate", "2,1", "2,1,0", "1,1", "1,1", "1", "1"],
+        None,
+    ),
     "text_involute": (["involute", "--d", "2", "--poly", "0,1", "--format", "text"], None),
     "text_solve": (["solve", FIXTURE, "--format", "text"], None),
     "text_detvar_n3": (["detvar", "--n", "3", "--format", "text"], None),
