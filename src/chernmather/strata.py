@@ -9,7 +9,9 @@ For each paired stratum r the duality transform yields one linear system:
     I_{N-1}( (-1)^dX * sum_{i>=r} a_i * csm_i )
         = (-1)^dY * sum_{j>=p(r)} b_j * csm'_j,     a_r = b_{p(r)} = 1,
 
-with dX, dY the dimensions of the two designated strata.  Matching the
+with dX, dY the dimensions of the two designated strata.  A class of
+dimension k starts at H^(N-1-k), so each class fixes its stratum's
+dimension, and a declared one must agree with it.  Matching the
 coefficients of H^0..H^(N-1) gives N equations; the unique integer solution
 is the family of local Euler obstructions of the closure of stratum r (and,
 through the b's, of its dual).
@@ -22,7 +24,7 @@ matrix into the two unit-triangular tables and the parity signs (Aluffi,
 Projective duality and a Chern-Mather involution).  A failed check there
 sends the pair, unchanged, through one exact solve per system, which also
 takes every other pairing, such as a singular quadric's; that route names
-the failing system and diagnoses wrong parities.
+the failing system.
 
 `euler_table` weights the class polynomials by each row for the
 Chern-Mather class of every stratum closure on both sides; a primal class
@@ -39,7 +41,7 @@ from itertools import repeat, zip_longest
 from operator import mul, neg, sub
 
 from .classpoly import ClassPoly, chern_B, involute_all
-from .linsolve import InconsistentSystem, LinearSystemError, exact_solve
+from .linsolve import exact_solve
 
 # Largest accepted N: every class is stored densely with N coefficients and
 # each system has N equations.  At N = 1024, on a 2-core VM, `chernmather
@@ -64,12 +66,12 @@ def _is_int(value) -> bool:
 
 
 class Stratum(namedtuple("Stratum", "name csm dim")):
-    """A named stratum with its declared dimension and class polynomial.
+    """A named stratum with its dimension and class polynomial.
 
-    The declared dimension orders the strata and sets the parity signs of
-    the duality systems (input files always state one); any disagreement
-    with the dimension implied by the lowest nonzero coefficient of the
-    class is surfaced as a diagnostic, not an error.
+    The dimension orders the strata and sets the parity signs of the duality
+    systems.  Input files state it, and it must be the one the class fixes,
+    N - 1 minus the power of its lowest nonzero coefficient: a stratum whose
+    declared dimension its class contradicts is an error.
 
     Like the other value classes here and `quadric.QuadricSpec`, a
     namedtuple: immutable, and equal to and hashed as the plain tuple of its
@@ -82,25 +84,20 @@ class Stratum(namedtuple("Stratum", "name csm dim")):
     def __new__(cls, name: str, csm: ClassPoly, dim: int):
         if csm.is_zero():
             raise ValueError(f"stratum {name!r} has zero class polynomial")
-        if dim < 0:
-            raise ValueError(f"stratum {name!r} has negative dimension")
-        return super().__new__(cls, name, csm, dim)
-
-    def dim_note(self) -> str | None:
-        if self.dim != self.csm.dim:
-            return (
-                f"stratum {self.name!r}: declared dimension {self.dim} "
-                f"differs from the class-implied {self.csm.dim}"
+        if dim != csm.dim:
+            raise ValueError(
+                f"stratum {name!r} declares dimension {dim}, but its class "
+                f"has dimension {csm.dim}"
             )
-        return None
+        return super().__new__(cls, name, csm, dim)
 
 
 class StratifiedPair(namedtuple("StratifiedPair", "ambient primal dual pairing")):
     """A stratified projective variety together with its stratified dual.
 
     ambient is N: classes live in Z[H]/(H^N), i.e. inside P^(N-1).  primal
-    and dual are tuples of strata, re-sorted by declared dimension (open
-    stratum first), which is at most N - 1; pairing is a sorted tuple of
+    and dual are tuples of strata, re-sorted by dimension (open stratum
+    first), each the one its class fixes; pairing is a sorted tuple of
     (primal, dual) index pairs and must make the dual dimensions strictly
     increasing along deeper primal strata; it is empty when N = 1, where
     there is no duality transform.  A namedtuple, as `Stratum`
@@ -121,7 +118,7 @@ class StratifiedPair(namedtuple("StratifiedPair", "ambient primal dual pairing")
             raise ValueError("both sides need at least one stratum")
 
         def _sorted(side, label):
-            """Check names, moduli and dimensions, then order by dimension."""
+            """Check names and moduli, then order by dimension."""
             names: set[str] = set()
             for s in side:
                 if s.name in names:
@@ -131,11 +128,6 @@ class StratifiedPair(namedtuple("StratifiedPair", "ambient primal dual pairing")
                     raise ValueError(
                         f"{label} stratum {s.name!r} has modulus "
                         f"{s.csm.modulus}, expected {ambient}"
-                    )
-                if s.dim > ambient - 1:
-                    raise ValueError(
-                        f"{label} stratum {s.name!r} has dimension {s.dim}, "
-                        f"above that of the ambient P^{ambient - 1}"
                     )
             order = sorted(range(len(side)), key=lambda i: -side[i].dim)
             remap = {old: new for new, old in enumerate(order)}
@@ -168,10 +160,6 @@ class StratifiedPair(namedtuple("StratifiedPair", "ambient primal dual pairing")
             )
 
         return super().__new__(cls, ambient, primal, dual, pairing)
-
-    def dim_notes(self) -> list[str]:
-        notes = [s.dim_note() for s in self.primal + self.dual]
-        return [n for n in notes if n]
 
     # -- JSON interchange ------------------------------------------------
 
@@ -281,7 +269,7 @@ def _signed(sign: int, coeffs):
     return coeffs if sign > 0 else list(map(neg, coeffs))
 
 
-def _signed_system(pair: StratifiedPair, inv, r: int, p: int, signs=True):
+def _signed_system(pair: StratifiedPair, inv, r: int, p: int):
     """Rows and right-hand sides of the coefficient-matching system for
     paired strata (r, p), given the transforms `inv` of the primal classes;
     the unknowns are the primal weights beyond r, then the dual ones beyond p.
@@ -292,8 +280,7 @@ def _signed_system(pair: StratifiedPair, inv, r: int, p: int, signs=True):
     signed class columns are transposed into rows in one C-level pass; with
     no unknowns there are still N rows, empty, so the solver's residual
     check covers every equation."""
-    sx = (-1) ** pair.primal[r].dim if signs else 1
-    sy = (-1) ** pair.dual[p].dim if signs else 1
+    sx, sy = (-1) ** pair.primal[r].dim, (-1) ** pair.dual[p].dim
     cols = [_signed(sx, f.coeffs) for f in inv[r + 1 :]]
     cols += [_signed(-sy, s.csm.coeffs) for s in pair.dual[p + 1 :]]
     rows = list(zip(*cols)) if cols else [()] * pair.ambient
@@ -321,20 +308,18 @@ def _chain_rows(pair: StratifiedPair, inv):
 
     tau comes by forward substitution on the coefficient of each Y_k at its
     codimension and is checked on all N coefficients, so an inexact quotient
-    shows as a residual.  An exact tau over classes of distinct codimension
-    and pivots s_t prove each system consistent with linearly independent
-    unknown columns, so the rows are the unique solutions `_solve_paired`
-    returns.  Any other pairing, paired dual classes not of strictly
-    increasing codimension along the dual strata, a residual or a pivot
-    other than s_t gives None."""
+    shows as a residual.  Reflectivity makes the dimensions of the Y_k rise
+    with k, so, each fixed by its class, their codimensions fall: an exact
+    tau and pivots s_t prove each system consistent with linearly
+    independent unknown columns, so the rows are the unique solutions
+    `_solve_paired` returns.  Any other pairing, a residual or a pivot other
+    than s_t gives None."""
     n_p, n_d, T = len(pair.primal), len(pair.dual), len(pair.pairing)
     if pair.pairing != tuple((n_p - T + t, n_d - 1 - t) for t in range(T)):
         return None
     primal, dual = pair.primal[n_p - T :], pair.dual[n_d - T :][::-1]
     ys = [s.csm.coeffs for s in dual]
     codims = [s.csm.codim for s in dual]
-    if any(c <= d for c, d in zip(codims, codims[1:])):
-        return None
     # Y_k vanishes below codims[k], which falls with k: solve from k = T-1 down
     tau = []
     for f in inv[n_p - T :]:
@@ -368,20 +353,7 @@ def _chain_rows(pair: StratifiedPair, inv):
 def _solve_paired(pair: StratifiedPair, inv, r: int, p: int):
     """Solve the system of the pair (r, p), given the transforms `inv`: the
     primal row from stratum r on and the dual row from p on, each led by 1."""
-    context = _system_name(pair, r, p)
-    try:
-        sol = exact_solve(*_signed_system(pair, inv, r, p), context)
-    except InconsistentSystem as exc:
-        # Diagnose whether dropping the parity signs would have worked;
-        # that points at wrongly declared stratum dimensions.
-        try:
-            exact_solve(*_signed_system(pair, inv, r, p, signs=False), context)
-        except LinearSystemError:
-            raise exc from None
-        raise InconsistentSystem(
-            f"{exc}; note: the system becomes consistent without the "
-            "(-1)^dim parity factors, check the declared stratum dimensions"
-        ) from None
+    sol = exact_solve(*_signed_system(pair, inv, r, p), _system_name(pair, r, p))
     cut = len(pair.primal) - r - 1
     return (1, *sol[:cut]), (1, *sol[cut:])
 
@@ -481,8 +453,6 @@ def euler_table(pair: StratifiedPair) -> EulerTable:
     # a generic hyperplane slice of the cone.  The sum is the class at H = -1.
     sign = (-1) ** (pair.ambient - 1)
     origin = tuple(sign * cm.eval(-1) for cm in classes[0])
-    for note in pair.dim_notes():
-        diags.append({"system": "input", "note": note, "residual": "n/a"})
     return EulerTable(*tables, origin, *classes, tuple(diags))
 
 

@@ -341,12 +341,11 @@ def signed(f: ClassPoly) -> ClassPoly:
     return f if f.dim % 2 == 0 else -f
 
 
-def signed_system(pair: StratifiedPair, inv, r: int, p: int, signs=True):
+def signed_system(pair: StratifiedPair, inv, r: int, p: int):
     """Rows and right-hand sides of the system of the pair (r, p), given the
     transforms `inv` of the primal classes: one row per power of H, from
     H^(N-1) down to H^0, each entry signed on its own."""
-    sx = (-1) ** pair.primal[r].dim if signs else 1
-    sy = (-1) ** pair.dual[p].dim if signs else 1
+    sx, sy = (-1) ** pair.primal[r].dim, (-1) ** pair.dual[p].dim
     x, y = inv[r].coeffs, pair.dual[p].csm.coeffs
     prim = [f.coeffs for f in inv[r + 1 :]]
     dual = [s.csm.coeffs for s in pair.dual[p + 1 :]]

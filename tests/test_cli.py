@@ -337,7 +337,7 @@ class TestSolve:
                 {"name": "open", "dim": 2, "csm": [0, 2, 4, 2]},
                 {"name": "fat_point", "dim": 0, "csm": [0, 0, 0, 2]},
             ],
-            "dual": [{"name": "rigged", "dim": 1, "csm": [0, -1, -1, -1]}],
+            "dual": [{"name": "rigged", "dim": 2, "csm": [0, 1, 1, 1]}],
             "pairing": [[0, 0]],
         }))
         code, out, err = run(capsys, "solve", str(rigged))
@@ -372,7 +372,8 @@ class TestSolve:
         )
 
     def test_dimension_above_ambient_exits_2(self, capsys, tmp_path):
-        # the README's cone pair with the conic declared far beyond P^3
+        # the README's cone pair with the conic declared far beyond P^3,
+        # where its class fixes dimension 1
         pair = tmp_path / "cone.json"
         pair.write_text(json.dumps({
             "N": 4,
@@ -386,8 +387,8 @@ class TestSolve:
         code, out, err = run(capsys, "solve", str(pair))
         assert code == 2 and out == ""
         assert err == (
-            "error: dual stratum 'conic' has dimension 1000001, "
-            "above that of the ambient P^3\n"
+            "error: stratum 'conic' declares dimension 1000001, "
+            "but its class has dimension 1\n"
         )
 
 

@@ -26,6 +26,9 @@ CASES = {
         None,
     ),
     "solve_symmetric_3x3": (["solve", FIXTURE], None),
+    # the rank-4 quadric in P^5 with its singular line split at a point:
+    # not a chain pairing, and two unknowns in each of its two systems
+    "solve_quadric_split_locus": (["solve", str(DATA / "quadric_split_locus.json")], None),
     **{f"detvar_n{n}": (["detvar", "--n", str(n)], None) for n in range(2, 7)},
     "detvar_n3_emit": (["detvar", "--n", "3", "--emit-strata", "strata.json"], "strata.json"),
     **{

@@ -153,44 +153,35 @@ class TestSolveSystem:
             Stratum("open", ClassPoly([0, 2, 4, 2], 4), 2),
             Stratum("fat_point", ClassPoly([0, 0, 0, 2], 4), 0),
         ]
-        dual = [Stratum("rigged", ClassPoly([0, -1, -1, -1], 4), 1)]
+        dual = [Stratum("rigged", ClassPoly([0, 1, 1, 1], 4), 2)]
         pair = StratifiedPair(4, primal, dual, [(0, 0)])
         with pytest.raises(NonIntegerSolution):
             euler_table(pair)
 
-    def test_wrong_parity_dims_point_at_unsigned_form(self):
-        # flipping the parity of the declared dimension on one side only
-        # makes the signed system inconsistent; the solver should notice the
-        # unsigned one would have worked and say so
-        primal = [
-            Stratum("corank1", SYM3_CORANK1, 5),  # true class dim is 4
-            Stratum("corank2", SYM3_CORANK2, 3),  # true class dim is 2
+    def test_wrong_parity_dims_rejected(self, capsys, tmp_path):
+        # each primal class declared one dimension above the one it fixes,
+        # which would flip the parity signs of both systems: the strata are
+        # rejected where they are built, and a file with them exits 2
+        for name, csm, dim in (("corank1", SYM3_CORANK1, 4), ("corank2", SYM3_CORANK2, 2)):
+            message = (
+                f"^stratum '{name}' declares dimension {dim + 1}, "
+                f"but its class has dimension {dim}$"
+            )
+            with pytest.raises(ValueError, match=message):
+                Stratum(name, csm, dim + 1)
+        side = [
+            {"name": "corank1", "dim": 4, "csm": SYM3_CORANK1.to_list()},
+            {"name": "corank2", "dim": 2, "csm": SYM3_CORANK2.to_list()},
         ]
-        dual = [
-            Stratum("corank1_d", SYM3_CORANK1, 4),
-            Stratum("corank2_d", SYM3_CORANK2, 2),
-        ]
-        pair = StratifiedPair(6, primal, dual, [(0, 1), (1, 0)])
-        with pytest.raises(InconsistentSystem, match="parity"):
-            euler_table(pair)
-
-    def test_fault_in_unsigned_retry_propagates(self, monkeypatch):
-        # only a solver failure of the unsigned system falls back to the
-        # original InconsistentSystem; any other error surfaces as it is
-        signed_system = strata._signed_system
-
-        def unsigned_fails(pair, inv, r, p, signs=True):
-            if not signs:
-                raise TypeError("fault in the unsigned system")
-            return signed_system(pair, inv, r, p)
-
-        monkeypatch.setattr(strata, "_signed_system", unsigned_fails)
-        bad = ClassPoly([0, 3, 9, 10, 6, 4], 6)  # corrupted top coefficient
-        primal = [Stratum("a", bad, 4), Stratum("b", SYM3_CORANK2, 2)]
-        dual = [Stratum("a_d", SYM3_CORANK1, 4), Stratum("b_d", SYM3_CORANK2, 2)]
-        pair = StratifiedPair(6, primal, dual, [(0, 1), (1, 0)])
-        with pytest.raises(TypeError, match="fault in the unsigned system"):
-            euler_table(pair)
+        flipped = [{**s, "dim": s["dim"] + 1} for s in side]
+        path = tmp_path / "parity.json"
+        data = {"N": 6, "primal": flipped, "dual": side, "pairing": [[0, 1], [1, 0]]}
+        path.write_text(json.dumps(data))
+        assert cli_main(["solve", str(path)]) == 2
+        assert capsys.readouterr() == (
+            "",
+            "error: stratum 'corank1' declares dimension 5, but its class has dimension 4\n",
+        )
 
 
 class TestEulerTable:
@@ -384,12 +375,13 @@ class TestChernMather:
 
 
 def random_side(rng, modulus, prefix):
-    """One to four strata of random nonzero classes and dimensions."""
+    """One to four strata of random nonzero classes, each of its own dimension."""
     side = []
     for i in range(rng.randint(1, 4)):
         coeffs = [rng.choice((0, rng.randint(-40, 40))) for _ in range(modulus)]
         coeffs[rng.randrange(modulus)] = rng.choice((-1, 1)) * rng.randint(1, 2**70)
-        side.append(Stratum(f"{prefix}{i}", ClassPoly(coeffs, modulus), rng.randrange(modulus)))
+        csm = ClassPoly(coeffs, modulus)
+        side.append(Stratum(f"{prefix}{i}", csm, csm.dim))
     return side
 
 
@@ -406,11 +398,10 @@ class TestSystemOracle:
             inv = involute_all([s.csm for s in pair.primal], modulus - 1)
             for r in range(len(pair.primal)):
                 for p in range(len(pair.dual)):
-                    for signs in (True, False):
-                        rows, rhs = strata._signed_system(pair, inv, r, p, signs)
-                        want_rows, want_rhs = signed_system(pair, inv, r, p, signs)
-                        assert list(map(list, rows)) == want_rows
-                        assert list(rhs) == want_rhs
+                    rows, rhs = strata._signed_system(pair, inv, r, p)
+                    want_rows, want_rhs = signed_system(pair, inv, r, p)
+                    assert list(map(list, rows)) == want_rows
+                    assert list(rhs) == want_rhs
 
     def test_no_unknowns_keeps_every_equation(self):
         pair = sym3_pair()
@@ -533,35 +524,24 @@ class TestChainRows:
         inv = involute_all([s.csm for s in pair.primal], 5)
         assert strata._chain_rows(pair._replace(pairing=((1, 2), (2, 0))), inv) is None
 
-    def test_codim_collision_declines(self):
-        # both paired dual classes start at H^1.  The primal classes are
-        # the transforms of tau = A^-1 S B, with rows A = ((1, 2), (0, 1)),
-        # B = ((1, 0), (3, 1)) and both signs -1 (dims 2 + 1 and 1 + 2)
-        y0, y1 = [0, 1, 1, 1, 1], [0, 1, 2, 3, 4]
-        tau = ((5, 2), (-3, -1))
-        inv = [ClassPoly([a * u + b * v for u, v in zip(y0, y1)], 5) for a, b in tau]
-        pair = StratifiedPair(
-            5,
-            [Stratum("x0", involute(inv[0], 4), 2), Stratum("x1", involute(inv[1], 4), 1)],
-            [Stratum("y1", ClassPoly(y1, 5), 2), Stratum("y0", ClassPoly(y0, 5), 1)],
-            [(0, 1), (1, 0)],
-        )
-        assert strata._chain_rows(pair, inv) is None
-        table = euler_table(pair)
-        assert [table.primal, table.dual] == [((1, 2), (0, 1)), ((1, 3), (0, 1))]
-
     def test_residual_declines(self):
-        # one transform gains H^39, a power at no dual codimension: the
-        # forward substitution never reads it, the residual check does
+        # class 1 (dimension 17, from H^22) gains a class on H^23..H^27 whose
+        # transform vanishes at the dual codimensions 3, 10, 18 and 31 but not
+        # everywhere: a vector from the nullspace of the 4 x 17 matrix of those
+        # coefficients of the transforms of H^23..H^39.  The forward
+        # substitution reads only those coefficients, the residual check all
         pair = linear_flag_pair(40, [30, 17, 9, 2])
-        inv = involute_all([s.csm for s in pair.primal], 39)
-        inv[1] = inv[1] + ClassPoly([0] * 39 + [1], 40)
-        assert strata._chain_rows(pair, inv) is None
+        extra = ClassPoly([0] * 23 + [7800, 23075, 24739, 11300, 1836], 40)
+        moved = involute(extra, 39).coeffs
+        assert [moved[c] for c in (3, 10, 18, 31)] == [0] * 4 and any(moved)
         primal = list(pair.primal)
-        primal[1] = Stratum("bad", involute(inv[1], 39), primal[1].dim)
+        primal[1] = Stratum("bad", primal[1].csm + extra, 17)
+        pair = pair._replace(primal=tuple(primal))
+        inv = involute_all([s.csm for s in pair.primal], 39)
+        assert strata._chain_rows(pair, inv) is None
         # stratum 1 is an unknown of the system of stratum 0, solved first
         with pytest.raises(InconsistentSystem, match="primal\\[0\\] 'flag0'"):
-            euler_table(pair._replace(primal=tuple(primal)))
+            euler_table(pair)
 
     def test_inexact_division_declines(self):
         # the transform is half the dual class, so the one system has no
@@ -652,13 +632,11 @@ class TestValidation:
 
     @pytest.mark.parametrize("dim", [6, 1000001])
     def test_dimension_above_ambient_rejected(self, dim):
-        # P^5 holds no stratum of dimension 6 or more, on either side
-        big = Stratum("big", SYM3_CORANK1, dim)
+        # P^5 holds no stratum of dimension 6 or more: no class there has one
+        message = f"^stratum 'big' declares dimension {dim}, but its class has dimension 4$"
+        with pytest.raises(ValueError, match=message):
+            Stratum("big", SYM3_CORANK1, dim)
         fine = [Stratum("fine", SYM3_CORANK1, 4)]
-        with pytest.raises(ValueError, match=f"primal stratum 'big' has dimension {dim}"):
-            StratifiedPair(6, [big], fine, [])
-        with pytest.raises(ValueError, match=f"dual stratum 'big' has dimension {dim}"):
-            StratifiedPair(6, fine, [big], [])
         assert StratifiedPair(6, [Stratum("top", SYM3_OPEN, 5)], fine, []).primal[0].dim == 5
 
     def test_value_classes_are_immutable_values(self):
@@ -675,11 +653,6 @@ class TestValidation:
                 setattr(value, field, 0)
             with pytest.raises(AttributeError):
                 value.extra = 0
-
-    def test_dim_notes(self):
-        s = Stratum("odd", SYM3_CORANK1, 6)
-        assert "declared dimension 6" in s.dim_note()
-        assert Stratum("fine", SYM3_CORANK1, 4).dim_note() is None
 
 
 class TestJsonInterchange:
