@@ -24,7 +24,7 @@ from chernmather.cli import (
     _plain_args,
     main,
 )
-from chernmather.grassmann import MAX_LR_TABLEAUX, ChowElement
+from chernmather.grassmann import MAX_LR_TABLEAUX, ChowElement, integrate, lr_multiply
 from chernmather.quadric import QuadricSpec, build_pair
 from chernmather.strata import MAX_AMBIENT, MAX_STRATA, euler_table
 
@@ -599,7 +599,7 @@ class TestChow:
 
     def test_first_misfit_in_product_order_named(self, capsys):
         # no factor fits sigma_1 on G(2, 2); on G(2, 4) the strips sort as
-        # 1 < 1,1,1 < 3, so the column is the first misfit of the product
+        # 1,1,1 < 3 < 1, so the column is the first misfit of the product
         argv = ["--integrate", "1", "1", "1"]
         code, out, err = run(capsys, "chow", "--r", "2", "--n", "2", *argv)
         assert code == 2 and out == ""
@@ -608,6 +608,69 @@ class TestChow:
         code, out, err = run(capsys, "chow", "--r", "2", "--n", "4", *argv)
         assert code == 2 and out == ""
         assert err == "error: partition (1, 1, 1) does not fit the 2x2 box\n"
+        # sigma_1 sorts after every other strip, so on G(2, 2) it is not
+        # the first misfit once another factor is given
+        code, out, err = run(capsys, "chow", "--r", "2", "--n", "2", "--integrate", "1", "2")
+        assert code == 2 and out == ""
+        assert err == "error: partition (2,) does not fit the 2x0 box\n"
+
+    def test_sigma1_factors_not_multiplied(self, capsys, monkeypatch):
+        # a row strip among fifteen sigma_1 factors: one product, of sigma_3
+        # alone, and the closed form does the rest.  6006 is the hook-length
+        # count of standard tableaux on the 6 x 3 box minus (3).
+        multiplied = []
+
+        def spy(a, *factors):
+            multiplied.extend(tuple(f.terms) for f in factors)
+            return lr_multiply(a, *factors)
+
+        monkeypatch.setattr("chernmather.cli.lr_multiply", spy)
+        report = run_json(capsys, "chow", "--r", "6", "--n", "9", "--integrate", "3", *["1"] * 15)
+        assert report["outputs"]["integral"] == 6006
+        assert multiplied == [((3,),)]
+
+    @staticmethod
+    def random_chain(rng, rows, cols):
+        """Partitions in the rows x cols box whose sizes add up to
+        rows * cols, in random order: sigma_1 factors mixed with one-row,
+        one-column and general ones of up to 4 boxes."""
+        chain, left = [], rows * cols
+        while left:
+            size, p = min(left, rng.choice([1, 1, 2, 3, 4])), []
+            while sum(p) < size and len(p) < rows:
+                p.append(rng.randint(1, min(size - sum(p), p[-1] if p else cols)))
+            if sum(p) == size:  # else its parts ran out of rows: draw again
+                chain.append(tuple(p))
+                left -= size
+        rng.shuffle(chain)
+        return chain
+
+    def test_integrate_matches_plain_product(self):
+        # the CLI integral against the chain multiplied in the given order
+        # and integrated with no sigma_1 left over, so no closed form
+        rng = random.Random(1)
+        mixed = []  # the kinds of factor of each chain with a sigma_1 and another
+        for _ in range(150):
+            rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+            chain = self.random_chain(rng, rows, cols)
+            kinds = {
+                "one" if p == (1,) else "row" if len(p) == 1 else
+                "column" if set(p) == {1} else "general"
+                for p in chain
+            }
+            if "one" in kinds and len(kinds) > 1:
+                mixed.append(kinds)
+            r, n = rows, rows + cols
+            factors = [ChowElement.sigma(p, r, n) for p in chain]
+            want = integrate(lr_multiply(ChowElement.one(r, n), *factors))
+            tokens = [",".join(map(str, p)) for p in chain]
+            out = io.StringIO()
+            with redirect_stdout(out):
+                code = main(["chow", "--r", str(r), "--n", str(n), "--integrate", *tokens])
+            assert code == 0
+            assert json.loads(out.getvalue())["outputs"]["integral"] == want, (r, n, tokens)
+        assert len(mixed) > 50
+        assert set().union(*mixed) == {"one", "row", "column", "general"}
 
     def test_box_over_limit_rejected(self):
         # G(20, 40) has C(40, 20), about 1.4e11, Schubert classes

@@ -49,6 +49,12 @@ CASES = {
     "chow_integrate_g48_zero": (["chow", "--r", "4", "--n", "8", "--integrate", "2,1"], None),
     # a general factor, then a trailing run of sigma_1 factors
     "chow_integrate_g37_tail": (["chow", "--r", "3", "--n", "7", "--integrate", "2,1"] + ["1"] * 9, None),
+    # a row strip among sigma_1 factors, which all trail it and are
+    # integrated in closed form: the shape of the benchmark's hook jobs
+    "chow_integrate_g69_row_then_ones": (
+        ["chow", "--r", "6", "--n", "9", "--integrate", "3"] + ["1"] * 15,
+        None,
+    ),
     "chow_mult_g49": (["chow", "--r", "4", "--n", "9", "--mult", "3,2,1", "2,2,1"], None),
     "chow_mult_g510": (["chow", "--r", "5", "--n", "10", "--mult", "3,2,1", "3,2,1"], None),
     "chow_integrate_g49": (
