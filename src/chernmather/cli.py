@@ -34,7 +34,14 @@ from types import SimpleNamespace
 from . import detvar as dv
 from . import quadric as qd
 from .classpoly import ClassPoly, csm_linear_space, involute, render_combination
-from .grassmann import ChowElement, integrate, lr_multiply, normalize_partition
+from .grassmann import (
+    MAX_LR_TABLEAUX,
+    ChowElement,
+    integrate,
+    lr_multiply,
+    normalize_partition,
+    pieri_bound,
+)
 from .linsolve import LinearSystemError
 from .strata import MAX_AMBIENT, EulerTable, StratifiedPair, euler_table
 
@@ -288,10 +295,16 @@ def _cmd_chow(args):
     parts = [partition[t] for t in tokens]
     echo = {p: _join(p) for p in partition.values()}
     inputs = {"r": r, "n": n, mode: [echo[p] for p in parts]}
-    # one product order per multiset: general factors, then sorted Pieri
-    # strips, then every sigma_1, which --integrate leaves out of the product
+    # One product order per multiset: general factors, then sorted Pieri
+    # strips.  The trailing sigma_1 factors are integrated, not multiplied,
+    # so sigma_1 sorts after the other strips when no strip product can
+    # reach MAX_LR_TABLEAUX on this box: then no order of the strips
+    # changes an exit code.  On larger boxes sigma_1 sorts first, and the
+    # other strips run at the top degrees, where the terms are fewest.
     if args.integrate:
-        rank = {p: (len(p) == 1 or set(p) == {1}, p == (1,), p) for p in echo}
+        strips = {p for p in echo if len(p) == 1 or set(p) == {1}}
+        late = all(pieri_bound(sum(p), r, n) <= MAX_LR_TABLEAUX for p in strips)
+        rank = {p: (p in strips, late and p == (1,), p) for p in echo}
         parts.sort(key=rank.__getitem__)
     # sigma of the empty partition is the unit, so it is not multiplied in
     sigma = {p: ChowElement.sigma(p, r, n) for p in dict.fromkeys(parts) if p}
@@ -305,15 +318,15 @@ def _cmd_chow(args):
             "terms": {_join(p): c for p, c in sorted(elem.terms.items())},
         }
     else:
-        # Every sigma_1 factor, last in the product order, is integrated in
-        # closed form, not multiplied; MAX_LR_TABLEAUX bounds each product of
-        # the other factors.  Multiplied in, a sigma_1 would never reach that
-        # limit: the terms of a chain's product all have one degree, and a
-        # sigma_1 product adds one box to a term in at most r ways, so it
-        # makes at most r times as many Pieri strips as the box has
-        # partitions of one size (5,448 x 10 on G(10, 20); the most for
-        # n <= MAX_CHOW_N is 4,968 x 11 on G(11, 20)).
-        ones = parts.count((1,))
+        # The trailing run of sigma_1 factors is integrated in closed form,
+        # not multiplied; every product before it is multiplied as before.
+        # This changes no exit code: the terms of a chain's product all have
+        # one degree, and a sigma_1 product adds one box to a term in at most
+        # r ways, so it makes at most r times as many Pieri strips as the box
+        # has partitions of one size (5,448 x 10 on G(10, 20); the most for
+        # n <= MAX_CHOW_N is 4,968 x 11 on G(11, 20)), always below
+        # MAX_LR_TABLEAUX.
+        ones = next((k for k, p in enumerate(reversed(parts)) if p != (1,)), len(parts))
         elem = lr_multiply(ChowElement.one(r, n), *factors[: len(factors) - ones])
         outputs = {"integral": integrate(elem, ones)}
     return inputs, outputs, {}, None

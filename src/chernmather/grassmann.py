@@ -15,30 +15,41 @@ its terms stay padded to r parts from the first product to the last.
 `integrate(x, ones)` is the integral of x * sigma_1^ones; it needs no
 product, since the integral of sigma_lambda * sigma_1^ones counts the
 standard tableaux of the skew shape box/lambda, which Frobenius' formula
-gives in closed form.  `chow --integrate` multiplies every factor of its
-chain but sigma_1, and passes the number of sigma_1 factors as `ones`.
+gives in closed form.  `pieri_bound(k, r, n)` bounds the tableaux of one
+product by a strip of k boxes, so a caller can tell when the order of its
+strips cannot decide whether a chain reaches MAX_LR_TABLEAUX.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from itertools import combinations
-from math import factorial, prod
+from math import comb, factorial, prod
 from operator import index, sub
 
 # Most LR tableaux one product may generate.  Their number, not the box,
 # sets the cost: on G(10, 20) the staircase products (5,4,3,2,1)^2 and
 # (6,5,4,3,2,1)^2 generate 26,704 and 1,095,308 tableaux, in 0.35 s and 15 s
 # as `chow` processes on a 2-core VM.  A Pieri strip is cheaper:
-# (1,1)^40 * 1^20 takes 0.9 to 1.7 s there.  A sigma_1 product never reaches
-# the limit (see `cli._cmd_chow`), and `chow --integrate` integrates every
-# sigma_1 factor in closed form: sigma_1^100 takes under 0.2 s, against 0.7
-# to 1.1 s for its 100 products, and 1^64 * (1,1)^18 0.17 to 0.26 s, against
-# 0.7 to 0.9 s for its 82 products.  The slowest accepted inputs found,
-# (2,1)^11 * 1 * (1,1)^33, (3,2,1)^4 * (1,1)^38 and (3,1)^7 * (1,1)^36,
-# take 1.6, 1.2 and 1.1 s as processes (medians of 7; single runs up to
-# 2.8 s on a busy host).
+# (1,1)^40 * 1^20 takes 0.8 to 1.5 s there.  A sigma_1 product never reaches
+# the limit (see `cli._cmd_chow`), and `chow --integrate` integrates a
+# trailing run of sigma_1 factors in closed form: sigma_1^100 takes under
+# 0.2 s, where its 100 products took 0.7 to 1.1 s.  The slowest accepted
+# inputs found, (2,1)^11 * 1 * (1,1)^33, (3,2,1)^4 * (1,1)^38 and
+# (3,1)^7 * (1,1)^36, take 1.1 to 1.6 s each as processes (up to 3 s on a
+# busier host).
 MAX_LR_TABLEAUX = 100_000
+
+
+def pieri_bound(k: int, r: int, n: int) -> int:
+    """The most tableaux a product by sigma_(k) or sigma_(1^k) can generate
+    on G(r, n): at most C(k + m - 1, k) Pieri strips, m = min(r, n - r), for
+    each of the C(n, r) classes.  A horizontal strip of k boxes is fixed by
+    the boxes each of the r rows takes, which number C(k + r - 1, k) at
+    most, and by the k of the n - r columns that take one box, at most
+    C(n - r, k) <= C(k + n - r - 1, k); a vertical strip the other way
+    round."""
+    return comb(n, r) * comb(k + min(r, n - r) - 1, k)
 
 
 # ---------------------------------------------------------------------------

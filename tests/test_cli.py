@@ -21,6 +21,7 @@ from chernmather.cli import (
     MAX_DETVAR_N,
     _build_parser,
     _json,
+    _parse_partition,
     _plain_args,
     main,
 )
@@ -507,6 +508,7 @@ def top_degree_factors(draw):
 class TestChow:
     @settings(max_examples=60, derandomize=True, database=None, deadline=None)
     @given(top_degree_factors())
+    @example((3, 6, ["1", "2", "2,2", "1,1"]))  # sigma_1 among every kind of factor
     def test_integrate_ignores_factor_order(self, case):
         r, n, factors = case
         outcomes = set()
@@ -518,6 +520,12 @@ class TestChow:
             assert report.pop("inputs")["integrate"] == list(order)
             outcomes.add((code, json.dumps(report)))
         assert len(outcomes) == 1
+        (code, report), = outcomes
+        # against the chain multiplied in the given order and integrated
+        # with no sigma_1 left over, so with no closed form
+        sigmas = [ChowElement.sigma(_parse_partition(f), r, n) for f in factors]
+        want = integrate(lr_multiply(ChowElement.one(r, n), *sigmas))
+        assert code == 0 and json.loads(report)["outputs"] == {"integral": want}
 
     def test_mult_render(self, capsys):
         report = run_json(capsys, "chow", "--r", "2", "--n", "4", "--mult", "1", "1")
@@ -558,8 +566,8 @@ class TestChow:
     @pytest.mark.parametrize("r, n", [(2, 2), (0, 3)])
     def test_sigma1_factors_not_multiplied_keep_their_box_check(self, capsys, r, n):
         # sigma_1 on G(2, 2) or G(0, 3), whose boxes hold no box: the
-        # integral of a trailing sigma_1 run needs no product, but each
-        # factor is still built and checked
+        # sigma_1 factors are integrated with no product, but each factor
+        # is still built and checked
         code, out, err = run(capsys, "chow", "--r", str(r), "--n", str(n), "--integrate", "1")
         assert code == 2 and out == ""
         assert err == f"error: partition (1,) does not fit the {r}x{n - r} box\n"
@@ -615,9 +623,10 @@ class TestChow:
         assert err == "error: partition (2,) does not fit the 2x0 box\n"
 
     def test_sigma1_factors_not_multiplied(self, capsys, monkeypatch):
-        # a row strip among fifteen sigma_1 factors: one product, of sigma_3
-        # alone, and the closed form does the rest.  6006 is the hook-length
-        # count of standard tableaux on the 6 x 3 box minus (3).
+        # nine sigma_1 factors among a general factor, a row and a column:
+        # the product takes the general factor, then the other strips, and
+        # the closed form does the rest.  2124 is the integral of the whole
+        # chain multiplied in the given order.
         multiplied = []
 
         def spy(a, *factors):
@@ -625,52 +634,27 @@ class TestChow:
             return lr_multiply(a, *factors)
 
         monkeypatch.setattr("chernmather.cli.lr_multiply", spy)
-        report = run_json(capsys, "chow", "--r", "6", "--n", "9", "--integrate", "3", *["1"] * 15)
-        assert report["outputs"]["integral"] == 6006
-        assert multiplied == [((3,),)]
+        argv = ["1"] * 4 + ["2", "1", "1", "2,1", "1,1"] + ["1"] * 3
+        report = run_json(capsys, "chow", "--r", "4", "--n", "8", "--integrate", *argv)
+        assert report["outputs"]["integral"] == 2124
+        assert multiplied == [((2, 1),), ((1, 1),), ((2,),)]
 
-    @staticmethod
-    def random_chain(rng, rows, cols):
-        """Partitions in the rows x cols box whose sizes add up to
-        rows * cols, in random order: sigma_1 factors mixed with one-row,
-        one-column and general ones of up to 4 boxes."""
-        chain, left = [], rows * cols
-        while left:
-            size, p = min(left, rng.choice([1, 1, 2, 3, 4])), []
-            while sum(p) < size and len(p) < rows:
-                p.append(rng.randint(1, min(size - sum(p), p[-1] if p else cols)))
-            if sum(p) == size:  # else its parts ran out of rows: draw again
-                chain.append(tuple(p))
-                left -= size
-        rng.shuffle(chain)
-        return chain
+    def test_sigma1_multiplied_first_where_a_strip_could_reach_the_limit(self, monkeypatch):
+        # on G(10, 20) a (1,1) product could exceed MAX_LR_TABLEAUX, so the
+        # order stays general, sigma_1, other strips: those then run at the
+        # top degrees, and every chain reaches the limit as it did before
+        # sigma_1 could sort last
+        multiplied = []
 
-    def test_integrate_matches_plain_product(self):
-        # the CLI integral against the chain multiplied in the given order
-        # and integrated with no sigma_1 left over, so no closed form
-        rng = random.Random(1)
-        mixed = []  # the kinds of factor of each chain with a sigma_1 and another
-        for _ in range(150):
-            rows, cols = rng.randint(1, 4), rng.randint(1, 4)
-            chain = self.random_chain(rng, rows, cols)
-            kinds = {
-                "one" if p == (1,) else "row" if len(p) == 1 else
-                "column" if set(p) == {1} else "general"
-                for p in chain
-            }
-            if "one" in kinds and len(kinds) > 1:
-                mixed.append(kinds)
-            r, n = rows, rows + cols
-            factors = [ChowElement.sigma(p, r, n) for p in chain]
-            want = integrate(lr_multiply(ChowElement.one(r, n), *factors))
-            tokens = [",".join(map(str, p)) for p in chain]
-            out = io.StringIO()
-            with redirect_stdout(out):
-                code = main(["chow", "--r", str(r), "--n", str(n), "--integrate", *tokens])
-            assert code == 0
-            assert json.loads(out.getvalue())["outputs"]["integral"] == want, (r, n, tokens)
-        assert len(mixed) > 50
-        assert set().union(*mixed) == {"one", "row", "column", "general"}
+        def spy(a, *factors):
+            multiplied.extend(tuple(f.terms) for f in factors)
+            return a
+
+        monkeypatch.setattr("chernmather.cli.lr_multiply", spy)
+        argv = ["1,1"] * 30 + ["1"] * 37 + ["2,1"]
+        with redirect_stdout(io.StringIO()):
+            assert main(["chow", "--r", "10", "--n", "20", "--integrate", *argv]) == 0
+        assert multiplied == [((2, 1),)] + [((1,),)] * 37 + [((1, 1),)] * 30
 
     def test_box_over_limit_rejected(self):
         # G(20, 40) has C(40, 20), about 1.4e11, Schubert classes

@@ -16,6 +16,7 @@ from chernmather.grassmann import (
     integrate,
     lr_multiply,
     normalize_partition,
+    pieri_bound,
 )
 
 from oracles import (
@@ -393,6 +394,18 @@ class TestTableauBudget:
                     })
                     _, calls = grassmann_calls(lambda: lr_multiply(x, s1), "add")
                     assert calls["add"] <= rows * len(x.terms)
+
+    def test_pieri_bound_bounds_every_strip_product(self):
+        # a product of every class of the box by a strip of k boxes makes at
+        # most pieri_bound(k, rows, n) strips, one `add` each
+        for rows in range(1, 6):
+            for cols in range(1, 6):
+                n = rows + cols
+                x = ChowElement(rows, n, dict.fromkeys(partitions_in_box(rows, cols), 1))
+                strips = [(k,) for k in range(1, cols + 1)] + [(1,) * k for k in range(2, rows + 1)]
+                for mu in strips:
+                    _, calls = grassmann_calls(lambda: lr_multiply(x, sigma(mu, rows, n)), "add")
+                    assert calls["add"] <= pieri_bound(sum(mu), rows, n), (mu, rows, cols)
 
 
 class TestChains:
