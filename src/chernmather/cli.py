@@ -5,13 +5,17 @@ returns the inputs, outputs and diagnostics of its report, and the
 stratified pair of a generated family or None; `main` alone wraps the rest
 in the report {"command", "inputs", "outputs", "diagnostics"}, renders the
 report and the pair `--emit-strata` asks for, and only then writes them.
-A run that exits non-zero removes every file it created.  Reports are
-deterministic (JSON by default, sorted keys, no timestamps); integers
-beyond 64 bits are serialized as decimal strings.  `_json` renders a report
-in one walk, byte for byte what json.dumps(..., sort_keys=True, indent=2)
-writes once those integers are strings; a list whose integers all fit in
-64 bits, such as most class polynomials, is written in one C-level pass of
-int.__repr__ over its items.  The `--emit-strata` file keeps every integer
+A run that exits non-zero removes every file it created.  Files skip the
+text layer: `solve` reads its input as bytes, decodes them as strict UTF-8
+and reads any line ending as a line feed, and `_write` writes the `--out`
+and `--emit-strata` texts as UTF-8 bytes with os.write; only stdout is
+written through sys.stdout as text.  Reports are deterministic (JSON by
+default, sorted keys, no timestamps); integers beyond 64 bits are
+serialized as decimal strings.  `_json` renders a report in one walk, byte
+for byte what json.dumps(..., sort_keys=True, indent=2) writes once those
+integers are strings; a list whose integers all fit in 64 bits, such as
+most class polynomials, is written in one C-level pass of int.__repr__
+over its items.  The `--emit-strata` file keeps every integer
 a JSON number, since `solve` reads no strings, and json.dumps writes it.
 `_plain_args` reads a well-formed command line.  Any other (help, errors,
 abbreviations such as `--fo`, `--n=3`, `--`, negative numbers, repeated
@@ -130,9 +134,16 @@ def _render_text(payload, prefix="") -> list[str]:
 
 
 def _write(path: str, text: str) -> None:
+    """Write `text` to `path` as UTF-8 bytes with os.write, called again
+    after a short write until every byte is written."""
+    data = memoryview(text.encode("utf-8"))
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        try:
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc}") from exc
 
@@ -201,8 +212,13 @@ def _cmd_involute(args):
 
 def _cmd_solve(args):
     try:
-        with open(args.strata, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        with open(args.strata, "rb") as fh:
+            raw = fh.read()
+        # the text a text-mode read gives: strict UTF-8 (json.loads would
+        # guess UTF-16 and UTF-32 from bytes) with universal newlines, which
+        # the line and column of a JSON error count in
+        text = raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        data = json.loads(text)
     except OSError as exc:
         raise ValueError(f"cannot read {args.strata}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -62,6 +62,11 @@ values: the two texts the CLI's one-pass renderer must match byte for byte.
 `reference_parser` builds the command-line parser with all five subcommands
 by hand, apart from the CLI's option table: the parses, help texts and
 errors that the CLI's parser and its plain reader must reproduce.
+
+`read_strata_text` reads a `solve` input through the text layer,
+open(path, encoding="utf-8") and json.load, and raises the error `solve`
+reports for a file it cannot read that way: the data, or the error line,
+that `solve`'s bytes-level reader must reproduce for any file.
 """
 
 from __future__ import annotations
@@ -733,3 +738,21 @@ def reference_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="write the report to a file")
         p.add_argument("--format", choices=("json", "text"), default="json")
     return parser
+
+
+def read_strata_text(path: str):
+    """The JSON value of the `solve` input `path` read in text mode, or the
+    ValueError whose message `solve` prints for it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ValueError(f"{path} is nested too deeply to read as JSON") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path} is not UTF-8 text: {exc}") from exc
+    except ValueError:
+        raise cli._TooLong(path) from None

@@ -1,8 +1,10 @@
 import argparse
+import errno
 import io
 import json
 import os
 import random
+import stat
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -14,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chernmather
-from chernmather import classpoly
+from chernmather import classpoly, cli
 from chernmather.classpoly import ClassPoly, involute_all
 from chernmather.cli import (
     MAX_CHOW_N,
@@ -29,8 +31,8 @@ from chernmather.grassmann import MAX_LR_TABLEAUX, ChowElement, integrate, lr_mu
 from chernmather.quadric import QuadricSpec, build_pair
 from chernmather.strata import MAX_AMBIENT, MAX_STRATA, euler_table
 
-from oracles import reference_parser, report_json, report_line
-from test_golden import CASES
+from oracles import read_strata_text, reference_parser, report_json, report_line
+from test_golden import CASES, GOLDEN
 
 DATA = Path(__file__).parent / "data"
 FIXTURE = DATA / "symmetric_3x3.json"
@@ -165,6 +167,11 @@ class TestInvolute:
         )
 
 
+def lose_comma(fixture_text: str) -> str:
+    """The fixture's text without the comma that ends its line 10."""
+    return fixture_text.replace('},\n    {"name": "sym3_corank2_dual"', '}\n    {"name": "sym3_corank2_dual"', 1)
+
+
 class TestSolve:
     def test_fixture(self, capsys):
         report = run_json(capsys, "solve", str(FIXTURE))
@@ -235,6 +242,37 @@ class TestSolve:
         code, out, err = run(capsys, "solve", str(bad))
         assert code == 2 and out == ""
         assert err.startswith(f"error: {bad} is not UTF-8 text: ")
+
+    # the fixture's text saved in other ways -> the exit code of `solve` on it
+    SAVED = {
+        "lf": (lambda text: text.encode(), 0),
+        "crlf": (lambda text: text.replace("\n", "\r\n").encode(), 0),
+        "cr": (lambda text: text.replace("\n", "\r").encode(), 0),
+        "utf8_bom": (lambda text: b"\xef\xbb\xbf" + text.encode(), 2),
+        "utf16_bom": (lambda text: text.encode("utf-16"), 2),
+        "latin1": (lambda text: text.replace("sym3_corank2", "sym3_cor\xe1nk2").encode("latin-1"), 2),
+        # a comma lost at the end of line 10: the error names line 11
+        "malformed_crlf": (lambda text: lose_comma(text).replace("\n", "\r\n").encode(), 2),
+        "malformed_cr": (lambda text: lose_comma(text).replace("\n", "\r").encode(), 2),
+    }
+
+    @pytest.mark.parametrize("saved", SAVED)
+    def test_reads_what_text_mode_reads(self, capsys, tmp_path, saved):
+        # the same report, or the same error line, as open(path,
+        # encoding="utf-8") and json.load give, JSON error positions included
+        encode, expected_code = self.SAVED[saved]
+        path = tmp_path / f"{saved}.json"
+        path.write_bytes(encode(FIXTURE.read_text()))
+        code, out, err = run(capsys, "solve", str(path))
+        assert code == expected_code
+        try:
+            data = read_strata_text(str(path))
+        except ValueError as exc:
+            assert (out, err) == ("", f"error: {exc}\n")
+        else:
+            plain = tmp_path / "plain.json"
+            plain.write_text(json.dumps(data))
+            assert (out, err) == run(capsys, "solve", str(plain))[1:]
 
     def test_empty_strata(self, capsys, tmp_path):
         bad = tmp_path / "empty.json"
@@ -769,6 +807,66 @@ class TestReportPlumbing:
         assert code == 2 and out == ""
         assert err.startswith(f"error: cannot write {emitted}: ")
         assert target.exists() == existed
+
+    @staticmethod
+    def short_writes(monkeypatch, fail_after=None):
+        """Make os.write write at most 7 bytes a call, and raise ENOSPC on
+        call `fail_after` + 1; the list of the sizes written."""
+        write, sizes = os.write, []
+
+        def short_write(fd, data):
+            if len(sizes) == fail_after:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            sizes.append(write(fd, data[:7]))
+            return sizes[-1]
+
+        monkeypatch.setattr(cli.os, "write", short_write)
+        return sizes
+
+    def test_short_writes_complete_both_files(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        sizes = self.short_writes(monkeypatch)
+        argv, emitted = CASES["detvar_n3_emit"]
+        code, out, err = run(capsys, *argv, "--out", "r.json")
+        assert (code, out, err) == (0, "", "")
+        report, strata = Path("r.json").read_bytes(), Path(emitted).read_bytes()
+        assert report == (GOLDEN / "detvar_n3_emit.out").read_bytes()
+        assert strata == (GOLDEN / "detvar_n3_emit.strata.json").read_bytes()
+        assert max(sizes) == 7 and sum(sizes) == len(report) + len(strata)
+
+    @pytest.mark.parametrize("existed", [False, True], ids=["created", "existing"])
+    def test_failed_write_exits_2(self, capsys, tmp_path, monkeypatch, existed):
+        # a disk that fills after the first chunk: one error line, and the
+        # file is removed unless its path existed before the run
+        target = tmp_path / "r.json"
+        if existed:
+            target.write_text("kept\n")
+        self.short_writes(monkeypatch, fail_after=1)
+        code, out, err = run(capsys, "detvar", "--n", "3", "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write {target}: [Errno 28] No space left on device\n"
+        assert target.exists() == existed
+
+    def test_new_files_take_the_umask(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        umask = os.umask(0o027)
+        try:
+            code, _, _ = run(capsys, "detvar", "--n", "2", "--out", "r.json", "--emit-strata", "s.json")
+        finally:
+            os.umask(umask)
+        assert code == 0
+        for name in ("r.json", "s.json"):
+            assert stat.S_IMODE(os.stat(name).st_mode) == 0o666 & ~0o027
+
+    def test_longer_files_are_truncated(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv, emitted = CASES["quadric_n5_r4_emit"]
+        for name in ("r.json", emitted):
+            Path(name).write_bytes(b"x" * 100_000)
+        assert run(capsys, *argv, "--out", "r.json")[0] == 0
+        assert Path("r.json").read_bytes() == (GOLDEN / "quadric_n5_r4_emit.out").read_bytes()
+        strata = (GOLDEN / "quadric_n5_r4_emit.strata.json").read_bytes()
+        assert Path(emitted).read_bytes() == strata
 
     @pytest.mark.parametrize(
         "what, argv",

@@ -78,21 +78,31 @@ CASES = {
 }
 
 
-def _run(name, read_stdout):
-    """(file name, text) of one case's report, then of its emitted strata file."""
+def _run(name, read_report, extra=()):
+    """(file name, bytes) of the report of one case run with the arguments
+    `extra` added, then of its emitted strata file."""
     argv, emitted = CASES[name]
-    assert main(argv) == 0
-    outputs = [(f"{name}.out", read_stdout())]
+    assert main([*argv, *extra]) == 0
+    outputs = [(f"{name}.out", read_report())]
     if emitted:
-        outputs.append((f"{name}.strata.json", Path(emitted).read_text(encoding="utf-8")))
+        outputs.append((f"{name}.strata.json", Path(emitted).read_bytes()))
     return outputs
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_is_byte_identical(name, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    for filename, text in _run(name, lambda: capsys.readouterr().out):
-        assert text.encode() == (GOLDEN / filename).read_bytes(), filename
+    for filename, data in _run(name, lambda: capsys.readouterr().out.encode()):
+        assert data == (GOLDEN / filename).read_bytes(), filename
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_out_file_is_byte_identical(name, capsys, tmp_path, monkeypatch):
+    # the report written by --out, as every benchmark job writes it
+    monkeypatch.chdir(tmp_path)
+    for filename, data in _run(name, Path("report.out").read_bytes, ["--out", "report.out"]):
+        assert data == (GOLDEN / filename).read_bytes(), filename
+    assert capsys.readouterr().out == ""
 
 
 if __name__ == "__main__":
@@ -107,7 +117,7 @@ if __name__ == "__main__":
         for name in sorted(CASES):
             buf = io.StringIO()
             with contextlib.redirect_stdout(buf):
-                files = _run(name, buf.getvalue)
-            for filename, text in files:
-                (GOLDEN / filename).write_bytes(text.encode())
+                files = _run(name, lambda: buf.getvalue().encode())
+            for filename, data in files:
+                (GOLDEN / filename).write_bytes(data)
     print(f"wrote the reports of {len(CASES)} cases to {GOLDEN}")
