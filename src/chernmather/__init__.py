@@ -14,12 +14,10 @@ from .classpoly import (
     csm_linear_space,
     div_1p2H,
     involute,
-    one_plus_h_power,
 )
 from .detvar import (
     eu_table_det,
     q_poly,
-    stratum_dim,
 )
 from .grassmann import (
     ChowElement,

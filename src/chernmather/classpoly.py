@@ -172,23 +172,18 @@ def render_combination(terms: Iterable[tuple[int, str]]) -> str:
     return " ".join(parts) if parts else "0"
 
 
-def one_plus_h_power(m: int, modulus: int) -> ClassPoly:
-    """(1+H)^m truncated mod H^modulus, as one binomial row:
-    C(m, k+1) = C(m, k) * (m-k) / (k+1), exact at every step."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    row = [1]
-    for k in range(min(m, modulus - 1)):
-        row.append(row[k] * (m - k) // (k + 1))
-    return ClassPoly(row, modulus)
-
-
 def chern_B(n: int, modulus: int) -> ClassPoly:
     """(1+H)^(n+1) - H^(n+1) mod H^modulus: the pushforward class of P^n,
-    the binomial row C(n+1, 0..n) padded to the modulus."""
+    the binomial row C(n+1, 0..n) padded to the modulus, built by
+    C(n+1, k+1) = C(n+1, k) * (n+1-k) / (k+1), exact at every step."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     if modulus < n + 1:
         raise ValueError("modulus too small to carry the class of P^n")
-    return ClassPoly(one_plus_h_power(n + 1, n + 1).coeffs, modulus)
+    row = [1]
+    for k in range(n):
+        row.append(row[k] * (n + 1 - k) // (k + 1))
+    return ClassPoly(row, modulus)
 
 
 def csm_linear_space(k: int, modulus: int) -> ClassPoly:

@@ -50,10 +50,12 @@ from .linsolve import LinearSystemError
 from .strata import MAX_AMBIENT, EulerTable, StratifiedPair, euler_table
 
 _INT64_MAX = 2**63 - 1
-# Largest n accepted by `detvar` (n = 12, 13 and 14 take about 0.3, 0.6 to 0.7
-# and 1.6 to 1.8 s on a 2-core VM; an even n localizes one more r than the odd
-# n below it) and by `chow` (at most C(20, 10) Schubert classes; the work of
-# each product is bounded by grassmann.MAX_LR_TABLEAUX).
+# Largest n accepted by `detvar` (as processes on a 2-CPU Intel Xeon container
+# with Python 3.11, five runs each, n = 12, 13 and 14 take a median of 0.31,
+# 0.71 and 1.79 s, in ranges of 0.27-0.47, 0.65-1.06 and 1.71-2.78 s; an even
+# n localizes one more r than the odd n below it) and by `chow` (at most
+# C(20, 10) Schubert classes; the work of each product is bounded by
+# grassmann.MAX_LR_TABLEAUX).
 MAX_DETVAR_N = 14
 MAX_CHOW_N = 20
 

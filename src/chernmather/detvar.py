@@ -80,11 +80,6 @@ from .classpoly import ClassPoly, _unpack
 from .strata import EulerTable, StratifiedPair, Stratum, _combination, checked_table
 
 
-def stratum_dim(n: int, k: int) -> int:
-    """Projective dimension of tau_{n,k}: n^2 - k^2 - 1."""
-    return n * n - k * k - 1
-
-
 def _product_columns(rows, n: int, top: int) -> list[list[int]]:
     """Columns of the coefficients of u^0, u^1, ... in prod (1 + u w) over
     the roots w of each row, for the fixed points of G(r, n) with D = top.
@@ -258,9 +253,8 @@ def eu_table_det(n: int) -> tuple[list[ClassPoly], StratifiedPair, EulerTable]:
     weights = [[(-1) ** (r + k) * comb(r, k) for r in range(n)] for k in range(n)]
     opens = [ClassPoly(_combination([c.coeffs for c in q], w)) for w in weights]
     pair = StratifiedPair(
-        n * n,
-        [Stratum(f"tau_{n}_{k}", c, stratum_dim(n, k)) for k, c in enumerate(opens)],
-        [Stratum(f"tau_{n}_{k}_dual", c, stratum_dim(n, k)) for k, c in enumerate(opens)],
+        [Stratum(f"tau_{n}_{k}", c) for k, c in enumerate(opens)],
+        [Stratum(f"tau_{n}_{k}_dual", c) for k, c in enumerate(opens)],
         [(k, n - k) for k in range(1, n)],
     )
     binomial = [tuple(comb(r, k) for r in range(n)) for k in range(n)]

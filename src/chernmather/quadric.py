@@ -87,17 +87,17 @@ def build_pair(spec: QuadricSpec) -> StratifiedPair:
     """
     n, r = spec
     mod = n + 1
-    dual = [Stratum("dual_quadric", _smooth_quadric(r - 2, mod), r - 2)]
+    dual = [Stratum("dual_quadric", _smooth_quadric(r - 2, mod))]
     if spec.is_smooth:
-        primal = [Stratum("quadric", dual[0].csm, n - 1)]
+        primal = [Stratum("quadric", dual[0].csm)]
     else:
         sing = csm_linear_space(n - r, mod)
         quadric = _smooth_quadric(n - 1, mod) - (-1) ** (n - 1) * milnor_class(spec)
         primal = [
-            Stratum("quadric_open", quadric - sing, n - 1),
-            Stratum("singular_locus", sing, n - r),
+            Stratum("quadric_open", quadric - sing),
+            Stratum("singular_locus", sing),
         ]
-    return StratifiedPair(mod, primal, dual, [(0, 0)])
+    return StratifiedPair(primal, dual, [(0, 0)])
 
 
 def cross_validate(spec: QuadricSpec, pair: StratifiedPair) -> EulerTable:

@@ -11,10 +11,12 @@ For each paired stratum r the duality transform yields one linear system:
 
 with dX, dY the dimensions of the two designated strata.  A class of
 dimension k starts at H^(N-1-k), so each class fixes its stratum's
-dimension, and a declared one must agree with it.  Matching the
-coefficients of H^0..H^(N-1) gives N equations; the unique integer solution
-is the family of local Euler obstructions of the closure of stratum r (and,
-through the b's, of its dual).
+dimension and its modulus fixes N.  `Stratum` and `StratifiedPair` read
+both off the classes; only `StratifiedPair.from_dict` checks the dimensions
+an input file declares.  Matching the coefficients of H^0..H^(N-1) gives N
+equations; the unique integer solution is the family of local Euler
+obstructions of the closure of stratum r (and, through the b's, of its
+dual).
 
 When the pairing is a chain, the T deepest strata of each side paired in
 reverse order, as in every linear flag and rank-strata pair, `_chain_rows`
@@ -66,49 +68,48 @@ def _is_int(value) -> bool:
 
 
 class Stratum(namedtuple("Stratum", "name csm dim")):
-    """A named stratum with its dimension and class polynomial.
+    """A named stratum with its class polynomial, and the dimension it fixes.
 
     The dimension orders the strata and sets the parity signs of the duality
-    systems.  Input files state it, and it must be the one the class fixes,
-    N - 1 minus the power of its lowest nonzero coefficient: a stratum whose
-    declared dimension its class contradicts is an error.
+    systems.  It is N - 1 minus the power of the lowest nonzero coefficient
+    of the class, read off once here and stored, so `Stratum(name, csm)`
+    takes no dimension and the class may not be zero.
 
     Like the other value classes here and `quadric.QuadricSpec`, a
     namedtuple: immutable, and equal to and hashed as the plain tuple of its
     fields.  Only the constructor checks the fields; namedtuple's `_make`
-    and `_replace` build an instance without those checks.
+    and `_replace` build an instance without those checks.  Pickling and
+    copying build it again from the name and class.
     """
 
     __slots__ = ()
 
-    def __new__(cls, name: str, csm: ClassPoly, dim: int):
+    def __new__(cls, name: str, csm: ClassPoly):
         if csm.is_zero():
             raise ValueError(f"stratum {name!r} has zero class polynomial")
-        if dim != csm.dim:
-            raise ValueError(
-                f"stratum {name!r} declares dimension {dim}, but its class "
-                f"has dimension {csm.dim}"
-            )
-        return super().__new__(cls, name, csm, dim)
+        return super().__new__(cls, name, csm, csm.dim)
+
+    def __getnewargs__(self):
+        return self.name, self.csm
 
 
-class StratifiedPair(namedtuple("StratifiedPair", "ambient primal dual pairing")):
+class StratifiedPair(namedtuple("StratifiedPair", "primal dual pairing")):
     """A stratified projective variety together with its stratified dual.
 
-    ambient is N: classes live in Z[H]/(H^N), i.e. inside P^(N-1).  primal
-    and dual are tuples of strata, re-sorted by dimension (open stratum
-    first), each the one its class fixes; pairing is a sorted tuple of
-    (primal, dual) index pairs and must make the dual dimensions strictly
-    increasing along deeper primal strata; it is empty when N = 1, where
-    there is no duality transform.  A namedtuple, as `Stratum`
-    describes: `_make` and `_replace` skip the sorting and checks here.
+    primal and dual are tuples of strata, re-sorted by dimension (open
+    stratum first), whose classes share one modulus N: classes live in
+    Z[H]/(H^N), i.e. inside P^(N-1), and `ambient` is that N.  pairing is a
+    sorted tuple of (primal, dual) index pairs and must make the dual
+    dimensions strictly increasing along deeper primal strata; it is empty
+    when N = 1, where there is no duality transform.  A namedtuple, as
+    `Stratum` describes: `_make` and `_replace` skip the sorting and checks
+    here.
     """
 
     __slots__ = ()
 
     def __new__(
         cls,
-        ambient: int,
         primal: Iterable[Stratum],
         dual: Iterable[Stratum],
         pairing: Iterable[Sequence[int]],
@@ -116,6 +117,7 @@ class StratifiedPair(namedtuple("StratifiedPair", "ambient primal dual pairing")
         primal, dual = list(primal), list(dual)
         if not primal or not dual:
             raise ValueError("both sides need at least one stratum")
+        ambient = primal[0].csm.modulus
 
         def _sorted(side, label):
             """Check names and moduli, then order by dimension."""
@@ -159,7 +161,12 @@ class StratifiedPair(namedtuple("StratifiedPair", "ambient primal dual pairing")
                 "the input is not a reflective pair"
             )
 
-        return super().__new__(cls, ambient, primal, dual, pairing)
+        return super().__new__(cls, primal, dual, pairing)
+
+    @property
+    def ambient(self) -> int:
+        """N, the modulus of every class."""
+        return self.primal[0].csm.modulus
 
     # -- JSON interchange ------------------------------------------------
 
@@ -211,7 +218,13 @@ class StratifiedPair(namedtuple("StratifiedPair", "ambient primal dual pairing")
                     raise ValueError(
                         f"stratum {name!r}: class exceeds modulus {ambient}"
                     )
-                out.append(Stratum(name, ClassPoly(csm, ambient), dim))
+                stratum = Stratum(name, ClassPoly(csm, ambient))
+                if dim != stratum.dim:
+                    raise ValueError(
+                        f"stratum {name!r} declares dimension {dim}, but its "
+                        f"class has dimension {stratum.dim}"
+                    )
+                out.append(stratum)
             return out
 
         if not isinstance(raw_pairing, list) or not all(
@@ -222,7 +235,6 @@ class StratifiedPair(namedtuple("StratifiedPair", "ambient primal dual pairing")
         ):
             raise ValueError("pairing must be a list of [r, p] index pairs")
         return cls(
-            ambient,
             _strata(raw_primal, "primal"),
             _strata(raw_dual, "dual"),
             raw_pairing,
@@ -319,7 +331,7 @@ def _chain_rows(pair: StratifiedPair, inv):
         return None
     primal, dual = pair.primal[n_p - T :], pair.dual[n_d - T :][::-1]
     ys = [s.csm.coeffs for s in dual]
-    codims = [s.csm.codim for s in dual]
+    codims = [pair.ambient - 1 - s.dim for s in dual]
     # Y_k vanishes below codims[k], which falls with k: solve from k = T-1 down
     tau = []
     for f in inv[n_p - T :]:

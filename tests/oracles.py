@@ -402,14 +402,14 @@ def cone(pair: StratifiedPair, k: int, expected: dict) -> tuple[StratifiedPair, 
                 out[i:] = map(add, out[i:], map(mul, repeat(c), binom[: m - i]))
         return ClassPoly(out, m)
 
-    primal = [Stratum(s.name, lifted(s.csm.coeffs), s.dim + k) for s in pair.primal]
-    primal.append(Stratum(f"vertex_in_P{m - 1}", lifted([0] * n + [1]), k - 1))
-    dual = [Stratum(s.name, ClassPoly([0] * k + list(s.csm.coeffs), m), s.dim) for s in pair.dual]
+    primal = [Stratum(s.name, lifted(s.csm.coeffs)) for s in pair.primal]
+    primal.append(Stratum(f"vertex_in_P{m - 1}", lifted([0] * n + [1])))
+    dual = [Stratum(s.name, ClassPoly([0] * k + list(s.csm.coeffs), m)) for s in pair.dual]
     # what the dual strata leave of the class of P^(N-1)
     rest = [comb(n, i) - sum(s.csm.coeffs[i] for s in pair.dual) for i in range(n)]
     new_dual = any(rest)
     if new_dual:
-        dual.insert(0, Stratum(f"vertex_perp_in_P{m - 1}", ClassPoly([0] * k + rest, m), n - 1))
+        dual.insert(0, Stratum(f"vertex_perp_in_P{m - 1}", ClassPoly([0] * k + rest, m)))
     vertex = (len(pair.primal), 0)
     pairing = [(r, p + new_dual) for r, p in pair.pairing] + [vertex]
 
@@ -419,7 +419,7 @@ def cone(pair: StratifiedPair, k: int, expected: dict) -> tuple[StratifiedPair, 
     table_d = [list(row) for row in expected["euler_table_dual"]]
     if new_dual:
         table_d = [[1] * (len(table_d) + 1)] + [[0] + row for row in table_d]
-    joined = StratifiedPair(m, primal, dual, pairing)
+    joined = StratifiedPair(primal, dual, pairing)
     return joined, {
         "euler_table_primal": table_p,
         "euler_table_dual": table_d,

@@ -13,7 +13,6 @@ from chernmather.classpoly import (
     div_1p2H,
     involute,
     involute_all,
-    one_plus_h_power,
     _unpack,
 )
 
@@ -358,6 +357,17 @@ class TestChernB:
     def test_modulus_guard(self):
         with pytest.raises(ValueError):
             chern_B(4, 3)
+        with pytest.raises(ValueError, match="^n must be nonnegative$"):
+            chern_B(-1, 3)
+
+    @pytest.mark.parametrize("modulus", [1, 2, 7, 1024])
+    def test_matches_comb(self, modulus):
+        # n from 0 to N - 1, at N = n + 1 and with room above: the row
+        # C(n+1, 0..n), cut below its H^(n+1) term, then zeros
+        for n in {0, 1, modulus // 2, max(modulus - 2, 0), modulus - 1} - {modulus}:
+            row = tuple(math.comb(n + 1, k) for k in range(n + 1))
+            for size in (n + 1, modulus, 3 * modulus):
+                assert chern_B(n, size).coeffs == row + (0,) * (size - 1 - n), (n, size)
 
 
 class TestDiv1p2H:
@@ -398,20 +408,10 @@ class TestDerivedQuantities:
         with pytest.raises(ValueError):
             csm_linear_space(4, 4)
 
-    def test_one_plus_h_power(self):
-        assert one_plus_h_power(4, 3) == ClassPoly([1, 4, 6])
-
-    @pytest.mark.parametrize("modulus", [1, 2, 7, 1024])
-    def test_one_plus_h_power_matches_comb(self, modulus):
-        # m below, at and above modulus - 1: the row is cut by m or by the modulus
-        for m in {0, 1, modulus // 2, max(modulus - 2, 0), modulus - 1, modulus, 3 * modulus}:
-            expected = [math.comb(m, k) for k in range(modulus)]
-            assert one_plus_h_power(m, modulus).coeffs == tuple(expected), m
-
     @pytest.mark.parametrize("modulus", [1, 2, 7, 1024])
     def test_linear_space_and_chern_B_match_comb(self, modulus):
         # P^k from k = 0 to k = N-1, the whole space; chern_B at N = n+1 and
-        # with room above; one_plus_h_power has the test above at these N
+        # with room above
         for k in {0, 1, modulus // 2, modulus - 1} - {modulus}:
             row = [math.comb(k + 1, j) for j in range(k + 1)]
             assert csm_linear_space(k, modulus).coeffs == (0,) * (modulus - 1 - k) + tuple(row), k

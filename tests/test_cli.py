@@ -143,6 +143,14 @@ class TestInvolute:
         assert err == too_long("the coefficient list")
 
     @needs_digit_limit
+    def test_signed_poly_token_over_digit_limit_exits_2(self, capsys):
+        # the sign is not a digit: "-999..." past the limit is too long, not malformed
+        poly = "1,-" + "9" * (DIGIT_LIMIT + 1)
+        code, out, err = run(capsys, "involute", "--d", "5", "--poly", poly)
+        assert code == 2 and out == ""
+        assert err == too_long("the coefficient list")
+
+    @needs_digit_limit
     def test_result_over_digit_limit_exits_2(self, capsys):
         # the input fits the limit; its transform, times binomials up to
         # C(1023, 511), does not
@@ -357,6 +365,22 @@ class TestSolve:
         code, out, err = run(capsys, "solve", str(bad))
         assert code == 2 and out == ""
         assert err == f"error: need at most {MAX_STRATA} strata per side, got {MAX_STRATA + 1}\n"
+
+    @pytest.mark.parametrize("tail", [0, 1], ids=["zero_tail", "nonzero_tail"])
+    def test_class_longer_than_n(self, capsys, tmp_path, tail):
+        # coefficients of H^N and beyond are accepted only as zeros, and then
+        # the file solves to the fixture's report, byte for byte
+        data = json.loads(FIXTURE.read_text())
+        data["primal"][2]["csm"] += [0, tail]
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "solve", str(path))
+        if tail:
+            assert code == 2 and out == ""
+            assert err == "error: stratum 'sym3_corank2': class exceeds modulus 6\n"
+        else:
+            assert code == 0 and err == ""
+            assert out.encode() == (GOLDEN / "solve_symmetric_3x3.out").read_bytes()
 
     def test_inconsistent_names_subsystem(self, capsys, tmp_path):
         data = json.loads(FIXTURE.read_text())
@@ -596,6 +620,11 @@ class TestChow:
         code, out, err = run(capsys, "chow", "--r", "3", "--n", "6", "--mult", partition, "1")
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("error: ")
+
+    def test_negative_part_rejected(self, capsys):
+        code, out, err = run(capsys, "chow", "--r", "2", "--n", "4", "--integrate", "1,-1", "2")
+        assert code == 2 and out == ""
+        assert err == "error: partition parts must be nonnegative\n"
 
     def test_bad_box(self, capsys):
         code, _, _ = run(capsys, "chow", "--r", "5", "--n", "4", "--integrate", "1")

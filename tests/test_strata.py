@@ -1,5 +1,8 @@
+import copy
 import json
+import pickle
 import random
+import re
 from functools import partial
 from math import comb
 from pathlib import Path
@@ -15,6 +18,7 @@ from chernmather.classpoly import (
     involute,
     involute_all,
 )
+from chernmather.grassmann import ChowElement
 from chernmather.linsolve import (
     InconsistentSystem,
     NonIntegerSolution,
@@ -42,26 +46,26 @@ SYM3_CORANK2 = ClassPoly([0, 0, 0, 4, 6, 3], 6)
 
 def sym3_pair():
     primal = [
-        Stratum("full_rank", SYM3_OPEN, 5),
-        Stratum("corank1", SYM3_CORANK1, 4),
-        Stratum("corank2", SYM3_CORANK2, 2),
+        Stratum("full_rank", SYM3_OPEN),
+        Stratum("corank1", SYM3_CORANK1),
+        Stratum("corank2", SYM3_CORANK2),
     ]
     dual = [
-        Stratum("full_rank_d", SYM3_OPEN, 5),
-        Stratum("corank1_d", SYM3_CORANK1, 4),
-        Stratum("corank2_d", SYM3_CORANK2, 2),
+        Stratum("full_rank_d", SYM3_OPEN),
+        Stratum("corank1_d", SYM3_CORANK1),
+        Stratum("corank2_d", SYM3_CORANK2),
     ]
-    return StratifiedPair(6, primal, dual, [(1, 2), (2, 1)])
+    return StratifiedPair(primal, dual, [(1, 2), (2, 1)])
 
 
 def quadric_cone_pair():
     # rank-3 quadric cone in P^3: open part, vertex; dual is a smooth conic
     primal = [
-        Stratum("cone_open", ClassPoly([0, 2, 4, 2], 4), 2),
-        Stratum("vertex", ClassPoly([0, 0, 0, 1]), 0),
+        Stratum("cone_open", ClassPoly([0, 2, 4, 2], 4)),
+        Stratum("vertex", ClassPoly([0, 0, 0, 1])),
     ]
-    dual = [Stratum("dual_conic", ClassPoly([0, 0, 2, 2], 4), 1)]
-    return StratifiedPair(4, primal, dual, [(0, 0)])
+    dual = [Stratum("dual_conic", ClassPoly([0, 0, 2, 2], 4))]
+    return StratifiedPair(primal, dual, [(0, 0)])
 
 
 def detvar_pair(n):
@@ -77,15 +81,15 @@ def linear_flag_pair(modulus, dims):
     def side(ds, prefix):
         closures = [csm_linear_space(d, modulus) for d in ds] + [ClassPoly.zero(modulus)]
         return [
-            Stratum(f"{prefix}{i}", closures[i] - closures[i + 1], d)
-            for i, d in enumerate(ds)
+            Stratum(f"{prefix}{i}", closures[i] - closures[i + 1])
+            for i in range(len(ds))
         ]
 
     dims = sorted(dims, reverse=True)
     m = len(dims)
     coflag = [modulus - 2 - d for d in reversed(dims)]
     return StratifiedPair(
-        modulus, side(dims, "flag"), side(coflag, "coflag"),
+        side(dims, "flag"), side(coflag, "coflag"),
         [(r, m - 1 - r) for r in range(m)],
     )
 
@@ -117,7 +121,7 @@ class TestSolveSystem:
         # smooth quadric surface class is fixed by the transform
         q = ClassPoly([0, 2, 4, 4], 4)
         pair = StratifiedPair(
-            4, [Stratum("q", q, 2)], [Stratum("q_dual", q, 2)], [(0, 0)]
+            [Stratum("q", q)], [Stratum("q_dual", q)], [(0, 0)]
         )
         table = euler_table(pair)
         assert table.primal == ((1,),) and table.dual == ((1,),)
@@ -129,50 +133,52 @@ class TestSolveSystem:
 
     def test_inconsistent_inputs_flagged(self):
         bad = ClassPoly([0, 3, 9, 10, 6, 4], 6)  # corrupted top coefficient
-        primal = [Stratum("a", bad, 4), Stratum("b", SYM3_CORANK2, 2)]
-        dual = [Stratum("a_d", SYM3_CORANK1, 4), Stratum("b_d", SYM3_CORANK2, 2)]
-        pair = StratifiedPair(6, primal, dual, [(0, 1), (1, 0)])
+        primal = [Stratum("a", bad), Stratum("b", SYM3_CORANK2)]
+        dual = [Stratum("a_d", SYM3_CORANK1), Stratum("b_d", SYM3_CORANK2)]
+        pair = StratifiedPair(primal, dual, [(0, 1), (1, 0)])
         with pytest.raises(InconsistentSystem, match="primal\\[0\\] 'a'"):
             euler_table(pair)
 
     def test_duplicate_classes_are_rank_deficient(self):
         dup = ClassPoly([0, 0, 0, 1])
         primal = [
-            Stratum("open", ClassPoly([0, 2, 4, 2], 4), 2),
-            Stratum("pt_a", dup, 0),
-            Stratum("pt_b", dup, 0),
+            Stratum("open", ClassPoly([0, 2, 4, 2], 4)),
+            Stratum("pt_a", dup),
+            Stratum("pt_b", dup),
         ]
-        dual = [Stratum("conic", ClassPoly([0, 0, 2, 2], 4), 1)]
-        pair = StratifiedPair(4, primal, dual, [(0, 0)])
+        dual = [Stratum("conic", ClassPoly([0, 0, 2, 2], 4))]
+        pair = StratifiedPair(primal, dual, [(0, 0)])
         with pytest.raises(NonUniqueSolution):
             euler_table(pair)
 
     def test_fractional_solution_is_rejected(self):
         # rigged so the unique rational solution is 1/2
         primal = [
-            Stratum("open", ClassPoly([0, 2, 4, 2], 4), 2),
-            Stratum("fat_point", ClassPoly([0, 0, 0, 2], 4), 0),
+            Stratum("open", ClassPoly([0, 2, 4, 2], 4)),
+            Stratum("fat_point", ClassPoly([0, 0, 0, 2], 4)),
         ]
-        dual = [Stratum("rigged", ClassPoly([0, 1, 1, 1], 4), 2)]
-        pair = StratifiedPair(4, primal, dual, [(0, 0)])
+        dual = [Stratum("rigged", ClassPoly([0, 1, 1, 1], 4))]
+        pair = StratifiedPair(primal, dual, [(0, 0)])
         with pytest.raises(NonIntegerSolution):
             euler_table(pair)
 
     def test_wrong_parity_dims_rejected(self, capsys, tmp_path):
         # each primal class declared one dimension above the one it fixes,
-        # which would flip the parity signs of both systems: the strata are
-        # rejected where they are built, and a file with them exits 2
-        for name, csm, dim in (("corank1", SYM3_CORANK1, 4), ("corank2", SYM3_CORANK2, 2)):
-            message = (
-                f"^stratum '{name}' declares dimension {dim + 1}, "
-                f"but its class has dimension {dim}$"
-            )
-            with pytest.raises(ValueError, match=message):
-                Stratum(name, csm, dim + 1)
+        # which would flip the parity signs of both systems: the file is
+        # rejected where it is read, and exits 2
         side = [
             {"name": "corank1", "dim": 4, "csm": SYM3_CORANK1.to_list()},
             {"name": "corank2", "dim": 2, "csm": SYM3_CORANK2.to_list()},
         ]
+        for i, entry in enumerate(side):
+            flipped = side[:i] + [{**entry, "dim": entry["dim"] + 1}] + side[i + 1 :]
+            message = (
+                f"^stratum '{entry['name']}' declares dimension {entry['dim'] + 1}, "
+                f"but its class has dimension {entry['dim']}$"
+            )
+            data = {"N": 6, "primal": flipped, "dual": side, "pairing": [[0, 1], [1, 0]]}
+            with pytest.raises(ValueError, match=message):
+                StratifiedPair.from_dict(data)
         flipped = [{**s, "dim": s["dim"] + 1} for s in side]
         path = tmp_path / "parity.json"
         data = {"N": 6, "primal": flipped, "dual": side, "pairing": [[0, 1], [1, 0]]}
@@ -199,14 +205,14 @@ class TestEulerTable:
     def test_disjoint_smooth_linear_strata_give_identity(self):
         # a plane and a far point in P^5; duals are the annihilator spaces
         primal = [
-            Stratum("plane", csm_linear_space(2, 6), 2),
-            Stratum("point", csm_linear_space(0, 6), 0),
+            Stratum("plane", csm_linear_space(2, 6)),
+            Stratum("point", csm_linear_space(0, 6)),
         ]
         dual = [
-            Stratum("point_dual", csm_linear_space(4, 6), 4),
-            Stratum("plane_dual", csm_linear_space(2, 6), 2),
+            Stratum("point_dual", csm_linear_space(4, 6)),
+            Stratum("plane_dual", csm_linear_space(2, 6)),
         ]
-        pair = StratifiedPair(6, primal, dual, [(0, 1), (1, 0)])
+        pair = StratifiedPair(primal, dual, [(0, 1), (1, 0)])
         table = euler_table(pair)
         assert table.primal == ((1, 0), (0, 1))
         assert table.dual == ((1, 0), (0, 1))
@@ -232,11 +238,11 @@ class TestEulerTable:
         # an unpaired non-deepest stratum whose strata do not sum to the
         # ambient class leaves the row undetermined
         primal = [
-            Stratum("b", SYM3_CORANK1, 4),
-            Stratum("c", SYM3_CORANK2, 2),
+            Stratum("b", SYM3_CORANK1),
+            Stratum("c", SYM3_CORANK2),
         ]
-        dual = [Stratum("c_d", SYM3_CORANK2, 2)]
-        pair = StratifiedPair(6, primal, dual, [])
+        dual = [Stratum("c_d", SYM3_CORANK2)]
+        pair = StratifiedPair(primal, dual, [])
         with pytest.raises(ValueError, match="cannot be inferred"):
             euler_table(pair)
 
@@ -244,7 +250,7 @@ class TestEulerTable:
         # the quadric cone with its sides swapped: the vertex is now the
         # deepest dual stratum, and nothing pairs with it
         cone = quadric_cone_pair()
-        pair = StratifiedPair(4, cone.dual, cone.primal, [(0, 0)])
+        pair = StratifiedPair(cone.dual, cone.primal, [(0, 0)])
         table = euler_table(pair)
         assert table.dual == ((1, 0), (0, 1))
         fills = [d for d in table.diagnostics if d["method"] != "solved"]
@@ -260,12 +266,12 @@ class TestEulerTable:
 
     def test_unfillable_dual_row_is_an_error(self):
         # the mirror of test_unfillable_row_is_an_error on the dual side
-        primal = [Stratum("c", SYM3_CORANK2, 2)]
+        primal = [Stratum("c", SYM3_CORANK2)]
         dual = [
-            Stratum("b_d", SYM3_CORANK1, 4),
-            Stratum("c_d", SYM3_CORANK2, 2),
+            Stratum("b_d", SYM3_CORANK1),
+            Stratum("c_d", SYM3_CORANK2),
         ]
-        pair = StratifiedPair(6, primal, dual, [])
+        pair = StratifiedPair(primal, dual, [])
         with pytest.raises(ValueError, match="dual stratum 'b_d' .*cannot be inferred"):
             euler_table(pair)
 
@@ -282,7 +288,7 @@ class TestDualitySymmetry:
     def test_swapping_sides_transposes(self):
         pair = sym3_pair()
         swapped = StratifiedPair(
-            6, pair.dual, pair.primal, [(p, r) for r, p in pair.pairing]
+            pair.dual, pair.primal, [(p, r) for r, p in pair.pairing]
         )
         t1 = euler_table(pair)
         t2 = euler_table(swapped)
@@ -381,7 +387,7 @@ def random_side(rng, modulus, prefix):
         coeffs = [rng.choice((0, rng.randint(-40, 40))) for _ in range(modulus)]
         coeffs[rng.randrange(modulus)] = rng.choice((-1, 1)) * rng.randint(1, 2**70)
         csm = ClassPoly(coeffs, modulus)
-        side.append(Stratum(f"{prefix}{i}", csm, csm.dim))
+        side.append(Stratum(f"{prefix}{i}", csm))
     return side
 
 
@@ -393,7 +399,7 @@ class TestSystemOracle:
         for _ in range(60):
             modulus = rng.randint(2, 9)
             pair = StratifiedPair(
-                modulus, random_side(rng, modulus, "x"), random_side(rng, modulus, "y"), []
+                random_side(rng, modulus, "x"), random_side(rng, modulus, "y"), []
             )
             inv = involute_all([s.csm for s in pair.primal], modulus - 1)
             for r in range(len(pair.primal)):
@@ -535,7 +541,7 @@ class TestChainRows:
         moved = involute(extra, 39).coeffs
         assert [moved[c] for c in (3, 10, 18, 31)] == [0] * 4 and any(moved)
         primal = list(pair.primal)
-        primal[1] = Stratum("bad", primal[1].csm + extra, 17)
+        primal[1] = Stratum("bad", primal[1].csm + extra)
         pair = pair._replace(primal=tuple(primal))
         inv = involute_all([s.csm for s in pair.primal], 39)
         assert strata._chain_rows(pair, inv) is None
@@ -543,14 +549,29 @@ class TestChainRows:
         with pytest.raises(InconsistentSystem, match="primal\\[0\\] 'flag0'"):
             euler_table(pair)
 
+    def test_pivot_declines(self):
+        # the deepest primal class doubled keeps its dimension, and tau, the
+        # flag's transforms over the dual classes, stays exact; the doubled
+        # class then reduces to the pivot 2 s_t, not s_t, and the per-system
+        # solve of the open stratum finds its weight a half
+        pair = linear_flag_pair(12, [9, 6, 2])
+        primal = list(pair.primal)
+        primal[2] = Stratum(primal[2].name, 2 * primal[2].csm)
+        pair = StratifiedPair(primal, pair.dual, pair.pairing)
+        assert pair.primal[2].dim == 2
+        inv = involute_all([s.csm for s in pair.primal], 11)
+        assert strata._chain_rows(pair, inv) is None
+        system = re.escape("[primal[0] 'flag0' <-> dual[2] 'coflag2']")
+        with pytest.raises(NonIntegerSolution, match=system):
+            euler_table(pair)
+
     def test_inexact_division_declines(self):
         # the transform is half the dual class, so the one system has no
         # integer solution and the per-system solve says so
         half = ClassPoly([0, 0, 1, 1], 4)
         pair = StratifiedPair(
-            4,
-            [Stratum("x", involute(half, 3), 2)],
-            [Stratum("y", ClassPoly([0, 0, 2, 2], 4), 1)],
+            [Stratum("x", involute(half, 3))],
+            [Stratum("y", ClassPoly([0, 0, 2, 2], 4))],
             [(0, 0)],
         )
         assert strata._chain_rows(pair, [half]) is None
@@ -564,9 +585,8 @@ class TestEuAtOrigin:
 
     def test_projective_line_in_p1(self):
         pair = StratifiedPair(
-            2,
-            [Stratum("line", ClassPoly([1, 2]), 1)],
-            [Stratum("line_d", ClassPoly([1, 2]), 1)],
+            [Stratum("line", ClassPoly([1, 2]))],
+            [Stratum("line_d", ClassPoly([1, 2]))],
             [],
         )
         # cone over P^1 inside C^2 is the smooth plane
@@ -581,51 +601,56 @@ class TestEuAtOrigin:
 
 class TestValidation:
     def test_modulus_mismatch(self):
-        with pytest.raises(ValueError, match="modulus"):
-            StratifiedPair(
-                5,
-                [Stratum("a", SYM3_OPEN, 5)],
-                [Stratum("b", SYM3_OPEN, 5)],
-                [],
-            )
+        # N is the modulus of the first primal class; every other class must share it
+        short = Stratum("short", ClassPoly(SYM3_OPEN.coeffs[:5]))
+        top = Stratum("top", SYM3_OPEN)
+        with pytest.raises(ValueError, match="^dual stratum 'short' has modulus 5, expected 6$"):
+            StratifiedPair([top], [short], [])
+        with pytest.raises(ValueError, match="^primal stratum 'short' has modulus 5, expected 6$"):
+            StratifiedPair([top, short], [top], [])
+        assert StratifiedPair([short], [short], []).ambient == 5
 
     def test_zero_class_rejected(self):
         with pytest.raises(ValueError, match="zero"):
-            Stratum("z", ClassPoly.zero(4), 0)
+            Stratum("z", ClassPoly.zero(4))
+        # in a file, a zero class fails as such, whatever dimension it declares
+        side = [{"name": "z", "dim": 7, "csm": [0, 0, 0, 0]}]
+        with pytest.raises(ValueError, match="^stratum 'z' has zero class polynomial$"):
+            StratifiedPair.from_dict({"N": 4, "primal": side, "dual": side, "pairing": []})
 
     def test_reflectivity_chain(self):
         # pairing deeper primal strata to smaller duals is not reflective
         primal = [
-            Stratum("a", SYM3_CORANK1, 4),
-            Stratum("b", SYM3_CORANK2, 2),
+            Stratum("a", SYM3_CORANK1),
+            Stratum("b", SYM3_CORANK2),
         ]
         dual = [
-            Stratum("a_d", SYM3_CORANK1, 4),
-            Stratum("b_d", SYM3_CORANK2, 2),
+            Stratum("a_d", SYM3_CORANK1),
+            Stratum("b_d", SYM3_CORANK2),
         ]
         with pytest.raises(ValueError, match="reflective"):
-            StratifiedPair(6, primal, dual, [(0, 0), (1, 1)])
+            StratifiedPair(primal, dual, [(0, 0), (1, 1)])
 
     def test_pairing_range_and_duplicates(self):
-        primal = [Stratum("a", SYM3_CORANK1, 4)]
-        dual = [Stratum("b", SYM3_CORANK2, 2)]
+        primal = [Stratum("a", SYM3_CORANK1)]
+        dual = [Stratum("b", SYM3_CORANK2)]
         with pytest.raises(ValueError, match="out of range"):
-            StratifiedPair(6, primal, dual, [(0, 5)])
-        primal2 = [Stratum("a", SYM3_CORANK1, 4), Stratum("c", SYM3_CORANK2, 2)]
+            StratifiedPair(primal, dual, [(0, 5)])
+        primal2 = [Stratum("a", SYM3_CORANK1), Stratum("c", SYM3_CORANK2)]
         with pytest.raises(ValueError, match="repeats"):
-            StratifiedPair(6, primal2, dual, [(0, 0), (1, 0)])
+            StratifiedPair(primal2, dual, [(0, 0), (1, 0)])
 
     def test_strata_resorted_by_dimension(self):
         # supplied deepest-first; the pair re-sorts and remaps the pairing
         primal = [
-            Stratum("corank2", SYM3_CORANK2, 2),
-            Stratum("corank1", SYM3_CORANK1, 4),
+            Stratum("corank2", SYM3_CORANK2),
+            Stratum("corank1", SYM3_CORANK1),
         ]
         dual = [
-            Stratum("corank1_d", SYM3_CORANK1, 4),
-            Stratum("corank2_d", SYM3_CORANK2, 2),
+            Stratum("corank1_d", SYM3_CORANK1),
+            Stratum("corank2_d", SYM3_CORANK2),
         ]
-        pair = StratifiedPair(6, primal, dual, [(1, 1), (0, 0)])
+        pair = StratifiedPair(primal, dual, [(1, 1), (0, 0)])
         assert [s.name for s in pair.primal] == ["corank1", "corank2"]
         assert pair.pairing == ((0, 1), (1, 0))
         assert euler_table(pair).primal[0] == (1, 0)
@@ -633,21 +658,52 @@ class TestValidation:
     @pytest.mark.parametrize("dim", [6, 1000001])
     def test_dimension_above_ambient_rejected(self, dim):
         # P^5 holds no stratum of dimension 6 or more: no class there has one
+        def data(declared):
+            return {
+                "N": 6,
+                "primal": [{"name": "top", "dim": 5, "csm": SYM3_OPEN.to_list()}],
+                "dual": [{"name": "big", "dim": declared, "csm": SYM3_CORANK1.to_list()}],
+                "pairing": [],
+            }
+
         message = f"^stratum 'big' declares dimension {dim}, but its class has dimension 4$"
         with pytest.raises(ValueError, match=message):
-            Stratum("big", SYM3_CORANK1, dim)
-        fine = [Stratum("fine", SYM3_CORANK1, 4)]
-        assert StratifiedPair(6, [Stratum("top", SYM3_OPEN, 5)], fine, []).primal[0].dim == 5
+            StratifiedPair.from_dict(data(dim))
+        pair = StratifiedPair.from_dict(data(4))
+        assert (pair.primal[0].dim, pair.dual[0].dim) == (5, 4)
+        assert Stratum("big", SYM3_CORANK1).dim == 4
+
+    @pytest.mark.parametrize(
+        "protocol", [*range(2, pickle.HIGHEST_PROTOCOL + 1), "deepcopy"]
+    )
+    def test_value_classes_round_trip(self, protocol):
+        # multiprocessing pickles the arguments and results of a parallel sweep
+        pair = sym3_pair()
+        values = [
+            pair.primal[1],
+            pair,
+            euler_table(pair),
+            SYM3_CORANK1,
+            ChowElement.sigma((2, 1), 3, 6),
+            quadric.QuadricSpec(4, 3),
+        ]
+        for value in values:
+            if protocol == "deepcopy":
+                again = copy.deepcopy(value)
+            else:
+                again = pickle.loads(pickle.dumps(value, protocol))
+            assert type(again) is type(value) and again == value, value
 
     def test_value_classes_are_immutable_values(self):
-        stratum = Stratum(name="a", csm=SYM3_CORANK1, dim=4)
-        pair = StratifiedPair(ambient=6, primal=[stratum], dual=[stratum], pairing=[])
+        stratum = Stratum(name="a", csm=SYM3_CORANK1)
+        pair = StratifiedPair(primal=[stratum], dual=[stratum], pairing=[])
         table = EulerTable(((1,),), ((1,),), (1,), (SYM3_CORANK1,), (SYM3_CORANK1,))
         spec = quadric.QuadricSpec(r=3, n=4)
-        assert stratum == Stratum("a", ClassPoly(SYM3_CORANK1.coeffs), 4)
-        assert pair == StratifiedPair(6, (stratum,), (stratum,), ())
+        assert stratum == Stratum("a", ClassPoly(SYM3_CORANK1.coeffs))
+        assert pair == StratifiedPair((stratum,), (stratum,), ())
         assert hash(spec) == hash(quadric.QuadricSpec(4, 3))
         assert table.diagnostics == ()
+        assert (stratum.dim, pair.ambient) == (4, 6)
         for value, field in ((stratum, "dim"), (pair, "ambient"), (table, "origin"), (spec, "n")):
             with pytest.raises(AttributeError):
                 setattr(value, field, 0)
