@@ -38,14 +38,7 @@ from types import SimpleNamespace
 from . import detvar as dv
 from . import quadric as qd
 from .classpoly import ClassPoly, csm_linear_space, involute, render_combination
-from .grassmann import (
-    MAX_LR_TABLEAUX,
-    ChowElement,
-    integrate,
-    lr_multiply,
-    normalize_partition,
-    pieri_bound,
-)
+from .grassmann import ChowElement, integrate_chain, lr_multiply, normalize_partition
 from .linsolve import LinearSystemError
 from .strata import MAX_AMBIENT, EulerTable, StratifiedPair, euler_table
 
@@ -55,7 +48,7 @@ _INT64_MAX = 2**63 - 1
 # 0.71 and 1.79 s, in ranges of 0.27-0.47, 0.65-1.06 and 1.71-2.78 s; an even
 # n localizes one more r than the odd n below it) and by `chow` (at most
 # C(20, 10) Schubert classes; the work of each product is bounded by
-# grassmann.MAX_LR_TABLEAUX).
+# grassmann.MAX_LR_TABLEAUX, see grassmann.integrate_chain).
 MAX_DETVAR_N = 14
 MAX_CHOW_N = 20
 
@@ -305,48 +298,19 @@ def _cmd_chow(args):
     _at_most("--n", n, MAX_CHOW_N)
     mode = "mult" if args.mult else "integrate"
     # A chain is a multiset: each distinct token is parsed once, in command
-    # line order, and each distinct partition echoed once and built once, in
-    # product order, so errors keep the precedence of one pass per factor.
-    # The repeats share one ChowElement, which lr_multiply only reads.
+    # line order, and each distinct partition echoed once
     tokens = getattr(args, mode)
     partition = {t: _parse_partition(t) for t in dict.fromkeys(tokens)}
     parts = [partition[t] for t in tokens]
     echo = {p: _join(p) for p in partition.values()}
     inputs = {"r": r, "n": n, mode: [echo[p] for p in parts]}
-    # One product order per multiset: general factors, then sorted Pieri
-    # strips.  The trailing sigma_1 factors are integrated, not multiplied,
-    # so sigma_1 sorts after the other strips when no strip product can
-    # reach MAX_LR_TABLEAUX on this box: then no order of the strips
-    # changes an exit code.  On larger boxes sigma_1 sorts first, and the
-    # other strips run at the top degrees, where the terms are fewest.
     if args.integrate:
-        strips = {p for p in echo if len(p) == 1 or set(p) == {1}}
-        late = all(pieri_bound(sum(p), r, n) <= MAX_LR_TABLEAUX for p in strips)
-        rank = {p: (p in strips, late and p == (1,), p) for p in echo}
-        parts.sort(key=rank.__getitem__)
-    # sigma of the empty partition is the unit, so it is not multiplied in
-    sigma = {p: ChowElement.sigma(p, r, n) for p in dict.fromkeys(parts) if p}
-    factors = [sigma[p] for p in parts if p]
-    if args.integrate and sum(map(sum, parts)) != r * (n - r):
-        return inputs, {"integral": 0}, {}, None  # 0 by degree
-    if args.mult:
-        elem = lr_multiply(ChowElement.one(r, n), *factors)
-        outputs = {
-            "product": _render_chow(elem),
-            "terms": {_join(p): c for p, c in sorted(elem.terms.items())},
-        }
-    else:
-        # The trailing run of sigma_1 factors is integrated in closed form,
-        # not multiplied; every product before it is multiplied as before.
-        # This changes no exit code: the terms of a chain's product all have
-        # one degree, and a sigma_1 product adds one box to a term in at most
-        # r ways, so it makes at most r times as many Pieri strips as the box
-        # has partitions of one size (5,448 x 10 on G(10, 20); the most for
-        # n <= MAX_CHOW_N is 4,968 x 11 on G(11, 20)), always below
-        # MAX_LR_TABLEAUX.
-        ones = next((k for k, p in enumerate(reversed(parts)) if p != (1,)), len(parts))
-        elem = lr_multiply(ChowElement.one(r, n), *factors[: len(factors) - ones])
-        outputs = {"integral": integrate(elem, ones)}
+        return inputs, {"integral": integrate_chain(parts, r, n)}, {}, None
+    elem = lr_multiply(*(ChowElement.sigma(p, r, n) for p in parts))
+    outputs = {
+        "product": _render_chow(elem),
+        "terms": {_join(p): c for p, c in sorted(elem.terms.items())},
+    }
     return inputs, outputs, {}, None
 
 

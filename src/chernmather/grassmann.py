@@ -15,9 +15,9 @@ its terms stay padded to r parts from the first product to the last.
 `integrate(x, ones)` is the integral of x * sigma_1^ones; it needs no
 product, since the integral of sigma_lambda * sigma_1^ones counts the
 standard tableaux of the skew shape box/lambda, which Frobenius' formula
-gives in closed form.  `pieri_bound(k, r, n)` bounds the tableaux of one
-product by a strip of k boxes, so a caller can tell when the order of its
-strips cannot decide whether a chain reaches MAX_LR_TABLEAUX.
+gives in closed form.  `integrate_chain(parts, r, n)` integrates a chain
+of Schubert classes given by their partitions, with the product order and
+the closed form that `chow --integrate` uses.
 """
 
 from __future__ import annotations
@@ -32,24 +32,13 @@ from operator import index, sub
 # (6,5,4,3,2,1)^2 generate 26,704 and 1,095,308 tableaux, in 0.35 s and 15 s
 # as `chow` processes on a 2-core VM.  A Pieri strip is cheaper:
 # (1,1)^40 * 1^20 takes 0.8 to 1.5 s there.  A sigma_1 product never reaches
-# the limit (see `cli._cmd_chow`), and `chow --integrate` integrates a
-# trailing run of sigma_1 factors in closed form: sigma_1^100 takes under
-# 0.2 s, where its 100 products took 0.7 to 1.1 s.  The slowest accepted
+# the limit, and `integrate_chain` integrates a trailing run of sigma_1
+# factors in closed form: sigma_1^100 takes under 0.2 s, where its 100
+# products took 0.7 to 1.1 s.  The slowest accepted
 # inputs found, (2,1)^11 * 1 * (1,1)^33, (3,2,1)^4 * (1,1)^38 and
 # (3,1)^7 * (1,1)^36, take 1.1 to 1.6 s each as processes (up to 3 s on a
 # busier host).
 MAX_LR_TABLEAUX = 100_000
-
-
-def pieri_bound(k: int, r: int, n: int) -> int:
-    """The most tableaux a product by sigma_(k) or sigma_(1^k) can generate
-    on G(r, n): at most C(k + m - 1, k) Pieri strips, m = min(r, n - r), for
-    each of the C(n, r) classes.  A horizontal strip of k boxes is fixed by
-    the boxes each of the r rows takes, which number C(k + r - 1, k) at
-    most, and by the k of the n - r columns that take one box, at most
-    C(n - r, k) <= C(k + n - r - 1, k); a vertical strip the other way
-    round."""
-    return comb(n, r) * comb(k + min(r, n - r) - 1, k)
 
 
 # ---------------------------------------------------------------------------
@@ -283,3 +272,45 @@ def integrate(x: ChowElement, ones: int = 0) -> int:
             )
         total += c * count
     return total
+
+
+def _pieri_bound(k: int, r: int, n: int) -> int:
+    """The most tableaux a product by sigma_(k) or sigma_(1^k) can generate
+    on G(r, n): at most C(k + m - 1, k) Pieri strips, m = min(r, n - r), for
+    each of the C(n, r) classes.  A horizontal strip of k boxes is fixed by
+    the boxes each of the r rows takes, which number C(k + r - 1, k) at
+    most, and by the k of the n - r columns that take one box, at most
+    C(n - r, k) <= C(k + n - r - 1, k); a vertical strip the other way
+    round."""
+    return comb(n, r) * comb(k + min(r, n - r) - 1, k)
+
+
+def integrate_chain(parts: Sequence[tuple[int, ...]], r: int, n: int) -> int:
+    """Integral over G(r, n) of the product of sigma_p over the partitions
+    p of `parts`, a multiset, multiplied in one order that depends only on
+    the multiset and the box: general factors, then the strips of one row
+    or one column, each group sorted.  sigma_1 sorts after the other strips
+    when no strip product can reach MAX_LR_TABLEAUX on this box, so that no
+    order of the strips decides whether the chain raises; else first, so
+    the other strips run at the top degrees, where the terms are fewest.
+    Each distinct sigma is built once in that order, so a misfit raises for
+    the first misfit of the order.  A chain whose size is not r(n - r) is 0
+    by degree, with no product, and the unit sigma_() is not multiplied.
+
+    The trailing run of sigma_1 factors is integrated in closed form.  Its
+    products could not raise either: a sigma_1 product adds one box to a
+    term in at most r ways, so it makes at most r times as many strips as
+    the box has partitions of one size (5,448 x 10 on G(10, 20); the most
+    for n <= 20 is 4,968 x 11 on G(11, 20)), below MAX_LR_TABLEAUX.
+    """
+    distinct = dict.fromkeys(parts)
+    strips = {p for p in distinct if len(p) == 1 or set(p) == {1}}
+    late = all(_pieri_bound(sum(p), r, n) <= MAX_LR_TABLEAUX for p in strips)
+    rank = {p: (p in strips, late and p == (1,), p) for p in distinct}
+    order = sorted(parts, key=rank.__getitem__)
+    sigma = {p: ChowElement.sigma(p, r, n) for p in dict.fromkeys(order) if p}
+    if sum(map(sum, parts)) != r * (n - r):
+        return 0
+    ones = next((k for k, p in enumerate(reversed(order)) if p != (1,)), len(order))
+    factors = [sigma[p] for p in order[: len(order) - ones] if p]
+    return integrate(lr_multiply(ChowElement.one(r, n), *factors), ones)

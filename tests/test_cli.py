@@ -700,7 +700,7 @@ class TestChow:
             multiplied.extend(tuple(f.terms) for f in factors)
             return lr_multiply(a, *factors)
 
-        monkeypatch.setattr("chernmather.cli.lr_multiply", spy)
+        monkeypatch.setattr("chernmather.grassmann.lr_multiply", spy)
         argv = ["1"] * 4 + ["2", "1", "1", "2,1", "1,1"] + ["1"] * 3
         report = run_json(capsys, "chow", "--r", "4", "--n", "8", "--integrate", *argv)
         assert report["outputs"]["integral"] == 2124
@@ -717,7 +717,7 @@ class TestChow:
             multiplied.extend(tuple(f.terms) for f in factors)
             return a
 
-        monkeypatch.setattr("chernmather.cli.lr_multiply", spy)
+        monkeypatch.setattr("chernmather.grassmann.lr_multiply", spy)
         argv = ["1,1"] * 30 + ["1"] * 37 + ["2,1"]
         with redirect_stdout(io.StringIO()):
             assert main(["chow", "--r", "10", "--n", "20", "--integrate", *argv]) == 0

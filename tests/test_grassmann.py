@@ -16,7 +16,6 @@ from chernmather.grassmann import (
     integrate,
     lr_multiply,
     normalize_partition,
-    pieri_bound,
 )
 
 from oracles import (
@@ -397,7 +396,7 @@ class TestTableauBudget:
 
     def test_pieri_bound_bounds_every_strip_product(self):
         # a product of every class of the box by a strip of k boxes makes at
-        # most pieri_bound(k, rows, n) strips, one `add` each
+        # most _pieri_bound(k, rows, n) strips, one `add` each
         for rows in range(1, 6):
             for cols in range(1, 6):
                 n = rows + cols
@@ -405,7 +404,7 @@ class TestTableauBudget:
                 strips = [(k,) for k in range(1, cols + 1)] + [(1,) * k for k in range(2, rows + 1)]
                 for mu in strips:
                     _, calls = grassmann_calls(lambda: lr_multiply(x, sigma(mu, rows, n)), "add")
-                    assert calls["add"] <= pieri_bound(sum(mu), rows, n), (mu, rows, cols)
+                    assert calls["add"] <= grassmann._pieri_bound(sum(mu), rows, n), (mu, rows, cols)
 
 
 class TestChains:
