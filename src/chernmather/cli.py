@@ -5,8 +5,10 @@ returns the inputs, outputs and diagnostics of its report, and the
 stratified pair of a generated family or None; `main` alone wraps the rest
 in the report {"command", "inputs", "outputs", "diagnostics"}, renders the
 report and the pair `--emit-strata` asks for, and only then writes them.
-A run that exits non-zero removes every file it created.  Files skip the
-text layer: `solve` reads its input as bytes, decodes them as strict UTF-8
+A run that exits non-zero removes every file it created, and an existing
+regular file keeps its bytes: `_write` writes its new text to a temporary
+file beside it, which `main` renames over it once the run has succeeded.
+Files skip the text layer: `solve` reads its input as bytes, decodes them as strict UTF-8
 and reads any line ending as a line feed, and `_write` writes the `--out`
 and `--emit-strata` texts as UTF-8 bytes with os.write; only stdout is
 written through sys.stdout as text.  Reports are deterministic (JSON by
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 import sys
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
@@ -128,19 +131,43 @@ def _render_text(payload, prefix="") -> list[str]:
     return lines
 
 
-def _write(path: str, text: str) -> None:
-    """Write `text` to `path` as UTF-8 bytes with os.write, called again
-    after a short write until every byte is written."""
+def _write(path: str, text: str) -> str | None:
+    """Write `text` for `path` as UTF-8 bytes with os.write, called again
+    after a short write until every byte is written.  An existing regular
+    file that may be written keeps its bytes: the text goes to a temporary
+    file beside it, with its permission bits, and the name of that file is
+    returned for `main` to os.replace over `path` once the run has
+    succeeded.  Any other path (a new one, /dev/null, a FIFO, a symlink, or
+    one whose directory takes no new file) is written in place, and None
+    returned."""
     data = memoryview(text.encode("utf-8"))
     try:
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        mode = os.lstat(path).st_mode
+    except OSError:
+        mode = 0
+    temp = None
+    try:
+        if stat.S_ISREG(mode) and os.access(path, os.W_OK):
+            head, tail = os.path.split(path)
+            temp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+            try:
+                fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
+            except OSError:
+                temp = None
+        if temp is None:
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
         try:
+            if temp is not None:
+                os.fchmod(fd, stat.S_IMODE(mode))
             while data:
                 data = data[os.write(fd, data):]
         finally:
             os.close(fd)
     except OSError as exc:
+        if temp is not None:
+            os.remove(temp)
         raise ValueError(f"cannot write {path}: {exc}") from exc
+    return temp
 
 
 def _render(report: dict, fmt: str) -> str:
@@ -417,6 +444,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _plain_args(argv) or _build_parser().parse_args(argv)
     created = []  # the files this run writes whose paths did not exist before
+    staged = {}  # path -> the temporary file that replaces it on success
     try:
         emit = getattr(args, "emit_strata", None)
         if emit is not None and args.out is not None:
@@ -445,7 +473,9 @@ def main(argv=None) -> int:
         for path, content in files:
             if not os.path.lexists(path):
                 created.append(path)
-            _write(path, content)
+            temp = _write(path, content)
+            if temp is not None:
+                staged[path] = temp
         if args.out is None:
             if sys.stdout is None:  # descriptor 1 was closed at start-up
                 raise ValueError("cannot write the report to stdout: it is closed")
@@ -461,6 +491,11 @@ def main(argv=None) -> int:
                 if isinstance(exc, BrokenPipeError):
                     raise  # the reader of stdout has gone
                 raise ValueError(f"cannot write the report to stdout: {exc}") from exc
+        for path, temp in staged.items():
+            try:
+                os.replace(temp, path)
+            except OSError as exc:
+                raise ValueError(f"cannot write {path}: {exc}") from exc
         return 0
     except BrokenPipeError:
         code, error = 1, None
@@ -469,8 +504,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         code, error = 2, exc
     # a failed run takes back what it wrote, but never a path that existed
-    # before it, such as /dev/null
-    for path in created:
+    # before it, such as /dev/null; an existing regular file keeps its bytes
+    for path in created + list(staged.values()):
         if os.path.lexists(path):
             os.remove(path)
     if error is not None and sys.stderr is not None:  # None: closed at start-up

@@ -836,6 +836,9 @@ class TestReportPlumbing:
         assert code == 2 and out == ""
         assert err.startswith(f"error: cannot write {emitted}: ")
         assert target.exists() == existed
+        assert os.listdir(tmp_path) == (["r.json"] if existed else [])
+        if existed:
+            assert target.read_text() == "kept\n"
 
     @staticmethod
     def short_writes(monkeypatch, fail_after=None):
@@ -875,6 +878,65 @@ class TestReportPlumbing:
         assert (code, out) == (2, "")
         assert err == f"error: cannot write {target}: [Errno 28] No space left on device\n"
         assert target.exists() == existed
+        assert os.listdir(tmp_path) == (["r.json"] if existed else [])
+        if existed:
+            assert target.read_text() == "kept\n"
+
+    def test_failed_emit_keeps_an_existing_report(self, capsys, tmp_path, monkeypatch):
+        # the report is written before the strata file, whose directory is
+        # missing: the report that existed keeps its bytes, its mode and
+        # its inode, and no temporary file is left
+        monkeypatch.chdir(tmp_path)
+        Path("r.json").write_text("kept\n")
+        os.chmod("r.json", 0o640)
+        before = os.stat("r.json")
+        argv = ["detvar", "--n", "3", "--out", "r.json", "--emit-strata", "missing/s.json"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot write missing/s.json: ")
+        assert Path("r.json").read_bytes() == b"kept\n"
+        after = os.stat("r.json")
+        assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+        assert os.listdir() == ["r.json"]
+
+    def test_existing_file_replaced_with_its_mode(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv, emitted = CASES["detvar_n3_emit"]
+        for name in ("r.json", emitted):
+            Path(name).write_text("old\n")
+            os.chmod(name, 0o640)
+        umask = os.umask(0o077)
+        try:
+            assert run(capsys, *argv, "--out", "r.json")[0] == 0
+        finally:
+            os.umask(umask)
+        assert Path("r.json").read_bytes() == (GOLDEN / "detvar_n3_emit.out").read_bytes()
+        strata = (GOLDEN / "detvar_n3_emit.strata.json").read_bytes()
+        assert Path(emitted).read_bytes() == strata
+        for name in ("r.json", emitted):
+            assert stat.S_IMODE(os.stat(name).st_mode) == 0o640
+        assert sorted(os.listdir()) == sorted(["r.json", emitted])
+
+    def test_symlinked_out_written_in_place(self, capsys, tmp_path, monkeypatch):
+        # a symlink stays a symlink: the file it points to takes the report,
+        # and a failed run leaves it there, since the path existed before
+        monkeypatch.chdir(tmp_path)
+        Path("target.json").write_text("old\n")
+        os.symlink("target.json", "link.json")
+        code, out, _ = run(capsys, "detvar", "--n", "2", "--out", "link.json")
+        assert (code, out) == (0, "")
+        assert os.path.islink("link.json")
+        assert json.loads(Path("target.json").read_text())["inputs"] == {"n": 2}
+        argv = ["detvar", "--n", "3", "--out", "link.json", "--emit-strata", "missing/s.json"]
+        assert run(capsys, *argv)[0] == 2
+        assert os.path.islink("link.json")
+        assert json.loads(Path("target.json").read_text())["inputs"] == {"n": 3}
+        assert sorted(os.listdir()) == ["link.json", "target.json"]
+
+    def test_dev_null_out_written_in_place(self, capsys):
+        code, out, err = run(capsys, "detvar", "--n", "2", "--out", os.devnull)
+        assert (code, out, err) == (0, "", "")
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
     def test_new_files_take_the_umask(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
