@@ -227,13 +227,15 @@ def involute_all(fs: Sequence[ClassPoly], d: int) -> list[ClassPoly]:
     step is linear over Z, so packed coefficient k of the result is
     sum_c g_k(c) 2^(W c), with g(c) the shift of class c, exactly, whatever
     the digits carry into each other on the way.  Only the final digits
-    must fit: with A the largest |a_i| and D the largest degree,
+    must fit.  Since C(i, k) <= 2^i,
 
-        |g_k| <= sum_(i>=k) |a_i| C(i, k) <= A C(D+1, k+1) < 2^(bits(A) + D + 1),
+        |g_k| <= sum_(i>=k) |a_i| C(i, k) <= sum_i |a_i| 2^i = |f|(2),
 
-    which is at most 2^(W-1) for W = 8 * ceil((bits(A) + D + 2) / 8), so
-    `_unpack` reads the digits back.  Packing runs its steps backwards, the
-    |b_i| <= A fitting as well.
+    and every |b_i| = |a_i| is at most |f|(2) too.  With F the largest
+    |f|(2) over the classes, F < 2^bits(F) <= 2^(W-1) for
+    W = 8 * ceil((bits(F) + 1) / 8), so every final digit and every packed
+    b_i lies in [-2^(W-1), 2^(W-1)) and `_unpack` reads the digits back.
+    Packing runs its steps backwards.
     """
     if d < 1:
         raise ValueError("the transform needs d >= 1")
@@ -257,8 +259,8 @@ def involute_all(fs: Sequence[ClassPoly], d: int) -> list[ClassPoly]:
         col = list(f.coeffs[: top + 1])
         col[1::2] = map(neg, col[1::2])
         cols.append(col + [0] * (top + 1 - len(col)))
-    biggest = max(max(map(abs, col)) for col in cols)
-    size = (biggest.bit_length() + top + 2 + 7) // 8  # bytes per digit
+    bound = max(sum(abs(b) << i for i, b in enumerate(col)) for col in cols)  # F
+    size = (bound.bit_length() + 1 + 7) // 8  # bytes per digit
     row = m * size  # bytes per packed coefficient
     bias = int.from_bytes((bytes(size - 1) + b"\x80") * m, "little")
     # pack, `_unpack` backwards: the two's complement fields of b_i, flipped

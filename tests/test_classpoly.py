@@ -268,6 +268,16 @@ class TestInvoluteAllOracle:
         big = sign * (2**bits - 1)
         assert shift == [big * math.comb(d + 2, k + 1) for k in range(d + 2)]
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 16])
+    def test_digit_at_the_edge_of_the_width(self, m):
+        # A - A H with A = 2^(8m-2): |f|(2) = 3A has 8m bits, and the shift
+        # g_0 = f(-1) = 2A = 2^(8m-1) needs the digit of 8m + 8 bits
+        a = 2 ** (8 * m - 2)
+        f = ClassPoly([a, -a], 5)
+        assert f.eval(-1) == 2 ** (8 * m - 1) and (3 * a).bit_length() == 8 * m
+        assert involute_all([f], 3) == [involute_binomial(f, 3)]
+        assert involute_all([f, -f], 3) == [involute_binomial(f, 3), involute_binomial(-f, 3)]
+
     def test_one_batch_at_n_1024(self):
         # d = 1022 is the largest `involute --d`; sparse classes keep the
         # oracle cheap, and the dense worst case has its closed form
