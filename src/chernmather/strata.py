@@ -78,8 +78,11 @@ class Stratum(namedtuple("Stratum", "name csm dim")):
     Like the other value classes here and `quadric.QuadricSpec`, a
     namedtuple: immutable, and equal to and hashed as the plain tuple of its
     fields.  Only the constructor checks the fields; namedtuple's `_make`
-    and `_replace` build an instance without those checks.  Pickling and
-    copying build it again from the name and class.
+    and `_replace` build an instance without those checks, so
+    `_replace(csm=...)` keeps the old `dim` beside the new class, and every
+    parity sign and sort order then trusts that stale field: build a new
+    stratum with `Stratum(name, csm)` instead.  Pickling and copying build
+    it again from the name and class.
     """
 
     __slots__ = ()

@@ -244,6 +244,24 @@ class TestSolve:
         assert err == too_long(path)
         assert not report.exists()
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[1, 2]", "stratification data must be a JSON object"),
+            (
+                '{"N": 2, "primal": [3], "dual": [{"name": "d", "dim": 0, "csm": [0, 1]}],'
+                ' "pairing": []}',
+                "primal entries must be objects",
+            ),
+        ],
+        ids=["top_level", "stratum"],
+    )
+    def test_non_object_exits_2(self, capsys, tmp_path, text, message):
+        path = tmp_path / "strata.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "solve", str(path))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_non_utf8_file(self, capsys, tmp_path):
         bad = tmp_path / "latin1.json"
         bad.write_bytes(b'{"N": 2, "name": "\xe9"}')
