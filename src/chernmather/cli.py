@@ -8,10 +8,10 @@ report and the pair `--emit-strata` asks for, and only then writes them.
 A run that exits non-zero removes every file it created, and an existing
 regular file keeps its bytes: `_write` writes its new text to a temporary
 file beside it, which `main` renames over it once the run has succeeded.
-Files skip the text layer: `solve` reads its input as bytes, decodes them as strict UTF-8
-and reads any line ending as a line feed, and `_write` writes the `--out`
-and `--emit-strata` texts as UTF-8 bytes with os.write; only stdout is
-written through sys.stdout as text.  Reports are deterministic (JSON by
+Files skip the text layer: `solve` reads its input as bytes, decodes them
+as strict UTF-8 and reads any line ending as a line feed, and `_write`
+writes the `--out` and `--emit-strata` texts as UTF-8 bytes with os.write;
+only stdout is written through sys.stdout as text.  Reports are deterministic (JSON by
 default, sorted keys, no timestamps); integers beyond 64 bits are
 serialized as decimal strings.  `_json` renders a report in one walk, byte
 for byte what json.dumps(..., sort_keys=True, indent=2) writes once those
@@ -325,7 +325,7 @@ def _cmd_chow(args):
     _at_most("--n", n, MAX_CHOW_N)
     mode = "mult" if args.mult else "integrate"
     # A chain is a multiset: each distinct token is parsed once, in command
-    # line order, and each distinct partition echoed once
+    # line order, and each distinct partition echoed once.
     tokens = getattr(args, mode)
     partition = {t: _parse_partition(t) for t in dict.fromkeys(tokens)}
     parts = [partition[t] for t in tokens]

@@ -34,10 +34,9 @@ from operator import index, sub
 # (1,1)^40 * 1^20 takes 0.8 to 1.5 s there.  A sigma_1 product never reaches
 # the limit, and `integrate_chain` integrates a trailing run of sigma_1
 # factors in closed form: sigma_1^100 takes under 0.2 s, where its 100
-# products took 0.7 to 1.1 s.  The slowest accepted
-# inputs found, (2,1)^11 * 1 * (1,1)^33, (3,2,1)^4 * (1,1)^38 and
-# (3,1)^7 * (1,1)^36, take 1.1 to 1.6 s each as processes (up to 3 s on a
-# busier host).
+# products took 0.7 to 1.1 s.  The slowest accepted inputs found,
+# (2,1)^11 * 1 * (1,1)^33, (3,2,1)^4 * (1,1)^38 and (3,1)^7 * (1,1)^36,
+# take 1.1 to 1.6 s each as processes (up to 3 s on a busier host).
 MAX_LR_TABLEAUX = 100_000
 
 
