@@ -917,24 +917,6 @@ class TestReportPlumbing:
         assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
         assert os.listdir() == ["r.json"]
 
-    def test_existing_file_replaced_with_its_mode(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        argv, emitted = CASES["detvar_n3_emit"]
-        for name in ("r.json", emitted):
-            Path(name).write_text("old\n")
-            os.chmod(name, 0o640)
-        umask = os.umask(0o077)
-        try:
-            assert run(capsys, *argv, "--out", "r.json")[0] == 0
-        finally:
-            os.umask(umask)
-        assert Path("r.json").read_bytes() == (GOLDEN / "detvar_n3_emit.out").read_bytes()
-        strata = (GOLDEN / "detvar_n3_emit.strata.json").read_bytes()
-        assert Path(emitted).read_bytes() == strata
-        for name in ("r.json", emitted):
-            assert stat.S_IMODE(os.stat(name).st_mode) == 0o640
-        assert sorted(os.listdir()) == sorted(["r.json", emitted])
-
     def test_symlinked_out_written_in_place(self, capsys, tmp_path, monkeypatch):
         # a symlink stays a symlink: the file it points to takes the report,
         # and a failed run leaves it there, since the path existed before
@@ -968,14 +950,23 @@ class TestReportPlumbing:
             assert stat.S_IMODE(os.stat(name).st_mode) == 0o666 & ~0o027
 
     def test_longer_files_are_truncated(self, capsys, tmp_path, monkeypatch):
+        # each existing file is replaced, keeping its permission bits
         monkeypatch.chdir(tmp_path)
         argv, emitted = CASES["quadric_n5_r4_emit"]
         for name in ("r.json", emitted):
             Path(name).write_bytes(b"x" * 100_000)
-        assert run(capsys, *argv, "--out", "r.json")[0] == 0
+            os.chmod(name, 0o640)
+        umask = os.umask(0o077)
+        try:
+            assert run(capsys, *argv, "--out", "r.json")[0] == 0
+        finally:
+            os.umask(umask)
         assert Path("r.json").read_bytes() == (GOLDEN / "quadric_n5_r4_emit.out").read_bytes()
         strata = (GOLDEN / "quadric_n5_r4_emit.strata.json").read_bytes()
         assert Path(emitted).read_bytes() == strata
+        for name in ("r.json", emitted):
+            assert stat.S_IMODE(os.stat(name).st_mode) == 0o640
+        assert sorted(os.listdir()) == sorted(["r.json", emitted])
 
     @pytest.mark.parametrize(
         "what, argv",
